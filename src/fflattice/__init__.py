@@ -16,7 +16,7 @@ from .standardize import (DecoratedField, EmbeddingDesc, decorate, standard_poly
                           verify_key_identity)
 from .lattice import StdLattice, default_lattice
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "fppoly", "linalg", "extfield", "conway", "cyclotomic", "kummer",

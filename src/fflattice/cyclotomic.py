@@ -82,12 +82,7 @@ class CycloLattice:
         h = extfield.minimal_polynomial(zeta)
         assert fppoly.degree(h) == a, "zeta must generate its Conway field"
         b_coeffs = [(-c) % self.p for c in h[:a]]
-        cols = []
-        cur = K.one()
-        for _ in range(a):
-            cols.append(cur.vec)
-            cur = cur * zeta
-        Z = np.array(cols, dtype=np.int64).T % self.p
+        Z = linalg.krylov(K.mul_matrix(zeta), K.one().vec, a, self.p)
         scalar = K if h == K.modulus else ExtField(self.p, h, check=False)
         e = CycloEntry(ell, a, K, zeta, h, b_coeffs, Z, scalar)
         with self._lock:
@@ -137,12 +132,7 @@ class CycloLattice:
         if y.field != dst.K:
             raise extfield.FieldMismatch("element does not live in K_m")
         eta = dst.zeta ** (m // ell)
-        cols = []
-        cur = dst.K.one()
-        for _ in range(src.level):
-            cols.append(cur.vec)
-            cur = cur * eta
-        W = np.array(cols, dtype=np.int64).T % self.p
+        W = linalg.krylov(dst.K.mul_matrix(eta), dst.K.one().vec, src.level, self.p)
         try:
             coords = linalg.solve(W, np.array(y.vec, dtype=np.int64), self.p)
         except linalg.InconsistentSystem:

@@ -1,9 +1,11 @@
 """Explicit extension fields GF(p^n) = GF(p)[X]/(f) and their elements.
 
 Fields cache the matrix of the Frobenius x -> x^p in the power basis; it is
-the workhorse for minimal polynomials and for the tensor-algebra operators.
-Also provides irreducibility testing, primitivity, baby-step giant-step
-discrete logarithms and deterministic l-th root extraction.
+the workhorse for irreducibility tests and for the tensor-algebra operators.
+Matrices of multiplication and Frobenius are built as Krylov matrices
+(linalg.krylov) of the companion matrix of f.  Also provides minimal
+polynomials, primitivity, baby-step giant-step discrete logarithms and
+deterministic l-th root extraction.
 """
 
 from __future__ import annotations
@@ -34,19 +36,10 @@ class ExtField:
         if check and not is_irreducible(modulus, p):
             raise ValueError(f"defining polynomial {modulus} is reducible over GF({p})")
         self.modulus = modulus
-        self.frobenius_matrix = self._build_frobenius()
+        self._companion = companion_matrix(modulus, p)
+        self.frobenius_matrix = frobenius_matrix(modulus, p)
         self._frob_powers = {0: linalg.identity(self.n), 1: self.frobenius_matrix}
         self._order_factors = None
-
-    def _build_frobenius(self) -> np.ndarray:
-        n, p = self.n, self.p
-        xp = fppoly.powmod([0, 1], p, self.modulus, p)
-        cols = [[1] + [0] * (n - 1)]
-        cur = [1]
-        for _ in range(1, n):
-            cur = fppoly.mod(fppoly.mul(cur, xp, p), self.modulus, p)
-            cols.append(cur + [0] * (n - len(cur)))
-        return np.array(cols, dtype=np.int64).T % p
 
     def frob_power(self, k: int) -> np.ndarray:
         """Matrix of x -> x^(p^k), k reduced mod n; cached."""
@@ -88,14 +81,7 @@ class ExtField:
 
     def mul_matrix(self, x: "FFElem") -> np.ndarray:
         """n x n matrix of multiplication by x in the power basis."""
-        cols = []
-        cur = list(x.vec)
-        base = list(x.vec)
-        cols.append(base)
-        for _ in range(1, self.n):
-            cur = fppoly.mod(fppoly.mul(cur, [0, 1], self.p), self.modulus, self.p)
-            cols.append(cur + [0] * (self.n - len(cur)))
-        return np.array(cols, dtype=np.int64).T % self.p
+        return linalg.krylov(self._companion, x.vec, self.n, self.p)
 
     def __eq__(self, other):
         return isinstance(other, ExtField) and self.p == other.p and self.modulus == other.modulus
@@ -186,11 +172,35 @@ class FFElem:
 # -- polynomial-level predicates ----------------------------------------------
 
 
+def companion_matrix(f: list[int], p: int) -> np.ndarray:
+    """n x n matrix of multiplication by X on GF(p)[X]/(f), f monic of degree n."""
+    n = fppoly.degree(f)
+    C = np.zeros((n, n), dtype=np.int64)
+    C[1:, :-1] = np.eye(n - 1, dtype=np.int64)
+    C[:, -1] = [(-c) % p for c in f[:n]]
+    return C
+
+
+def frobenius_matrix(f: list[int], p: int) -> np.ndarray:
+    """n x n matrix of y -> y^p on GF(p)[X]/(f), f monic: columns X^(p i) mod f.
+
+    One powmod for X^p, then the columns are the Krylov iterates of
+    multiplication by X^p: 2n mat-vecs in all.
+    """
+    n = fppoly.degree(f)
+    xp = fppoly.powmod([0, 1], p, f, p)
+    mul_xp = linalg.krylov(companion_matrix(f, p), xp + [0] * (n - len(xp)), n, p)
+    return linalg.krylov(mul_xp, [1] + [0] * (n - 1), n, p)
+
+
 def is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's test via Frobenius-matrix powers.
+    """Rabin's test on the Frobenius iterates of X.
 
     f is irreducible iff X^(p^n) = X mod f and, for every maximal proper
-    divisor n/q of n, gcd(X^(p^(n/q)) - X, f) is constant.
+    divisor n/q of n, gcd(X^(p^(n/q)) - X, f) is constant.  The n iterates
+    X^(p^k) mod f, 1 <= k <= n, come from applying the Frobenius matrix to X
+    n times: O(n^3) word operations in n mat-vecs, plus one gcd per prime
+    factor of n.
     """
     n = fppoly.degree(f)
     if n < 1:
@@ -200,21 +210,13 @@ def is_irreducible(f: list[int], p: int) -> bool:
     if f[0] == 0:
         return False  # divisible by X
     f = fppoly.monic(f, p)
-    xp = fppoly.powmod([0, 1], p, f, p)
-    cols = [[1] + [0] * (n - 1)]
-    cur = [1]
-    for _ in range(1, n):
-        cur = fppoly.mod(fppoly.mul(cur, xp, p), f, p)
-        cols.append(cur + [0] * (n - len(cur)))
-    F = np.array(cols, dtype=np.int64).T % p
     x_vec = np.zeros(n, dtype=np.int64)
     x_vec[1] = 1
-    if list(linalg.matmul_mod(linalg.matpow_mod(F, n, p), x_vec, p)) != list(x_vec):
+    iterates = linalg.krylov(frobenius_matrix(f, p), x_vec, n + 1, p)  # column k: X^(p^k)
+    if not np.array_equal(iterates[:, n], x_vec):
         return False
-    for q in sorted({q for q in _prime_factors(n)}):
-        k = n // q
-        img = linalg.matmul_mod(linalg.matpow_mod(F, k, p), x_vec, p)
-        g = fppoly.trim([int((a - b) % p) for a, b in zip(img, x_vec)])
+    for q in _prime_factors(n):
+        g = fppoly.trim(((iterates[:, n // q] - x_vec) % p).tolist())
         if not g:
             return False
         if fppoly.degree(fppoly.gcd(g, f, p)) > 0:
@@ -308,23 +310,18 @@ def frobenius(x: FFElem, k: int = 1) -> FFElem:
 
 
 def minimal_polynomial(x: FFElem) -> list[int]:
-    """Monic minimal polynomial of x over GF(p): first linear dependency of powers."""
+    """Monic minimal polynomial of x over GF(p), by one Krylov elimination.
+
+    The powers 1, x, ..., x^n are the Krylov columns of multiplication by x
+    (n mat-vecs); one rref of that n x (n+1) matrix, O(n^3), finds the first
+    power x^d that depends on the lower ones and its coordinates on them.
+    """
     f = x.field
-    p = f.p
-    powers = [f.one().vec]
-    cur = f.one()
-    for k in range(1, f.n + 1):
-        cur = cur * x
-        M = np.array(powers, dtype=np.int64).T  # n x k, columns x^0..x^(k-1)
-        try:
-            c = linalg.solve(M, np.array(cur.vec, dtype=np.int64), p)
-        except linalg.InconsistentSystem:
-            powers.append(cur.vec)
-            continue
-        # x^k = sum c_i x^i  =>  minpoly = X^k - sum c_i X^i
-        coeffs = [(-int(v)) % p for v in c] + [1]
-        return fppoly.trim(coeffs)
-    raise AssertionError("unreachable: powers of x must become dependent by degree n")
+    p, n = f.p, f.n
+    R, pivots = linalg.rref(linalg.krylov(f.mul_matrix(x), f.one().vec, n + 1, p), p)
+    d = len(pivots)  # once a power depends on the lower ones, so do all higher powers
+    # x^d = sum_{i<d} R[i, d] x^i  =>  minpoly = X^d - sum R[i, d] X^i
+    return [(-int(c)) % p for c in R[:d, d]] + [1]
 
 
 def multiplicative_order(x: FFElem) -> int:

@@ -110,7 +110,7 @@ def mul(a: list[int], b: list[int], p: int) -> list[int]:
     if n * (p - 1) * (p - 1) < (1 << 62):
         # int64 accumulation cannot overflow
         out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return list((out % p).astype(int))
+        return (out % p).tolist()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:

@@ -5,6 +5,12 @@ coefficient of X^i (x) zeta^j, where X generates the left field GF(p^l) and
 zeta the scalar field.  The two one-sided Frobenius operators, the Hilbert-90
 solver, Kummer constants, scalar norms and first-coefficient projections all
 live here.
+
+Hilbert 90 is solved by a Lagrange resolvent (Allombert 2002; Brieulle, De
+Feo, Doliskani, Flori and Schost 2019): sum_i sigma^i(x) (x) zeta^(-i) solves
+(sigma (x) 1) alpha = (1 (x) zeta) alpha for every x, so one Krylov matrix of
+the Frobenius (l mat-vecs) and one l x l by l x a product give a solution in
+O(l^3 + l^2 a) word operations, with no linear system to solve.
 """
 
 from __future__ import annotations
@@ -193,11 +199,17 @@ class KummerElem:
 
 
 def kalg_mul(u: KummerElem, v: KummerElem) -> KummerElem:
-    """Bivariate product, reduced mod f in X and mod h in zeta."""
+    """Bivariate product, reduced mod f in X and mod h in zeta.
+
+    Column convolutions accumulate l products below p^2; when l (p-1)^2 could
+    overflow int64 they run on Python integers (object dtype), as in
+    linalg.matmul_mod.
+    """
     alg = u.algebra
     p, ell, a = alg.p, alg.ell, alg.a
-    A, B = u.coeffs, v.coeffs
-    R = np.zeros((2 * ell - 1, 2 * a - 1), dtype=np.int64)
+    dtype = np.int64 if ell * (p - 1) * (p - 1) < (1 << 62) else object
+    A, B = u.coeffs.astype(dtype, copy=False), v.coeffs.astype(dtype, copy=False)
+    R = np.zeros((2 * ell - 1, 2 * a - 1), dtype=dtype)
     for j in range(a):
         col_a = A[:, j]
         if not col_a.any():
@@ -219,7 +231,7 @@ def kalg_mul(u: KummerElem, v: KummerElem) -> KummerElem:
         if col.any():
             R[:ell, t - a:t] = (R[:ell, t - a:t] + np.outer(col, alg._h_low)) % p
             R[:ell, t] = 0
-    return KummerElem(alg, R[:ell, :a].copy())
+    return KummerElem(alg, R[:ell, :a].astype(np.int64))
 
 
 def frob_left(u: KummerElem, k: int = 1) -> KummerElem:
@@ -236,29 +248,35 @@ def frob_right(u: KummerElem, k: int = 1) -> KummerElem:
     return KummerElem(alg, linalg.matmul_mod(u.coeffs, M.T, alg.p))
 
 
-def solve_h90(alg: KummerAlg, eta_power: int = 1) -> KummerElem:
-    """A canonical nonzero solution of (sigma (x) 1)(x) = (1 (x) zeta^eta_power) x.
+def solve_h90(alg: KummerAlg) -> KummerElem:
+    """The canonical nonzero solution of (sigma (x) 1)(alpha) = (1 (x) zeta) alpha.
 
-    The solution space is a line over the scalar field (dimension a over
-    GF(p)); the returned representative is normalized so that its first
+    alpha is the Lagrange resolvent sum_i sigma^i(X^j) (x) zeta^(-i) for the
+    first j that makes it nonzero.  Each j tried costs l Frobenius mat-vecs
+    (the Krylov matrix of X^j) and one l x l by l x a product; j = 0 gives
+    zero for l > 1 and j = 1 usually suffices (the resolvent map is
+    GF(p)-linear and nonzero).  The solutions form a line over the scalar field
+    GF(p)(zeta); the returned representative is normalized so that its first
     nonzero left-coordinate scalar equals 1, making the output deterministic.
+    Raises ArithmeticError when the result fails the equation, which means
+    zeta is not a primitive l-th root of unity (corrupted inputs).
     """
     p, ell, a = alg.p, alg.ell, alg.a
-    F = alg.left.frobenius_matrix
-    Z = linalg.matpow_mod(alg._zeta_mul, eta_power % alg.ell, p) if eta_power != 1 else alg._zeta_mul
-    # row-major vec of the l x a coefficient matrix
-    M = (np.kron(F, linalg.identity(a)) - np.kron(linalg.identity(ell), Z)) % p
-    basis = linalg.kernel(M, p)
-    if len(basis) != a:
+    F, Z = alg.left.frobenius_matrix, alg._zeta_mul
+    zeta_powers = linalg.krylov(Z, [1] + [0] * (a - 1), ell, p)   # a x l
+    W = zeta_powers[:, [(-i) % ell for i in range(ell)]].T        # row i: zeta^(-i)
+    for x in linalg.identity(ell):                                # x = X^0, X^1, ...
+        C = linalg.matmul_mod(linalg.krylov(F, x, ell, p), W, p)
+        if C.any():
+            break
+    if not C.any() or not np.array_equal(linalg.matmul_mod(F, C, p),
+                                         linalg.matmul_mod(C, Z.T, p)):
         raise ArithmeticError(
-            f"Hilbert-90 kernel has dimension {len(basis)}, expected {a}; "
-            "inputs are corrupted or gcd(l, p) != 1")
-    C = basis[0].reshape(ell, a)
-    for i in range(ell):
-        if C[i].any():
-            s = alg.scalar.element(list(C[i]))
-            return KummerElem(alg, C).scalar_mul(s.inverse())
-    raise AssertionError("kernel basis vector cannot be zero")
+            f"Hilbert-90 resolvent fails (sigma (x) 1) alpha = (1 (x) zeta) alpha at "
+            f"p={p}, l={ell}, level {a}; inputs are corrupted or gcd(l, p) != 1")
+    i = int(np.flatnonzero(C.any(axis=1))[0])
+    s = alg.scalar.element(list(C[i]))
+    return KummerElem(alg, C).scalar_mul(s.inverse())
 
 
 def kummer_constant(alpha: KummerElem) -> FFElem:
@@ -311,12 +329,7 @@ def project_first(beta: KummerElem, ell_sub: int, method: str = "auto") -> FFEle
     S = alg.scalar
     eta = S.gen() ** (ell // ell_sub)
     if method == "solve":
-        cols = []
-        cur = S.one()
-        for _ in range(d):
-            cols.append(cur.vec)
-            cur = cur * eta
-        W = np.array(cols, dtype=np.int64).T % p
+        W = linalg.krylov(S.mul_matrix(eta), S.one().vec, d, p)
         try:
             X = linalg.solve(W, beta.coeffs.T, p)
         except linalg.InconsistentSystem:

@@ -8,7 +8,9 @@ is linear in the degree when the alpha cache is off.
 
 Serialization is a portable text format: a header line `p`, then one line
 per field `l f_coeffs s_coeffs P_coeffs`, then one line per cached embedding
-`l m t_coeffs`, all ascending decimal coefficients.
+`E l m t_coeffs`, all ascending decimal coefficients.  The `E` tag marks
+embedding records; text without it (older output) still loads, field lines
+being told from embedding lines by their token count, 3l + 3.
 """
 
 from __future__ import annotations
@@ -122,19 +124,10 @@ class StdLattice:
     def _embedding_matrix(self, src: DecoratedField, dst: DecoratedField,
                           t: FFElem) -> np.ndarray:
         p = self.p
-        ell, m = src.ell, dst.ell
-        src_powers = []
-        cur = src.field.one()
-        for _ in range(ell):
-            src_powers.append(cur.vec)
-            cur = cur * src.s
-        B_src = np.array(src_powers, dtype=np.int64).T % p    # l x l, invertible
-        dst_powers = []
-        cur = dst.field.one()
-        for _ in range(ell):
-            dst_powers.append(cur.vec)
-            cur = cur * t
-        B_dst = np.array(dst_powers, dtype=np.int64).T % p    # m x l
+        ell = src.ell
+        # columns 1, s, ..., s^(l-1) and their images 1, t, ..., t^(l-1)
+        B_src = linalg.krylov(src.field.mul_matrix(src.s), src.field.one().vec, ell, p)  # l x l
+        B_dst = linalg.krylov(dst.field.mul_matrix(t), dst.field.one().vec, ell, p)      # m x l
         inv = linalg.solve(B_src, linalg.identity(ell), p)
         return linalg.matmul_mod(B_dst, inv, p)
 
@@ -194,7 +187,7 @@ class StdLattice:
             lines.append(f"{ell} {f} {s} {P}")
         for (ell, m) in sorted(self.embeddings):
             t = " ".join(map(str, list(self.embeddings[(ell, m)].desc.s_image.vec)))
-            lines.append(f"{ell} {m} {t}")
+            lines.append(f"E {ell} {m} {t}")
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
@@ -215,8 +208,8 @@ class StdLattice:
         p = int(lines[0])
         L = cls(p, lattice)
         i = 1
-        # field lines: `l  f(l+1)  s(l)  P(l+1)` -> 3l + 3 tokens
-        while i < len(lines):
+        # field lines: `l  f(l+1)  s(l)  P(l+1)` -> 3l + 3 tokens, no tag
+        while i < len(lines) and not lines[i].startswith("E"):
             toks = [int(t) for t in lines[i].split()]
             ell = toks[0]
             if len(toks) != 3 * ell + 3:
@@ -228,15 +221,15 @@ class StdLattice:
             if list(dec.s.vec) != s_vec or dec.P != P:
                 raise ValueError(f"stored decoration for degree {ell} fails re-validation")
             i += 1
-        while i < len(lines):
-            toks = [int(t) for t in lines[i].split()]
+        # embedding lines: `E l m t(m)`, or `l m t(m)` in untagged text
+        for line in lines[i:]:
+            toks = [int(t) for t in line.removeprefix("E").split()]
             ell, m, t_vec = toks[0], toks[1], toks[2:]
             if m % ell or len(t_vec) != m:
-                raise ValueError(f"malformed embedding line: {lines[i]!r}")
+                raise ValueError(f"malformed embedding line: {line!r}")
             entry = L._embedding_entry(ell, m)
             if list(entry.desc.s_image.vec) != t_vec:
                 raise ValueError(f"stored embedding {ell}->{m} fails re-validation")
-            i += 1
         return L
 
     @classmethod

@@ -46,6 +46,17 @@ def matpow_mod(A: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
+def krylov(M: np.ndarray, v, k: int, p: int) -> np.ndarray:
+    """The n x k matrix with columns v, Mv, ..., M^(k-1) v: k - 1 mat-vecs, no matrix powers."""
+    cur = np.asarray(v, dtype=np.int64) % p
+    K = np.empty((cur.shape[0], k), dtype=np.int64)
+    for i in range(k):
+        K[:, i] = cur
+        if i + 1 < k:
+            cur = matmul_mod(M, cur, p)
+    return K
+
+
 def rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (R, pivot_columns)."""
     R = (np.array(M, dtype=np.int64) % p).copy()

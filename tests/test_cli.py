@@ -123,3 +123,9 @@ def test_machine_output_deterministic(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_embed_machine_round_trip_degree_one(capsys):
+    code, out, _ = run(capsys, "embed", "-p", "3", "-l", "1", "-m", "4", "--format", "machine")
+    assert code == 0
+    assert StdLattice.loads(out).dumps() == out

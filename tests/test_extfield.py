@@ -115,3 +115,58 @@ def test_degree_one_field():
     g = F.gen()
     assert g == F.element([4])  # the root of x+3 is -3 = 4
     assert extfield.minimal_polynomial(g) == [3, 1]
+
+
+def _monic_polynomials(p, n):
+    for k in range(p ** n):
+        yield [(k // p ** i) % p for i in range(n)] + [1]
+
+
+@pytest.mark.parametrize("p, max_n", [(2, 8), (3, 5), (5, 3)])
+def test_irreducible_count_matches_gauss(p, max_n):
+    # (1/n) sum_{d | n} mu(d) p^(n/d) monic irreducibles of degree n
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0}
+    for n in range(1, max_n + 1):
+        gauss = sum(mobius[d] * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+        found = sum(extfield.is_irreducible(f, p) for f in _monic_polynomials(p, n))
+        assert found == gauss, (p, n)
+
+
+def _frobenius_orbit_size(x):
+    y, k = extfield.frobenius(x, 1), 1
+    while y != x:
+        y, k = extfield.frobenius(y, 1), k + 1
+    return k
+
+
+def _check_minimal_polynomial(x):
+    h = extfield.minimal_polynomial(x)
+    p = x.field.p
+    acc = x.field.zero()
+    for c in reversed(h):
+        acc = acc * x + c
+    assert acc == x.field.zero()
+    assert h[-1] == 1 and extfield.is_irreducible(h, p)
+    assert fppoly.degree(h) == _frobenius_orbit_size(x)
+
+
+def test_minimal_polynomial_properties_random():
+    rng = random.Random(77)
+    for p, n in [(2, 12), (3, 8), (5, 6), (65521, 4)]:
+        F = ExtField(p, extfield.random_irreducible(p, n, seed=3))
+        for _ in range(10):
+            _check_minimal_polynomial(F.random_element(rng))
+
+
+def test_minimal_polynomial_properties_subfields():
+    from fflattice.lattice import StdLattice
+    L = StdLattice(2)
+    for ell in (3, 5, 15):
+        L.add_field(ell)
+    rng = random.Random(15)
+    for ell in (3, 5):
+        for _ in range(6):
+            x = L.field(ell).field.random_element(rng)
+            y = L.embed_eval(ell, 15, x)
+            _check_minimal_polynomial(y)
+            assert extfield.minimal_polynomial(y) == extfield.minimal_polynomial(x)

@@ -215,3 +215,43 @@ def test_degenerate_level_one():
     alg = KummerAlg(L, 1)
     alpha = solve_h90(alg)
     assert alpha ** 1 == alg.from_scalar(kummer_constant(alpha))
+
+
+def kernel_h90(alg):
+    """Oracle: the normalized Hilbert-90 solution from a dense kernel.
+
+    Solves (F (x) I - I (x) Z) vec(alpha) = 0 on the row-major vec of the
+    l x a coefficient matrix, takes the first kernel basis vector and scales
+    its first nonzero row to 1, as solve_h90 does.
+    """
+    from fflattice import linalg
+    p, ell, a = alg.p, alg.ell, alg.a
+    F = alg.left.frobenius_matrix
+    Z = alg.scalar.mul_matrix(alg.scalar.gen())
+    M = (np.kron(F, linalg.identity(a)) - np.kron(linalg.identity(ell), Z)) % p
+    basis = linalg.kernel(M, p)
+    assert len(basis) == a
+    C = basis[0].reshape(ell, a)
+    i = next(i for i in range(ell) if C[i].any())
+    s = alg.scalar.element(list(C[i]))
+    return kummer.KummerElem(alg, C).scalar_mul(s.inverse())
+
+
+@pytest.mark.parametrize("p, ell", [(2, 1), (2, 15), (2, 21), (2, 45), (2, 63),
+                                    (3, 8), (3, 13), (3, 20),
+                                    (5, 6), (5, 12), (5, 31)])
+def test_resolvent_matches_kernel_oracle(p, ell):
+    alg = KummerAlg(default_lattice(p), ell)
+    alpha = solve_h90(alg)
+    assert np.array_equal(alpha.coeffs, kernel_h90(alg).coeffs)
+
+
+def test_solve_h90_rejects_wrong_root_of_unity(monkeypatch):
+    # l = 5 and l = 15 share level 4 at p = 2; zeta_15 is not a 5th root of unity
+    L = default_lattice(2)
+    alg, alg15 = KummerAlg(L, 5), KummerAlg(L, 15)
+    assert alg.a == alg15.a == 4
+    for name in ("entry", "scalar", "_zeta_mul", "_h_low"):
+        monkeypatch.setattr(alg, name, getattr(alg15, name))
+    with pytest.raises(ArithmeticError, match=r"p=2, l=5, level 4"):
+        solve_h90(alg)

@@ -138,3 +138,24 @@ def test_field_mismatch_rejected():
     other = extfield.ExtField(2, [1, 1, 0, 1])
     with pytest.raises(extfield.FieldMismatch):
         L.embed_eval(3, 15, other.gen())
+
+
+def test_serialization_round_trip_ambiguous_token_count():
+    # the embedding record `1 4 t0..t3` has 3*1 + 3 tokens, like a field record
+    L = build(3, [1, 4])
+    L.get_embedding(1, 4)
+    text = L.dumps()
+    assert text.splitlines()[-1].startswith("E 1 4 ")
+    again = StdLattice.loads(text)
+    assert again.dumps() == text
+    assert again.get_embedding(1, 4).s_image == L.get_embedding(1, 4).s_image
+
+
+def test_loader_reads_untagged_embedding_records():
+    L = build(3, [1, 2, 4, 8])
+    L.get_embedding(2, 8)
+    L.get_embedding(4, 8)
+    text = L.dumps()
+    untagged = text.replace("\nE ", "\n")
+    assert untagged != text
+    assert StdLattice.loads(untagged).dumps() == text

@@ -98,3 +98,14 @@ def test_matpow_identity():
     P = linalg.matpow_mod(M, 5, 7)
     assert (P == np.array([[1, 5], [0, 1]])).all()
     assert (linalg.matpow_mod(M, 0, 7) == linalg.identity(2)).all()
+
+
+@pytest.mark.parametrize("p", PRIMES + [2 ** 31 - 1])
+def test_krylov_columns_are_matrix_powers(p):
+    rng = random.Random(p)
+    M = rand_matrix(rng, 6, 6, p)
+    v = rand_matrix(rng, 6, 1, p)[:, 0]
+    K = linalg.krylov(M, v, 8, p)
+    assert K.shape == (6, 8)
+    for i in range(8):
+        assert (K[:, i] == linalg.matmul_mod(linalg.matpow_mod(M, i, p), v, p)).all()

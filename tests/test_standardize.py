@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from fflattice import fppoly, extfield, standardize
+from fflattice import fppoly, extfield, kummer, standardize
 from fflattice.extfield import ExtField
 from fflattice.lattice import default_lattice
 
@@ -123,3 +123,24 @@ def test_key_identity_rejects_oversize():
     L = default_lattice(2)
     with pytest.raises(ValueError):
         standardize.verify_key_identity(1, 30, L)
+
+
+def test_decorate_at_largest_prime_is_exact():
+    # p = 2^31 - 1: coefficient products reach 2^62, so int64 arithmetic must
+    # not wrap anywhere on the decoration path (warnings turn overflow into errors)
+    import time
+    import warnings
+    from fflattice.lattice import StdLattice
+    p = 2 ** 31 - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ell in (3, 7, 9):
+            t0 = time.perf_counter()
+            L = StdLattice(p)
+            d = L.add_field(ell)
+            alpha = d.alpha()
+            alg = d.algebra
+            assert d.P == [p - 7] + [0] * (ell - 1) + [1]   # x^l - 7, 7 the primitive root
+            assert kummer.frob_left(alpha) == alpha.scalar_mul(alg.scalar.gen())
+            assert alpha ** ell == alg.from_scalar(L.lattice.standard_constant(ell))
+            assert time.perf_counter() - t0 < 20
