@@ -89,15 +89,28 @@ def cmd_embed(args) -> int:
 
 
 def _valid_degrees(p: int, max_degree: int, cyclo: CycloLattice) -> list[int]:
-    """Degrees <= max coprime to p whose level the Conway table can reach."""
-    reach = max(cyclo.table.degrees(), default=0)
+    """Degrees <= max coprime to p whose level the Conway table can reach.
+
+    The reach is the largest tabulated level or, for a prime the table does
+    not cover, every level a whose exhaustive Conway search fits the table's
+    work bound (p^a a^2 <= work_bound).  Raises ConwayUnavailable when a
+    degree above 1 was asked for and none is reachable.
+    """
+    table = cyclo.table
+    reach = max(table.degrees(), default=0)
+    if not reach:
+        while p ** (reach + 1) * (reach + 1) ** 2 <= table.work_bound:
+            reach += 1
+    candidates = [ell for ell in range(1, max_degree + 1) if ell % p]
     out = []
-    for ell in range(1, max_degree + 1):
-        if ell % p == 0:
-            continue
+    for ell in candidates:
         a = cyclo.level(ell)
-        if cyclo.table.has(a) or a <= reach:
+        if table.has(a) or a <= reach:
             out.append(ell)
+    if max(out, default=1) == 1 and max(candidates, default=1) > 1:
+        raise ConwayUnavailable(
+            f"no degree in 2..{max_degree} is reachable for p={p}: the Conway table "
+            f"reaches level {reach} (work bound {table.work_bound})")
     return out
 
 

@@ -44,27 +44,25 @@ def _norm_compatible(cand: list[int], a: int, divisors: dict[int, list[int]], p:
         if a % d == 0:
             e = (p ** a - 1) // (p ** d - 1)
             xe = fppoly.powmod([0, 1], e, cand, p)
-            if fppoly.trim(_eval_poly_at(cd, xe, cand, p)):
+            if fppoly.compose_mod(cd, xe, cand, p):
                 return False
         elif d % a == 0:
             e = (p ** d - 1) // (p ** a - 1)
             xe = fppoly.powmod([0, 1], e, cd, p)
-            if fppoly.trim(_eval_poly_at(cand, xe, cd, p)):
+            if fppoly.compose_mod(cand, xe, cd, p):
                 return False
     return True
 
 
-def _eval_poly_at(f: list[int], g: list[int], m: list[int], p: int) -> list[int]:
-    """f(g) mod m by Horner."""
-    acc: list[int] = []
-    for c in reversed(f):
-        acc = fppoly.mod(fppoly.add(fppoly.mul(acc, g, p), fppoly.constant(c, p), p), m, p)
-    return acc
+def _is_primitive_poly(f: list[int], p: int, order_primes: list[int]) -> bool:
+    """Whether X generates (GF(p)[X]/(f))^*, for f irreducible of degree a.
 
-
-def _is_primitive_poly(f: list[int], p: int) -> bool:
-    field = extfield.ExtField(p, f, check=False)
-    return extfield.is_primitive(field.gen())
+    order_primes are the prime factors q of p^a - 1, factored once by the
+    caller; X is primitive iff X != 0 and X^((p^a-1)/q) != 1 mod f for each.
+    """
+    order = p ** fppoly.degree(f) - 1
+    return f[0] != 0 and all(fppoly.powmod([0, 1], order // q, f, p) != [1]
+                             for q in order_primes)
 
 
 def conway_search(p: int, a: int, known: dict[int, list[int]], work_bound: int = 2_000_000,
@@ -87,6 +85,7 @@ def conway_search(p: int, a: int, known: dict[int, list[int]], work_bound: int =
             raise ValueError(f"search for degree {a} requires the degree-{d} entry first")
     budget = work_bound // (a * a) if a > 1 else work_bound
     divisors = {d: f for d, f in known.items() if d < a and a % d == 0}
+    order_primes = list(extfield.factorize(p ** a - 1))
     tested = 0
     for index in range(p ** a):
         word = []
@@ -111,7 +110,7 @@ def conway_search(p: int, a: int, known: dict[int, list[int]], work_bound: int =
                 f"Conway search for p={p}, a={a} exceeded the work bound; supply a table")
         if not extfield.is_irreducible(cand, p):
             continue
-        if not _is_primitive_poly(cand, p):
+        if not _is_primitive_poly(cand, p, order_primes):
             continue
         if not _norm_compatible(cand, a, divisors, p):
             continue
@@ -143,7 +142,7 @@ class ConwayTable:
                 if validate:
                     if not extfield.is_irreducible(f, p):
                         raise ValueError(f"table entry p={p} a={a} is reducible")
-                    if not _is_primitive_poly(f, p):
+                    if not _is_primitive_poly(f, p, list(extfield.factorize(p ** a - 1))):
                         raise ValueError(f"table entry p={p} a={a} is not primitive")
                     if not _norm_compatible(f, a, self._polys, p):
                         raise ValueError(f"table entry p={p} a={a} is not norm compatible")

@@ -2,6 +2,8 @@
 
 Fields cache the matrix of the Frobenius x -> x^p in the power basis; it is
 the workhorse for irreducibility tests and for the tensor-algebra operators.
+They also cache the reduction matrix of their modulus (fppoly's reduction
+kernel), so a product of elements is one convolve plus one mat-vec.
 Matrices of multiplication and Frobenius are built as Krylov matrices
 (linalg.krylov) of the companion matrix of f.  Also provides minimal
 polynomials, primitivity, baby-step giant-step discrete logarithms and
@@ -36,8 +38,9 @@ class ExtField:
         if check and not is_irreducible(modulus, p):
             raise ValueError(f"defining polynomial {modulus} is reducible over GF({p})")
         self.modulus = modulus
+        self.reduction = fppoly.reduction_matrix(modulus, p)   # column i: X^(n+i) mod f
         self._companion = companion_matrix(modulus, p)
-        self.frobenius_matrix = frobenius_matrix(modulus, p)
+        self.frobenius_matrix = frobenius_matrix(modulus, p, self.reduction)
         self._frob_powers = {0: linalg.identity(self.n), 1: self.frobenius_matrix}
         self._order_factors = None
 
@@ -135,9 +138,10 @@ class FFElem:
 
     def __mul__(self, other):
         other = self._check(other)
-        f = self.field
-        prod = fppoly.mod(fppoly.mul(self.poly(), other.poly(), f.p), f.modulus, f.p)
-        return f.element(prod)
+        R = self.field.reduction
+        prod = fppoly.mulmod(np.array(self.vec, dtype=R.dtype),
+                             np.array(other.vec, dtype=R.dtype), R, self.field.p)
+        return FFElem(self.field, tuple(prod.tolist()))
 
     __rmul__ = __mul__
 
@@ -155,7 +159,7 @@ class FFElem:
         f = self.field
         if e < 0:
             return self.inverse() ** (-e)
-        return f.element(fppoly.powmod(self.poly(), e, f.modulus, f.p))
+        return f.element(fppoly.powmod(self.poly(), e, f.modulus, f.p, f.reduction))
 
     def __eq__(self, other):
         if isinstance(other, (int, np.integer)):
@@ -181,14 +185,15 @@ def companion_matrix(f: list[int], p: int) -> np.ndarray:
     return C
 
 
-def frobenius_matrix(f: list[int], p: int) -> np.ndarray:
+def frobenius_matrix(f: list[int], p: int, R: np.ndarray | None = None) -> np.ndarray:
     """n x n matrix of y -> y^p on GF(p)[X]/(f), f monic: columns X^(p i) mod f.
 
-    One powmod for X^p, then the columns are the Krylov iterates of
-    multiplication by X^p: 2n mat-vecs in all.
+    One powmod for X^p (through the reduction matrix R of f, built there if
+    not given), then the columns are the Krylov iterates of multiplication
+    by X^p: 2n mat-vecs in all.
     """
     n = fppoly.degree(f)
-    xp = fppoly.powmod([0, 1], p, f, p)
+    xp = fppoly.powmod([0, 1], p, f, p, R)
     mul_xp = linalg.krylov(companion_matrix(f, p), xp + [0] * (n - len(xp)), n, p)
     return linalg.krylov(mul_xp, [1] + [0] * (n - 1), n, p)
 

@@ -3,6 +3,20 @@
 Polynomials are plain Python lists of integers in [0, p), ascending degree,
 with no trailing zeros; [] is the zero polynomial and its degree is -1.
 The modulus p travels as an explicit argument.  All arithmetic is exact.
+
+Reduction kernel.  For f monic of degree n, reduction_matrix(f, p) is the
+n x (n-1) matrix R whose column i is X^(n+i) mod f.  A coefficient array c
+of at most 2n - 1 residues reduces as c[:n] + R c[n:] mod p (reduce), so a
+product modulo f is one np.convolve plus one mat-vec (mulmod).  powmod,
+compose_mod, ExtField products and the Kummer-algebra product all reduce
+this way; divrem remains for gcd, xgcd and invmod.
+
+Overflow policy.  word_dtype(terms, p) is the one rule for exact sums of
+products of residues: int64 when terms (p-1)^2 < 2^62, else object (Python
+integers).  A convolution of two length-k arrays sums k products, R c[n:]
+sums n - 1 products plus a residue, a matrix product sums its inner
+dimension; mul, the reduction kernel, linalg.matmul_mod and kummer.kalg_mul
+all take their dtype from it.
 """
 
 from __future__ import annotations
@@ -102,21 +116,63 @@ def scale(a: list[int], c: int, p: int) -> list[int]:
     return trim([x * c % p for x in a])
 
 
+def word_dtype(terms: int, p: int):
+    """int64 when a sum of `terms` products of residues mod p fits 62 bits, else object."""
+    return np.int64 if terms * (p - 1) * (p - 1) < (1 << 62) else object
+
+
 def mul(a: list[int], b: list[int], p: int) -> list[int]:
-    """Product of two polynomials; schoolbook convolution."""
+    """Product of two polynomials; one np.convolve."""
     if not a or not b:
         return []
-    n = min(len(a), len(b))
-    if n * (p - 1) * (p - 1) < (1 << 62):
-        # int64 accumulation cannot overflow
-        out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return (out % p).tolist()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return trim([v % p for v in out])
+    dtype = word_dtype(min(len(a), len(b)), p)
+    out = np.convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype)) % p
+    return trim(out.tolist())
+
+
+def reduction_matrix(f: list[int], p: int) -> np.ndarray:
+    """The n x (n-1) matrix whose column i is X^(n+i) mod f, f monic of degree n >= 1.
+
+    Built by doubling: once columns 0..k-1 are known, column k + j is X^k
+    times column j, a shift plus R[:, :k] times its top k entries, so
+    log2(n) blocks of matrix products fill it.  The dtype is
+    word_dtype(n, p), the one reduce and mulmod compute in.
+    """
+    n = degree(f)
+    R = np.zeros((n, n - 1), dtype=word_dtype(n, p))
+    if n > 1:
+        R[:, 0] = [(-c) % p for c in f[:n]]     # X^n mod f
+    k = 1
+    while k < n - 1:
+        m = min(k, n - 1 - k)
+        V = R[:, :m]
+        R[k:, k:k + m] = V[:n - k]
+        R[:, k:k + m] = (R[:, k:k + m] + R[:, :k] @ V[n - k:]) % p
+        k += m
+    return R
+
+
+def reduce(c: np.ndarray, R: np.ndarray, p: int) -> np.ndarray:
+    """c mod f along axis 0, for at most 2n - 1 rows of residues; R = reduction_matrix(f, p)."""
+    n = R.shape[0]
+    if len(c) <= n:
+        return c
+    return (c[:n] + R[:, :len(c) - n] @ c[n:]) % p
+
+
+def mulmod(a: np.ndarray, b: np.ndarray, R: np.ndarray, p: int) -> np.ndarray:
+    """a b mod f for residue arrays of length <= n in R's dtype: one convolve, one mat-vec."""
+    return reduce(np.convolve(a, b) % p, R, p)
+
+
+def _mulmod_lazy(a, b, m, p, R):
+    """(a b mod m, R), building R = reduction_matrix(m, p) only once a product reaches deg m."""
+    c = np.convolve(a, b) % p
+    if len(c) < len(m):
+        return c, R
+    if R is None:
+        R = reduction_matrix(m, p)
+    return reduce(c, R, p), R
 
 
 def divrem(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -183,21 +239,49 @@ def invmod(a: list[int], m: list[int], p: int) -> list[int]:
     return mod(u, m, p)
 
 
-def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """a^e mod m by square-and-multiply; e is an arbitrary-precision integer >= 0."""
+def powmod(a: list[int], e: int, m: list[int], p: int,
+           R: np.ndarray | None = None) -> list[int]:
+    """a^e mod m by square-and-multiply; e is an arbitrary-precision integer >= 0.
+
+    Every product goes through the reduction kernel: R = reduction_matrix(m, p)
+    when given, else built once a product first reaches degree deg m.
+    """
     if e < 0:
         raise ValueError("negative exponent")
-    if degree(m) < 1:
+    n = degree(m)
+    if n < 1:
         raise ValueError("modulus must have degree >= 1")
-    result = [1 % p]
-    base = mod(a, m, p)
+    a = mod(a, m, p) if len(a) > n else a
+    if not a:
+        return [] if e else [1]
+    base = np.array(a, dtype=word_dtype(n, p))
+    result = None
     while e:
         if e & 1:
-            result = mod(mul(result, base, p), m, p)
+            result = base if result is None else _mulmod_lazy(result, base, m, p, R)[0]
         e >>= 1
         if e:
-            base = mod(mul(base, base, p), m, p)
-    return result
+            base, R = _mulmod_lazy(base, base, m, p, R)
+    return [1] if result is None else trim(result.tolist())
+
+
+def compose_mod(f: list[int], g: list[int], m: list[int], p: int,
+                R: np.ndarray | None = None) -> list[int]:
+    """f(g) mod m by Horner, g reduced mod m: deg f products through the reduction kernel.
+
+    R = reduction_matrix(m, p) when given, else built on first need as in powmod.
+    """
+    if not f:
+        return []
+    if not g:
+        return constant(f[0], p)
+    dtype = word_dtype(degree(m), p)
+    x = np.array(g, dtype=dtype)
+    acc = np.array(f[-1:], dtype=dtype)
+    for c in reversed(f[:-1]):
+        acc, R = _mulmod_lazy(acc, x, m, p, R)
+        acc[0] = (acc[0] + c) % p
+    return trim(acc.tolist())
 
 
 def evaluate(a: list[int], x: int, p: int) -> int:

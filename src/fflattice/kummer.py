@@ -57,9 +57,6 @@ class KummerAlg:
         self.left = ExtField(p, defining_poly)
         if self.left.n != ell:
             raise ValueError("defining polynomial degree does not match l")
-        # reduction vector for X^l in the left field
-        self._f_low = np.array([(-c) % p for c in self.left.modulus[:ell]], dtype=np.int64)
-        self._h_low = np.array([(-c) % p for c in self.entry.h[:self.a]], dtype=np.int64)
         self._zeta_mul = self.scalar.mul_matrix(self.scalar.gen())
 
     # -- scalar-side conversions -------------------------------------------------
@@ -201,37 +198,26 @@ class KummerElem:
 def kalg_mul(u: KummerElem, v: KummerElem) -> KummerElem:
     """Bivariate product, reduced mod f in X and mod h in zeta.
 
-    Column convolutions accumulate l products below p^2; when l (p-1)^2 could
-    overflow int64 they run on Python integers (object dtype), as in
-    linalg.matmul_mod.
+    a^2 column convolutions give the (2l-1) x (2a-1) product; then one
+    reduction-kernel product with the left field's matrix reduces the rows
+    (X^l, ..., X^(2l-2)) and one with the scalar field's the columns.  Each
+    entry of the product sums at most l a products, so the dtype is
+    fppoly.word_dtype(l a, p).
     """
     alg = u.algebra
     p, ell, a = alg.p, alg.ell, alg.a
-    dtype = np.int64 if ell * (p - 1) * (p - 1) < (1 << 62) else object
+    dtype = fppoly.word_dtype(ell * a, p)
     A, B = u.coeffs.astype(dtype, copy=False), v.coeffs.astype(dtype, copy=False)
-    R = np.zeros((2 * ell - 1, 2 * a - 1), dtype=dtype)
+    C = np.zeros((2 * ell - 1, 2 * a - 1), dtype=dtype)
     for j in range(a):
         col_a = A[:, j]
         if not col_a.any():
             continue
         for k in range(a):
-            col_b = B[:, k]
-            if not col_b.any():
-                continue
-            R[:, j + k] = (R[:, j + k] + np.convolve(col_a, col_b)) % p
-    # reduce in X: X^t = X^(t-l) * (X^l mod f)
-    for t in range(2 * ell - 2, ell - 1, -1):
-        row = R[t]
-        if row.any():
-            R[t - ell:t] = (R[t - ell:t] + np.outer(alg._f_low, row)) % p
-            R[t] = 0
-    # reduce in zeta: zeta^t = zeta^(t-a) * (zeta^a mod h)
-    for t in range(2 * a - 2, a - 1, -1):
-        col = R[:ell, t]
-        if col.any():
-            R[:ell, t - a:t] = (R[:ell, t - a:t] + np.outer(col, alg._h_low)) % p
-            R[:ell, t] = 0
-    return KummerElem(alg, R[:ell, :a].astype(np.int64))
+            C[:, j + k] += np.convolve(col_a, B[:, k])
+    C = fppoly.reduce(C % p, alg.left.reduction, p)
+    C = fppoly.reduce(C.T, alg.scalar.reduction, p).T
+    return KummerElem(alg, C.astype(np.int64))
 
 
 def frob_left(u: KummerElem, k: int = 1) -> KummerElem:
@@ -362,7 +348,8 @@ def _trace_form(alg: KummerAlg, ell_sub: int) -> np.ndarray:
     h_m = S.modulus
     # tau = -(h_sub(0)/eta) * h_m'(zeta) / h_sub'(eta)
     hm_prime = S.element(fppoly.derivative(h_m, p))
-    hsub_prime_eta = _eval_at(fppoly.derivative(h_sub, p), eta)
+    hsub_prime_eta = S.element(fppoly.compose_mod(fppoly.derivative(h_sub, p), eta.poly(),
+                                                  h_m, p, S.reduction))
     tau = (-S.element(h_sub[0])) * eta.inverse() * hm_prime * hsub_prime_eta.inverse()
     # series: sum_i [Tr(zeta^i)]_eta Z^i = rev(tau) / rev(h_m) mod Z^b
     num = fppoly.reverse(list(tau.vec), b - 1)
@@ -385,13 +372,6 @@ def _trace_form(alg: KummerAlg, ell_sub: int) -> np.ndarray:
     v = linalg.matmul_mod(w, Mh, p)
     cache[ell_sub] = v
     return v
-
-
-def _eval_at(f: list[int], x: FFElem) -> FFElem:
-    acc = x.field.zero()
-    for c in reversed(f):
-        acc = acc * x + x.field.element(c)
-    return acc
 
 
 def recover_alpha(alg: KummerAlg, x0: FFElem) -> KummerElem:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import fppoly
+
 
 class InconsistentSystem(ValueError):
     """Raised when a linear system has no solution."""
@@ -22,13 +24,10 @@ def as_matrix(entries, p: int) -> np.ndarray:
 
 
 def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Exact modular product; falls back to object dtype if int64 could overflow."""
-    inner = A.shape[-1]
-    if inner * (p - 1) * (p - 1) < (1 << 62):
+    """Exact modular product, accumulated in fppoly.word_dtype of the inner dimension."""
+    if fppoly.word_dtype(A.shape[-1], p) is np.int64:
         return (A @ B) % p
-    Ao = A.astype(object)
-    Bo = B.astype(object)
-    return ((Ao @ Bo) % p).astype(np.int64)
+    return ((A.astype(object) @ B.astype(object)) % p).astype(np.int64)
 
 
 def matpow_mod(A: np.ndarray, e: int, p: int) -> np.ndarray:

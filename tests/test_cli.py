@@ -129,3 +129,24 @@ def test_embed_machine_round_trip_degree_one(capsys):
     code, out, _ = run(capsys, "embed", "-p", "3", "-l", "1", "-m", "4", "--format", "machine")
     assert code == 0
     assert StdLattice.loads(out).dumps() == out
+
+
+def test_verify_prime_outside_table(capsys):
+    # p = 257 has no tabulated Conway polynomials; levels 1 and 2 are searched
+    code, out, _ = run(capsys, "verify", "-p", "257", "--max", "8")
+    assert code == 0
+    checked = int(out.strip().splitlines()[-1].split()[0])
+    assert checked > 0 and "FAIL" not in out
+
+
+def test_bench_prime_outside_table(capsys):
+    code, out, _ = run(capsys, "bench", "-p", "65521", "--max", "8")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(1, 9))
+
+
+def test_verify_unreachable_prime_exits_3(capsys):
+    # 2^31 - 1 > the default work bound: not even level 1 can be searched
+    code, out, err = run(capsys, "verify", "-p", "2147483647", "--max", "8")
+    assert code == 3 and "p=2147483647" in err and not out

@@ -92,3 +92,25 @@ def test_loader_rejects_bad_entries():
         parse_table("2 2 1 1\n", validate=False)    # wrong coefficient count
     with pytest.raises(ValueError):
         parse_table("# only comments\n", validate=False)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_primitive_predicate_matches_extfield(p):
+    # the search's predicate (p^a - 1 factored once, one powmod per prime) against
+    # ExtField's multiplicative order, on every monic irreducible of degree 2 and 3
+    from itertools import product
+
+    from fflattice.conway import _is_primitive_poly
+
+    for a in (2, 3):
+        primes = sorted(extfield.factorize(p ** a - 1))
+        seen = set()
+        for low in product(range(p), repeat=a):
+            f = list(low) + [1]
+            if not extfield.is_irreducible(f, p):
+                continue
+            want = extfield.is_primitive(extfield.ExtField(p, f).gen())
+            assert _is_primitive_poly(f, p, primes) == want, f
+            seen.add(want)
+        assert seen == {True, False}
+    assert not _is_primitive_poly([0, 1], p, list(extfield.factorize(p - 1)))   # X = 0 mod X

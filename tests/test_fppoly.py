@@ -3,6 +3,7 @@ and an independent schoolbook multiplication oracle."""
 
 import random
 
+import numpy as np
 import pytest
 
 from fflattice import fppoly
@@ -130,3 +131,80 @@ def test_evaluate_and_derivative():
     f = [3, 0, 2, 1]  # x^3 + 2x^2 + 3
     assert fppoly.evaluate(f, 2, p) == (8 + 8 + 3) % 7
     assert fppoly.derivative(f, p) == [0, 4, 3]
+
+
+# -- the reduction kernel against schoolbook products and divrem ------------------
+
+KERNEL_PRIMES = [2, 3, 65521, 2 ** 31 - 1]
+
+
+def kernel_moduli(p, rng):
+    """Monic moduli of degree 1, 2 (either side of the int64/object boundary at
+    p = 2^31 - 1) and ten random degrees up to 60, random coefficients."""
+    for n in [1, 2] + rng.sample(range(3, 61), 10):
+        yield [rng.randrange(p) for _ in range(n)] + [1]
+
+
+def oracle_powmod(a, e, m, p):
+    acc = [1]
+    for bit in bin(e)[2:]:
+        acc = fppoly.mod(schoolbook_mul(acc, acc, p), m, p)
+        if bit == "1":
+            acc = fppoly.mod(schoolbook_mul(acc, a, p), m, p)
+    return acc
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_powmod_matches_divrem_oracle(p):
+    rng = random.Random(6000 + p % 1000)
+    for m in kernel_moduli(p, rng):
+        n = fppoly.degree(m)
+        R = fppoly.reduction_matrix(m, p)
+        assert R.shape == (n, n - 1)
+        assert R.dtype == fppoly.word_dtype(n, p)
+        for i in range(n - 1):
+            assert fppoly.trim([int(c) for c in R[:, i]]) == fppoly.mod(
+                fppoly.monomial(n + i, p), m, p)
+        for a in ([0, 1], rand_poly(rng, p, 2 * n)):
+            e = rng.randrange(1 << 12)
+            want = oracle_powmod(fppoly.mod(a, m, p), e, m, p)
+            assert fppoly.powmod(a, e, m, p) == want
+            assert fppoly.powmod(a, e, m, p, R) == want
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_field_products_match_divrem_oracle(p):
+    from fflattice.extfield import ExtField
+
+    rng = random.Random(7000 + p % 1000)
+    for m in kernel_moduli(p, rng):
+        F = ExtField(p, m, check=False)
+        for _ in range(3):
+            x, y = F.random_element(rng), F.random_element(rng)
+            prod = x * y
+            assert prod.poly() == fppoly.mod(schoolbook_mul(x.poly(), y.poly(), p), m, p)
+            assert all(type(c) is int for c in prod.vec)
+            assert (x ** 5).poly() == oracle_powmod(x.poly(), 5, m, p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_compose_mod_matches_horner_oracle(p):
+    rng = random.Random(8000 + p % 1000)
+    for m in kernel_moduli(p, rng):
+        g = fppoly.mod(rand_poly(rng, p, 60), m, p)
+        f = rand_poly(rng, p, 8)
+        want = []
+        for c in reversed(f):
+            want = fppoly.mod(fppoly.add(schoolbook_mul(want, g, p), [c], p), m, p)
+        assert fppoly.compose_mod(f, g, m, p) == want
+
+
+def test_word_dtype_boundary():
+    # one policy: int64 while terms (p-1)^2 < 2^62, Python integers beyond
+    p = 2 ** 31 - 1
+    assert fppoly.word_dtype(1, p) is np.int64
+    assert fppoly.word_dtype(2, p) is object
+    assert fppoly.word_dtype(1 << 62, 2) is object
+    assert fppoly.word_dtype((1 << 62) - 1, 2) is np.int64
+    big = [p - 1, p - 2, p - 3]
+    assert fppoly.mul(big, big, p) == schoolbook_mul(big, big, p)

@@ -251,7 +251,49 @@ def test_solve_h90_rejects_wrong_root_of_unity(monkeypatch):
     L = default_lattice(2)
     alg, alg15 = KummerAlg(L, 5), KummerAlg(L, 15)
     assert alg.a == alg15.a == 4
-    for name in ("entry", "scalar", "_zeta_mul", "_h_low"):
+    for name in ("entry", "scalar", "_zeta_mul"):
         monkeypatch.setattr(alg, name, getattr(alg15, name))
     with pytest.raises(ArithmeticError, match=r"p=2, l=5, level 4"):
         solve_h90(alg)
+
+
+def divrem_reference_mul(u, v):
+    """Schoolbook bivariate product, then each column (a polynomial in X) reduced
+    mod f and each row (a polynomial in zeta) reduced mod h with fppoly.divrem."""
+    alg = u.algebra
+    p, ell, a = alg.p, alg.ell, alg.a
+    U, V = u.coeffs.tolist(), v.coeffs.tolist()
+    full = [[0] * (2 * a - 1) for _ in range(2 * ell - 1)]
+    for i in range(ell):
+        for j in range(a):
+            if U[i][j]:
+                for k in range(ell):
+                    for l in range(a):
+                        full[i + k][j + l] += U[i][j] * V[k][l]
+    cols = [fppoly.divrem(fppoly.trim([row[j] % p for row in full]), alg.left.modulus, p)[1]
+            for j in range(2 * a - 1)]
+    C = np.zeros((ell, a), dtype=np.int64)
+    for i in range(ell):
+        row = fppoly.trim([c[i] if i < len(c) else 0 for c in cols])
+        red = fppoly.divrem(row, alg.entry.h, p)[1]
+        C[i, :len(red)] = red
+    return C
+
+
+@pytest.mark.parametrize("p, degrees", [
+    (2, (3, 9, 21, 45)),          # levels 2, 6, 6, 12
+    (3, (4, 13, 20)),             # levels 2, 3, 4
+    (65521, (1, 5, 48)),          # level 1, int64
+    (2 ** 31 - 1, (1, 3, 7)),     # level 1; int64 at l = 1, object dtype from l = 2
+])
+def test_kalg_mul_matches_divrem_reference(p, degrees):
+    L = default_lattice(p)
+    rng = random.Random(9000 + p % 1000)
+    for ell in degrees:
+        alg = KummerAlg(L, ell)
+        for _ in range(3):
+            u = alg.element([[rng.randrange(p) for _ in range(alg.a)] for _ in range(ell)])
+            v = alg.element([[rng.randrange(p) for _ in range(alg.a)] for _ in range(ell)])
+            prod = kummer.kalg_mul(u, v)
+            assert prod.coeffs.dtype == np.int64
+            assert np.array_equal(prod.coeffs, divrem_reference_mul(u, v))
