@@ -378,9 +378,9 @@ def discrete_log(x: FFElem, base: FFElem) -> int:
     raise ValueError("discrete log not found; base is not a generator")
 
 
-def nth_root(c: FFElem, ell: int, base: FFElem | None = None) -> FFElem:
+def nth_root(c: FFElem, ell: int) -> FFElem:
     """Deterministic l-th root: among all x with x^ell = c, the one of smallest
-    discrete log to the primitive base (class of X by default).
+    discrete log to the class of X, which must be primitive.
 
     Raises ValueError when no root exists, which signals a broken Kummer
     constant upstream in this library's main use.
@@ -390,8 +390,7 @@ def nth_root(c: FFElem, ell: int, base: FFElem | None = None) -> FFElem:
     if c.is_zero():
         raise ZeroDivisionError("l-th root of zero")
     f = c.field
-    if base is None:
-        base = f.gen()
+    base = f.gen()
     N = f.order() - 1
     if N <= 1:
         return c

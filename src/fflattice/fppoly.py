@@ -292,32 +292,6 @@ def evaluate(a: list[int], x: int, p: int) -> int:
     return acc
 
 
-def derivative(a: list[int], p: int) -> list[int]:
-    return trim([i * c % p for i, c in enumerate(a)][1:])
-
-
-def reverse(a: list[int], n: int) -> list[int]:
-    """Coefficient reversal at degree n: X^n * a(1/X)."""
-    out = [0] * (n + 1)
-    for i, c in enumerate(a):
-        out[n - i] = c
-    return trim(out)
-
-
-def series_div(num: list[int], den: list[int], n: int, p: int) -> list[int]:
-    """First n coefficients of the power series num/den; den[0] must be a unit."""
-    if not den or den[0] == 0:
-        raise ZeroDivisionError("power-series division by a non-unit")
-    inv0 = pow(den[0], -1, p)
-    out = [0] * n
-    for i in range(n):
-        acc = num[i] if i < len(num) else 0
-        for j in range(1, min(i, len(den) - 1) + 1):
-            acc -= den[j] * out[i - j]
-        out[i] = acc * inv0 % p
-    return out
-
-
 def exact_div(a: int, b: int) -> int:
     """Integer division that must be exact; a remainder signals an upstream bug."""
     if b == 0:

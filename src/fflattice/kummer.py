@@ -297,81 +297,27 @@ def scalar_norm(gamma: KummerElem, b: int, a: int) -> KummerElem:
     return out
 
 
-def project_first(beta: KummerElem, ell_sub: int, method: str = "auto") -> FFElem:
+def project_first(beta: KummerElem, ell_sub: int) -> FFElem:
     """First coefficient y_0 of beta = sum y_i (x) eta^i, eta = zeta^(l/l_sub).
 
-    method: 'solve' decomposes each row against the eta power basis (and
-    detects elements outside the subalgebra); 'trace' evaluates the
-    precomputed trace linear form (faster, no membership check); 'auto'
-    picks 'solve' below a size threshold.
+    Each row of beta is solved against the Krylov basis 1, eta, ..., eta^(d-1)
+    of GF(p)(eta), d the level of l_sub: one linear solve of the a x d basis
+    against all l rows at once.  Raises ValueError when beta lies outside
+    GF(p^l) (x) GF(p)(eta).
     """
     alg = beta.algebra
-    p, ell, b = alg.p, alg.ell, alg.a
+    p, ell = alg.p, alg.ell
     if ell % ell_sub:
         raise ValueError(f"{ell_sub} does not divide the algebra root order {ell}")
-    if method == "auto":
-        method = "solve" if ell * b <= 512 else "trace"
     d = alg.lattice.level(ell_sub)
     S = alg.scalar
     eta = S.gen() ** (ell // ell_sub)
-    if method == "solve":
-        W = linalg.krylov(S.mul_matrix(eta), S.one().vec, d, p)
-        try:
-            X = linalg.solve(W, beta.coeffs.T, p)
-        except linalg.InconsistentSystem:
-            raise ValueError("element lies outside the requested subalgebra") from None
-        return alg.left.element(list(X[0]))
-    if method == "trace":
-        v = _trace_form(alg, ell_sub)
-        return alg.left.element(list(linalg.matmul_mod(beta.coeffs, v, p)))
-    raise ValueError(f"unknown projection method {method!r}")
-
-
-def _trace_form(alg: KummerAlg, ell_sub: int) -> np.ndarray:
-    """Vector v with v . row = first eta-coordinate, for rows inside GF(p)(eta).
-
-    Built from the power-series identity for the coefficients of the trace
-    linear form on the zeta power basis, then composed with multiplication by
-    a trace-one normalizer.
-    """
-    cache = getattr(alg, "_trace_forms", None)
-    if cache is None:
-        cache = {}
-        setattr(alg, "_trace_forms", cache)
-    if ell_sub in cache:
-        return cache[ell_sub]
-    p, b = alg.p, alg.a
-    S = alg.scalar
-    eta = S.gen() ** (alg.ell // ell_sub)
-    h_sub = extfield.minimal_polynomial(eta)
-    d = fppoly.degree(h_sub)
-    h_m = S.modulus
-    # tau = -(h_sub(0)/eta) * h_m'(zeta) / h_sub'(eta)
-    hm_prime = S.element(fppoly.derivative(h_m, p))
-    hsub_prime_eta = S.element(fppoly.compose_mod(fppoly.derivative(h_sub, p), eta.poly(),
-                                                  h_m, p, S.reduction))
-    tau = (-S.element(h_sub[0])) * eta.inverse() * hm_prime * hsub_prime_eta.inverse()
-    # series: sum_i [Tr(zeta^i)]_eta Z^i = rev(tau) / rev(h_m) mod Z^b
-    num = fppoly.reverse(list(tau.vec), b - 1)
-    den = fppoly.reverse(h_m, b)
-    w = np.array(fppoly.series_div(num, den, b, p), dtype=np.int64)
-    # normalizer with Tr(eta_hat) = 1, Tr the trace onto GF(p)(eta)
-    steps = b // d
-    eta_hat = None
-    cur = S.one()
-    for _ in range(b):
-        tr = S.zero()
-        for k in range(steps):
-            tr = tr + extfield.frobenius(cur, k * d)
-        if not tr.is_zero():
-            eta_hat = cur * tr.inverse()
-            break
-        cur = cur * S.gen()
-    assert eta_hat is not None, "trace form is degenerate"
-    Mh = S.mul_matrix(eta_hat)
-    v = linalg.matmul_mod(w, Mh, p)
-    cache[ell_sub] = v
-    return v
+    W = linalg.krylov(S.mul_matrix(eta), S.one().vec, d, p)
+    try:
+        X = linalg.solve(W, beta.coeffs.T, p)
+    except linalg.InconsistentSystem:
+        raise ValueError("element lies outside the requested subalgebra") from None
+    return alg.left.element(list(X[0]))
 
 
 def recover_alpha(alg: KummerAlg, x0: FFElem) -> KummerElem:

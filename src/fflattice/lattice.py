@@ -4,7 +4,7 @@ StdLattice decorates fields on demand, caches standard embeddings with their
 evaluation matrices, evaluates embeddings and their sections, and can verify
 the triangle (composition) identity over every registered divisibility chain.
 Adding a field never touches existing entries; per-field persistent storage
-is linear in the degree when the alpha cache is off.
+(f, s, P) is linear in the degree.
 
 Serialization is a portable text format: a header line `p`, then one line
 per field `l f_coeffs s_coeffs P_coeffs`, then one line per cached embedding
@@ -41,7 +41,8 @@ def default_lattice(p: int, work_bound: int = 2_000_000) -> CycloLattice:
 @dataclass
 class _EmbeddingEntry:
     desc: EmbeddingDesc
-    matrix: np.ndarray       # m x l matrix of the embedding on GF(p)-coordinates
+    matrix: np.ndarray       # m x l matrix E of the embedding on GF(p)-coordinates
+    section: np.ndarray      # l x m left inverse of E: section @ E = identity
 
 
 @dataclass
@@ -59,12 +60,11 @@ class TriangleReport:
 class StdLattice:
     """Append-only collection of decorated fields with cached standard embeddings."""
 
-    def __init__(self, p: int, lattice: CycloLattice | None = None, cache_alpha: bool = False):
+    def __init__(self, p: int, lattice: CycloLattice | None = None):
         self.lattice = lattice if lattice is not None else default_lattice(p)
         if self.lattice.p != p:
             raise ValueError("cyclotomic lattice belongs to a different prime")
         self.p = p
-        self.cache_alpha = cache_alpha
         self.fields: dict[int, DecoratedField] = {}
         self.embeddings: dict[tuple[int, int], _EmbeddingEntry] = {}
         self._lock = threading.Lock()
@@ -88,8 +88,7 @@ class StdLattice:
                     [c % self.p for c in defining_poly], self.p) != existing.field.modulus:
                 raise ValueError(f"degree {ell} already registered with a different polynomial")
             return existing
-        dec = standardize.decorate(ell, self.lattice, defining_poly, seed=seed,
-                                   cache_alpha=self.cache_alpha)
+        dec = standardize.decorate(ell, self.lattice, defining_poly, seed=seed)
         with self._lock:
             return self.fields.setdefault(ell, dec)
 
@@ -116,7 +115,9 @@ class StdLattice:
         src = self.field(ell)
         dst = self.field(m)
         desc = standardize.standard_embed(src, dst, self.lattice)
-        entry = _EmbeddingEntry(desc, self._embedding_matrix(src, dst, desc.s_image))
+        E = self._embedding_matrix(src, dst, desc.s_image)
+        section = linalg.solve(E.T, linalg.identity(ell), self.p).T
+        entry = _EmbeddingEntry(desc, E, section)
         with self._lock:
             self.embedding_computations += 1
             return self.embeddings.setdefault((ell, m), entry)
@@ -141,14 +142,14 @@ class StdLattice:
         return self.field(m).field.element(list(vec))
 
     def section_eval(self, ell: int, m: int, y: FFElem) -> FFElem | None:
-        """The unique preimage of y, or None when y is not in the subfield."""
+        """The preimage x = section y of y, or None when E x != y (y is outside the subfield)."""
         entry = self._embedding_entry(ell, m)
         dst = self.field(m)
         if y.field != dst.field:
             raise extfield.FieldMismatch("element does not live in the target field")
-        try:
-            x = linalg.solve(entry.matrix, np.array(y.vec, dtype=np.int64), self.p)
-        except linalg.InconsistentSystem:
+        y_vec = np.array(y.vec, dtype=np.int64)
+        x = linalg.matmul_mod(entry.section, y_vec, self.p)
+        if not np.array_equal(linalg.matmul_mod(entry.matrix, x, self.p), y_vec):
             return None
         return self.field(ell).field.element(list(x))
 
@@ -212,7 +213,7 @@ class StdLattice:
         while i < len(lines) and not lines[i].startswith("E"):
             toks = [int(t) for t in lines[i].split()]
             ell = toks[0]
-            if len(toks) != 3 * ell + 3:
+            if ell < 1 or len(toks) != 3 * ell + 3:
                 break
             f = toks[1:ell + 2]
             s_vec = toks[ell + 2:2 * ell + 2]
@@ -224,9 +225,11 @@ class StdLattice:
         # embedding lines: `E l m t(m)`, or `l m t(m)` in untagged text
         for line in lines[i:]:
             toks = [int(t) for t in line.removeprefix("E").split()]
-            ell, m, t_vec = toks[0], toks[1], toks[2:]
-            if m % ell or len(t_vec) != m:
+            if len(toks) < 2 or min(toks[:2]) < 1 or toks[1] % toks[0] or len(toks) != toks[1] + 2:
                 raise ValueError(f"malformed embedding line: {line!r}")
+            ell, m, t_vec = toks[0], toks[1], toks[2:]
+            if ell not in L.fields or m not in L.fields:
+                raise ValueError(f"embedding line names an unregistered degree: {line!r}")
             entry = L._embedding_entry(ell, m)
             if list(entry.desc.s_image.vec) != t_vec:
                 raise ValueError(f"stored embedding {ell}->{m} fails re-validation")
@@ -239,9 +242,4 @@ class StdLattice:
 
     def stored_coefficients(self) -> int:
         """Number of persistently stored GF(p) coefficients (storage-linearity check)."""
-        total = 0
-        for d in self.fields.values():
-            total += len(d.field.modulus) + len(d.s.vec) + len(d.P)
-            if d._alpha is not None:
-                total += d._alpha.coeffs.size
-        return total
+        return sum(len(d.field.modulus) + len(d.s.vec) + len(d.P) for d in self.fields.values())

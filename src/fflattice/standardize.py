@@ -10,7 +10,7 @@ compose compatibly across the whole divisibility lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import fppoly, extfield, kummer
 from .cyclotomic import CycloLattice
@@ -18,13 +18,16 @@ from .extfield import ExtField, FFElem
 from .fppoly import exact_div
 from .kummer import KummerAlg, KummerElem
 
+# Largest complete-algebra dimension (p^b - 1) b that verify_key_identity builds.
+KEY_IDENTITY_DIMENSION_BOUND = 4096
+
 
 @dataclass
 class DecoratedField:
     """A finite field GF(p^l) with its standard generator and polynomial.
 
-    alpha is stored only when cache_alpha was requested; otherwise it is
-    recovered from s on demand (storage stays linear in l).
+    Only (f, s, P) are stored, so storage is linear in l; the standard
+    Hilbert-90 solution alpha is rebuilt from its first coordinate s on demand.
     """
 
     ell: int
@@ -33,11 +36,8 @@ class DecoratedField:
     P: list
     level: int
     algebra: KummerAlg
-    _alpha: KummerElem | None = field(default=None, repr=False)
 
     def alpha(self) -> KummerElem:
-        if self._alpha is not None:
-            return self._alpha
         return kummer.recover_alpha(self.algebra, self.s)
 
 
@@ -52,7 +52,7 @@ class EmbeddingDesc:
 
 
 def decorate(ell: int, lattice: CycloLattice, defining_poly: list[int] | None = None,
-             seed: int = 0, cache_alpha: bool = False) -> DecoratedField:
+             seed: int = 0) -> DecoratedField:
     """Compute the standard generator and defining polynomial of GF(p^l).
 
     Steps: solve Hilbert 90 for zeta_l, rescale by an l-th root kappa of
@@ -72,8 +72,7 @@ def decorate(ell: int, lattice: CycloLattice, defining_poly: list[int] | None = 
     P = extfield.minimal_polynomial(s)
     if fppoly.degree(P) != ell:
         raise AssertionError("standard generator does not generate the field")
-    return DecoratedField(ell, alg.left, s, P, alg.a, alg,
-                          alpha if cache_alpha else None)
+    return DecoratedField(ell, alg.left, s, P, alg.a, alg)
 
 
 def standard_polynomial(ell: int, lattice: CycloLattice, seed: int = 0) -> list[int]:
@@ -151,23 +150,23 @@ def baseline_embed(field_l: ExtField, field_m: ExtField,
     return s, t
 
 
-def verify_key_identity(a: int, b: int, lattice: CycloLattice,
-                        dimension_bound: int = 4096, seed: int = 0) -> bool:
+def verify_key_identity(a: int, b: int, lattice: CycloLattice) -> bool:
     """Self-test of the norm identity in the complete algebra of level b:
 
     alpha^((p^b-1)/(p^a-1)) = (1 (x) zeta)^e  N_{b/a}(alpha)
     with e = ((b-a) p^(b+a) - b p^b + a p^a) / (p^a - 1)^2.
 
-    Complete algebras grow exponentially with the level, hence the bound on
-    (p^b - 1) * b.
+    Complete algebras grow exponentially with the level, hence the bound
+    KEY_IDENTITY_DIMENSION_BOUND on (p^b - 1) * b.
     """
     if b % a:
         raise ValueError(f"{a} does not divide {b}")
     p = lattice.p
     ell = p ** b - 1
-    if ell * b > dimension_bound:
-        raise ValueError(f"complete algebra dimension {ell * b} exceeds bound {dimension_bound}")
-    alg = KummerAlg(lattice, ell, seed=seed)
+    if ell * b > KEY_IDENTITY_DIMENSION_BOUND:
+        raise ValueError(f"complete algebra dimension {ell * b} exceeds bound "
+                         f"{KEY_IDENTITY_DIMENSION_BOUND}")
+    alg = KummerAlg(lattice, ell)
     alpha = kummer.solve_h90(alg)  # every nonzero solution is standard here
     e = exact_div((b - a) * p ** (b + a) - b * p ** b + a * p ** a, (p ** a - 1) ** 2)
     lhs = alpha ** ((p ** b - 1) // (p ** a - 1))

@@ -73,7 +73,7 @@ def test_criterion_2_standardness_suite():
     for p in (2, 3, 5):
         L = cyclo(p)
         for ell in _valid_degrees(p, 40, L):
-            d = standardize.decorate(ell, L, cache_alpha=True)
+            d = standardize.decorate(ell, L)
             alpha = d.alpha()
             alg = d.algebra
             zeta = alg.scalar.gen()

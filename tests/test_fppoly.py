@@ -100,19 +100,6 @@ def test_invmod_and_powmod():
         acc = fppoly.mod(fppoly.mul(acc, x, p), m, p)
 
 
-def test_series_division_and_reverse():
-    p = 5
-    num = [1, 2]
-    den = [1, 3, 4]
-    n = 8
-    w = fppoly.series_div(num, den, n, p)
-    prod = fppoly.mul(w, den, p)[:n]
-    prod += [0] * (n - len(prod))
-    want = (num + [0] * n)[:n]
-    assert [c % p for c in prod] == want
-    assert fppoly.reverse([1, 0, 3], 4) == fppoly.trim([0, 0, 3, 0, 1])
-
-
 def test_exact_div():
     assert fppoly.exact_div(12, 4) == 3
     with pytest.raises(ArithmeticError):
@@ -126,11 +113,10 @@ def test_to_string_golden():
     assert fppoly.to_string([]) == "0"
 
 
-def test_evaluate_and_derivative():
+def test_evaluate():
     p = 7
     f = [3, 0, 2, 1]  # x^3 + 2x^2 + 3
     assert fppoly.evaluate(f, 2, p) == (8 + 8 + 3) % 7
-    assert fppoly.derivative(f, p) == [0, 4, 3]
 
 
 # -- the reduction kernel against schoolbook products and divrem ------------------

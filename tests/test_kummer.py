@@ -178,16 +178,28 @@ def test_scalar_norm_properties():
     assert kummer.scalar_norm(kummer.frob_left(u), b, a) == kummer.frob_left(kummer.scalar_norm(u, b, a))
 
 
-def test_project_both_methods_agree():
-    from fflattice import standardize
-    L = default_lattice(2)
-    d15 = standardize.decorate(15, L, cache_alpha=True)
-    alpha = d15.alpha()
-    kappa = standardize.kappa_constant(3, 15, L)
-    beta = (alpha ** 5).scalar_mul(kappa)
-    t_solve = kummer.project_first(beta, 3, method="solve")
-    t_trace = kummer.project_first(beta, 3, method="trace")
-    assert t_solve == t_trace
+def test_project_first_matches_oracle():
+    # beta = sum_i y_i (x) eta^i from random left-field y_i projects to y_0;
+    # (105, 35) and (45, 1) at p = 2 have l a > 512
+    rng = random.Random(35)
+    cases = {2: [(15, 3), (105, 35), (45, 1)], 3: [(20, 4), (26, 2)], 5: [(56, 8), (31, 1)]}
+    for p, pairs in cases.items():
+        L = default_lattice(p)
+        for ell, ell_sub in pairs:
+            alg = KummerAlg(L, ell)
+            eta = alg.scalar.gen() ** (ell // ell_sub)
+            ys = [alg.left.random_element(rng) for _ in range(L.level(ell_sub))]
+            C = sum(np.outer(y.vec, (eta ** i).vec) for i, y in enumerate(ys))
+            beta = alg.element(C)
+            assert kummer.project_first(beta, ell_sub) == ys[0], (p, ell, ell_sub)
+            if L.level(ell_sub) < alg.a:
+                # zeta generates the whole scalar field, so y (x) zeta is outside GF(p)(eta)
+                y = alg.left.gen()
+                outside = beta + alg.element(np.outer(y.vec, alg.scalar.gen().vec))
+                with pytest.raises(ValueError):
+                    kummer.project_first(outside, ell_sub)
+    with pytest.raises(ValueError):
+        kummer.project_first(KummerAlg(default_lattice(2), 15).one(), 4)
 
 
 def test_recover_alpha_round_trip():

@@ -3,9 +3,10 @@ triangle verification, serialization round-trip, and storage linearity."""
 
 import random
 
+import numpy as np
 import pytest
 
-from fflattice import extfield
+from fflattice import extfield, linalg
 from fflattice.lattice import StdLattice
 from fflattice.linalg import InconsistentSystem
 
@@ -80,6 +81,26 @@ def test_section_round_trip_and_rejection():
     assert rejected > 0
 
 
+def test_section_matches_linear_solve():
+    # the cached left inverse agrees with solving E x = y from scratch,
+    # including a source of degree 1 and sources that are not subfield images
+    L = build(3, [1, 2, 4, 8])
+    rng = random.Random(248)
+    for ell, m in [(1, 4), (1, 8), (2, 8), (4, 8), (8, 8)]:
+        E = L._embedding_entry(ell, m).matrix
+        F = L.field(m).field
+        ys = [F.random_element(rng) for _ in range(20)]
+        ys += [L.embed_eval(ell, m, L.field(ell).field.random_element(rng)) for _ in range(5)]
+        for y in ys:
+            got = L.section_eval(ell, m, y)
+            try:
+                x = linalg.solve(E, np.array(y.vec, dtype=np.int64), L.p)
+            except InconsistentSystem:
+                assert got is None, (ell, m, y)
+            else:
+                assert got is not None and list(got.vec) == list(x), (ell, m, y)
+
+
 def test_identity_embedding():
     L = build(2, [7])
     assert L.embed_eval(7, 7, L.field(7).s) == L.field(7).s
@@ -123,6 +144,13 @@ def test_loader_rejects_tampered_data():
     bad = lines[0] + "\n" + " ".join(toks) + "\n"
     with pytest.raises(ValueError):
         StdLattice.loads(bad)
+
+
+def test_loader_rejects_malformed_records():
+    for bad in ["2\nE\n", "2\nE 3\n", "2\n-1\n", "2\nE 0 3 1 0 0\n",
+                "2\nE 1 3 1 0 0\n"]:      # last: degrees that were never registered
+        with pytest.raises(ValueError):
+            StdLattice.loads(bad)
 
 
 def test_storage_linear_in_degree():

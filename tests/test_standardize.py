@@ -67,11 +67,14 @@ def test_decorated_generator_generates():
 
 def test_alpha_recovery_consistent():
     L = default_lattice(2)
-    d1 = standardize.decorate(9, L, cache_alpha=True)
-    d2 = standardize.decorate(9, L, defining_poly=d1.field.modulus, cache_alpha=False)
-    # recovered vs cached, same representation (different algebra instances,
-    # so compare coefficient matrices)
+    d1 = standardize.decorate(9, L)
+    d2 = standardize.decorate(9, L, defining_poly=d1.field.modulus)
+    # two decorations over one modulus recover the same alpha (different
+    # algebra instances, so compare coefficient matrices), whose first
+    # coordinate is s
     assert (d1.alpha().coeffs == d2.alpha().coeffs).all()
+    for d in (d1, d2):
+        assert d.alpha().column(0) == d.s
 
 
 def test_kappa_examples():
