@@ -1,7 +1,7 @@
 """Explicit extension fields GF(p^n) = GF(p)[X]/(f) and their elements.
 
-Fields cache the matrix of the Frobenius x -> x^p in the power basis; it is
-the workhorse for irreducibility tests and for the tensor-algebra operators.
+Fields cache the matrix of the Frobenius x -> x^p in the power basis for the
+tensor-algebra operators and field-level Frobenius powers.
 They also cache the reduction matrix of their modulus (fppoly's reduction
 kernel), so a product of elements is one convolve plus one mat-vec.
 Matrices of multiplication and Frobenius are built as Krylov matrices
@@ -199,13 +199,19 @@ def frobenius_matrix(f: list[int], p: int, R: np.ndarray | None = None) -> np.nd
 
 
 def is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's test on the Frobenius iterates of X.
+    """Ben-Or's small-degree gcds, then Rabin's test on the Frobenius iterates of X.
 
-    f is irreducible iff X^(p^n) = X mod f and, for every maximal proper
-    divisor n/q of n, gcd(X^(p^(n/q)) - X, f) is constant.  The n iterates
-    X^(p^k) mod f, 1 <= k <= n, come from applying the Frobenius matrix to X
-    n times: O(n^3) word operations in n mat-vecs, plus one gcd per prime
-    factor of n.
+    Screen (Ben-Or): for each q = p^k <= n, a nonconstant gcd(X^q - X, f)
+    exposes an irreducible factor of degree dividing k < n, so f is
+    reducible.  X^q - X has degree at most n, so each step is one gcd of
+    size n with no modular powering; most reducible candidates have a small
+    factor and stop here.  The survivors go through Rabin's test: f is
+    irreducible iff X^(p^n) = X mod f and, for every maximal proper divisor
+    n/q of n, gcd(X^(p^(n/q)) - X, f) is constant.  The n iterates X^(p^k)
+    mod f, 1 <= k <= n, come from applying the Frobenius matrix to X n
+    times: O(n^3) word operations in n mat-vecs, plus one gcd per prime
+    factor of n.  The screen runs only when p <= n; Rabin's test alone is
+    complete, so the screen never changes the verdict.
     """
     n = fppoly.degree(f)
     if n < 1:
@@ -215,6 +221,11 @@ def is_irreducible(f: list[int], p: int) -> bool:
     if f[0] == 0:
         return False  # divisible by X
     f = fppoly.monic(f, p)
+    q = p
+    while q <= n:
+        if fppoly.degree(fppoly.gcd(fppoly.sub(fppoly.monomial(q, p), [0, 1], p), f, p)) > 0:
+            return False
+        q *= p
     x_vec = np.zeros(n, dtype=np.int64)
     x_vec[1] = 1
     iterates = linalg.krylov(frobenius_matrix(f, p), x_vec, n + 1, p)  # column k: X^(p^k)

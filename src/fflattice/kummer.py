@@ -52,9 +52,10 @@ class KummerAlg:
         self.entry = lattice.entry(ell)
         self.a = self.entry.level
         self.scalar = self.entry.scalar_field           # GF(p)[Y]/(h), Y = zeta
-        if defining_poly is None:
-            defining_poly = extfield.random_irreducible(p, ell, seed)
-        self.left = ExtField(p, defining_poly)
+        if defining_poly is None:   # drawn polynomials were just tested; supplied ones are checked
+            self.left = ExtField(p, extfield.random_irreducible(p, ell, seed), check=False)
+        else:
+            self.left = ExtField(p, defining_poly)
         if self.left.n != ell:
             raise ValueError("defining polynomial degree does not match l")
         self._zeta_mul = self.scalar.mul_matrix(self.scalar.gen())

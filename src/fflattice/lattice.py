@@ -42,7 +42,7 @@ def default_lattice(p: int, work_bound: int = 2_000_000) -> CycloLattice:
 class _EmbeddingEntry:
     desc: EmbeddingDesc
     matrix: np.ndarray       # m x l matrix E of the embedding on GF(p)-coordinates
-    section: np.ndarray      # l x m left inverse of E: section @ E = identity
+    section: np.ndarray | None = None   # l x m left inverse of E, built on first section_eval
 
 
 @dataclass
@@ -115,9 +115,7 @@ class StdLattice:
         src = self.field(ell)
         dst = self.field(m)
         desc = standardize.standard_embed(src, dst, self.lattice)
-        E = self._embedding_matrix(src, dst, desc.s_image)
-        section = linalg.solve(E.T, linalg.identity(ell), self.p).T
-        entry = _EmbeddingEntry(desc, E, section)
+        entry = _EmbeddingEntry(desc, self._embedding_matrix(src, dst, desc.s_image))
         with self._lock:
             self.embedding_computations += 1
             return self.embeddings.setdefault((ell, m), entry)
@@ -147,6 +145,9 @@ class StdLattice:
         dst = self.field(m)
         if y.field != dst.field:
             raise extfield.FieldMismatch("element does not live in the target field")
+        if entry.section is None:
+            # section @ E = identity; racing threads compute the same matrix
+            entry.section = linalg.solve(entry.matrix.T, linalg.identity(ell), self.p).T
         y_vec = np.array(y.vec, dtype=np.int64)
         x = linalg.matmul_mod(entry.section, y_vec, self.p)
         if not np.array_equal(linalg.matmul_mod(entry.matrix, x, self.p), y_vec):

@@ -3,9 +3,10 @@ minimal polynomials, orders and discrete logarithms."""
 
 import random
 
+import numpy as np
 import pytest
 
-from fflattice import fppoly, extfield
+from fflattice import fppoly, extfield, linalg
 from fflattice.extfield import ExtField
 
 
@@ -170,3 +171,129 @@ def test_minimal_polynomial_properties_subfields():
             y = L.embed_eval(ell, 15, x)
             _check_minimal_polynomial(y)
             assert extfield.minimal_polynomial(y) == extfield.minimal_polynomial(x)
+
+
+# -- the Ben-Or screen in front of Rabin's test ----------------------------------
+
+
+def rabin_oracle(f, p):
+    """Rabin's test alone: is_irreducible as it ran before the Ben-Or screen."""
+    n = fppoly.degree(f)
+    if n == 1:
+        return True
+    if f[0] == 0:
+        return False
+    f = fppoly.monic(f, p)
+    x_vec = np.zeros(n, dtype=np.int64)
+    x_vec[1] = 1
+    iterates = linalg.krylov(extfield.frobenius_matrix(f, p), x_vec, n + 1, p)
+    if not np.array_equal(iterates[:, n], x_vec):
+        return False
+    for q in extfield._prime_factors(n):
+        g = fppoly.trim(((iterates[:, n // q] - x_vec) % p).tolist())
+        if not g or fppoly.degree(fppoly.gcd(g, f, p)) > 0:
+            return False
+    return True
+
+
+@pytest.fixture
+def rabin_calls(monkeypatch):
+    """Counts the Frobenius matrices built, one per candidate that reaches Rabin's test."""
+    calls = []
+    build = extfield.frobenius_matrix
+
+    def counted(f, p, R=None):
+        calls.append((tuple(f), p))
+        return build(f, p, R)
+
+    monkeypatch.setattr(extfield, "frobenius_matrix", counted)
+    return calls
+
+
+def _verdict(f, p, rabin_calls):
+    """(is_irreducible(f, p), whether that call reached Rabin's test)."""
+    before = len(rabin_calls)
+    return extfield.is_irreducible(f, p), len(rabin_calls) > before
+
+
+def _irreducible(p, d, seed):
+    g = extfield.random_irreducible(p, d, seed)
+    assert rabin_oracle(g, p) and g[0] != 0
+    return g
+
+
+@pytest.mark.parametrize("p, max_n", [(2, 10), (3, 6), (7, 3)])
+def test_screened_test_matches_rabin_exhaustive(p, max_n):
+    for n in range(1, max_n + 1):
+        for f in _monic_polynomials(p, n):
+            assert extfield.is_irreducible(f, p) == rabin_oracle(f, p), (p, f)
+
+
+def test_screened_test_matches_rabin_random():
+    rng = random.Random(5301)
+    for p in (2, 3, 5, 7, 257):
+        for _ in range(40):
+            n = rng.randrange(2, 65)
+            f = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+            assert extfield.is_irreducible(f, p) == rabin_oracle(f, p), (p, f)
+
+
+def test_screen_catches_small_factors(rabin_calls):
+    # g irreducible with p^deg g <= n divides X^(p^deg g) - X: the screen rejects g*h
+    rng = random.Random(5302)
+    for p, n, d in [(2, 2, 1), (2, 8, 3), (2, 40, 5), (2, 64, 6), (3, 9, 2), (3, 30, 3),
+                    (5, 25, 2), (5, 60, 2), (7, 7, 1), (7, 49, 2)]:
+        for seed in range(3):
+            g = _irreducible(p, d, seed) if d > 1 else [rng.randrange(1, p), 1]
+            h = [rng.randrange(p) for _ in range(n - d)] + [1]
+            f = fppoly.mul(g, h, p)
+            assert _verdict(f, p, rabin_calls) == (False, False), (p, g, h)
+            assert not rabin_oracle(f, p)
+
+
+def test_rabin_catches_large_factors(rabin_calls):
+    # every factor has p^deg > n, so the screen passes f on and Rabin's test rejects it
+    for p, n, d in [(2, 20, 5), (2, 40, 6), (2, 64, 7), (3, 10, 3), (3, 30, 4),
+                    (5, 8, 2), (7, 6, 2), (257, 10, 3)]:
+        for seed in range(2):
+            f = fppoly.mul(_irreducible(p, d, seed), _irreducible(p, n - d, seed), p)
+            assert _verdict(f, p, rabin_calls) == (False, True), (p, f)
+            assert not rabin_oracle(f, p)
+
+
+def test_squares_are_reducible(rabin_calls):
+    for p, d in [(2, 3), (2, 5), (2, 16), (3, 2), (3, 7), (5, 3), (257, 4)]:
+        g = _irreducible(p, d, 1)
+        f = fppoly.mul(g, g, p)
+        assert _verdict(f, p, rabin_calls) == (False, True), (p, g)   # p^d > 2d: past the screen
+        assert not rabin_oracle(f, p)
+
+
+def test_equal_degree_products_reach_rabin_gcd(rabin_calls):
+    # X^(p^n) = X holds modulo g*h when deg g, deg h divide n: only the gcd
+    # step of Rabin's test can reject these, and the screen passes them on
+    for p, degrees in [(2, (4, 4)), (2, (6, 6)), (2, (8, 8)), (3, (3, 3)), (3, (5, 5)),
+                       (5, (2, 2)), (5, (2, 4, 6)), (257, (3, 3))]:
+        factors = [_irreducible(p, d, seed) for seed, d in enumerate(degrees)]
+        assert len({tuple(g) for g in factors}) == len(factors)
+        f = [1]
+        for g in factors:
+            f = fppoly.mul(f, g, p)
+        assert _verdict(f, p, rabin_calls) == (False, True), (p, degrees)
+        assert not rabin_oracle(f, p)
+
+
+def _encode(f, p):
+    return sum(c * p ** i for i, c in enumerate(f))
+
+
+@pytest.mark.parametrize("p, n, seed, code", [
+    (2, 105, 0, 0x3e97ea27240ee1d0d691a16e1a1),
+    (2, 117, 0, 0x34d216254be8dcf195c82612c5f987),
+    (3, 56, 0, 0x237a385f5abd8bad27ee3ec),
+    (5, 56, 7, 0x49a70ea7659f95ebf77d8533479208ac3),
+], ids=["2-105-0", "2-117-0", "3-56-0", "5-56-7"])
+def test_random_irreducible_pinned(p, n, seed, code):
+    # the screen changes no verdict, so the search accepts the same candidate
+    f = extfield.random_irreducible(p, n, seed)
+    assert len(f) == n + 1 and _encode(f, p) == code

@@ -101,6 +101,49 @@ def test_section_matches_linear_solve():
                 assert got is not None and list(got.vec) == list(x), (ell, m, y)
 
 
+def test_section_built_on_first_use():
+    # embeddings, verify() and a round trip through dumps build no left inverse;
+    # the first section_eval of a pair builds it, and later calls reuse it
+    L = build(3, [1, 2, 4])
+    L.get_embedding(2, 4)
+    assert L.verify().all_passed
+    L = StdLattice.loads(L.dumps())
+    assert all(entry.section is None for entry in L.embeddings.values())
+    x = L.field(2).field.gen()
+    assert L.section_eval(2, 4, L.embed_eval(2, 4, x)) == x
+    entry = L._embedding_entry(2, 4)
+    section = entry.section
+    assert linalg.matmul_mod(section, entry.matrix, L.p).tolist() == linalg.identity(2).tolist()
+    assert L.section_eval(2, 4, L.field(4).field.gen()) is None
+    assert entry.section is section
+    assert all(e.section is None for key, e in L.embeddings.items() if key != (2, 4))
+
+
+def test_add_field_tests_each_candidate_once(monkeypatch):
+    # the polynomial the search accepted is not tested a second time when its
+    # field is built; a supplied polynomial is still checked
+    p, ell = 3, 20
+    tested = []
+    test = extfield.is_irreducible
+
+    def counted(f, q):
+        tested.append(tuple(f))
+        return test(f, q)
+
+    monkeypatch.setattr(extfield, "is_irreducible", counted)
+    drawn = tuple(extfield.random_irreducible(p, ell, 0))
+    candidates = list(tested)
+    assert candidates[-1] == drawn and candidates.count(drawn) == 1
+    tested.clear()
+    dec = StdLattice(p).add_field(ell)
+    assert tested == candidates
+    assert tuple(dec.field.modulus) == drawn
+    tested.clear()
+    with pytest.raises(ValueError, match="reducible"):
+        StdLattice(p).add_field(4, [1, 0, 2, 0, 1])   # (X^2 + 1)^2 over GF(3)
+    assert tested == [(1, 0, 2, 0, 1)]
+
+
 def test_identity_embedding():
     L = build(2, [7])
     assert L.embed_eval(7, 7, L.field(7).s) == L.field(7).s
