@@ -23,7 +23,7 @@ import argparse
 import sys
 import time
 
-from . import fppoly, conway, standardize
+from . import fppoly, standardize
 from .conway import ConwayTable, ConwayUnavailable, load_table
 from .cyclotomic import CycloLattice
 from .lattice import StdLattice, default_lattice
@@ -65,6 +65,8 @@ def cmd_stdpoly(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    if args.l < 1 or args.m < 1:
+        raise ValueError(f"degrees must be >= 1, got l={args.l}, m={args.m}")
     if args.m % args.l:
         raise ValueError(f"{args.l} does not divide {args.m}")
     cyclo = _cyclo(args)

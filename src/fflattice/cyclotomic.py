@@ -1,10 +1,11 @@
 """The cyclotomic lattice: roots of unity zeta_l with compatible embeddings.
 
-For each l coprime to p, the field K_l = GF(p)(zeta_l) is represented as the
-Conway field GF(p^a) with a = level(l) = ord of p mod l, and
-zeta_l = X^((p^a-1)/l).  Embeddings iota_{l,m} : K_l -> K_m send
+For each l coprime to p, the field K_l = GF(p)(zeta_l) is the Conway field
+GF(p^a) of level a = level(l) = ord of p mod l, shared by every l of that
+level, and zeta_l = X^((p^a-1)/l).  Embeddings iota_{l,m} : K_l -> K_m send
 zeta_l to zeta_m^(m/l); they are evaluated by linear algebra in the
-zeta-power bases.
+zeta-power bases.  iota_{l,m} is the identity when l and m have the same
+level, so the standard Kummer constant abar_l is X^a.
 
 The per-l cache is append-only behind a lock; entries become visible only
 once complete.
@@ -13,7 +14,7 @@ once complete.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,11 +47,6 @@ class CycloLattice:
         self._fields: dict[int, ExtField] = {}
         self._lock = threading.Lock()
 
-    @property
-    def canonical(self) -> bool:
-        """False when the backing table contains pseudo-Conway entries."""
-        return self.table.canonical
-
     def level(self, ell: int) -> int:
         """Multiplicative order of p mod l (level nu(l)); level(1) = 1."""
         if ell < 1:
@@ -82,16 +78,12 @@ class CycloLattice:
         h = extfield.minimal_polynomial(zeta)
         assert fppoly.degree(h) == a, "zeta must generate its Conway field"
         b_coeffs = [(-c) % self.p for c in h[:a]]
-        Z = linalg.krylov(K.mul_matrix(zeta), K.one().vec, a, self.p)
+        Z = K.powers(zeta, a)
         scalar = K if h == K.modulus else ExtField(self.p, h, check=False)
         e = CycloEntry(ell, a, K, zeta, h, b_coeffs, Z, scalar)
         with self._lock:
             self._cache.setdefault(ell, e)
             return self._cache[ell]
-
-    def zeta(self, ell: int) -> tuple[ExtField, FFElem]:
-        e = self.entry(ell)
-        return e.K, e.zeta
 
     # -- coordinates in the zeta-power basis -----------------------------------
 
@@ -124,28 +116,12 @@ class CycloLattice:
             cur = cur * eta
         return out
 
-    def embed_inverse(self, ell: int, m: int, y: FFElem) -> FFElem:
-        """Unique preimage under iota_{l,m}; raises if y is not in the image."""
-        if m % ell:
-            raise ValueError(f"{ell} does not divide {m}")
-        src, dst = self.entry(ell), self.entry(m)
-        if y.field != dst.K:
-            raise extfield.FieldMismatch("element does not live in K_m")
-        eta = dst.zeta ** (m // ell)
-        W = linalg.krylov(dst.K.mul_matrix(eta), dst.K.one().vec, src.level, self.p)
-        try:
-            coords = linalg.solve(W, np.array(y.vec, dtype=np.int64), self.p)
-        except linalg.InconsistentSystem:
-            raise ValueError("element is not in the image of the cyclotomic embedding") from None
-        return self.from_power_basis(ell, coords)
-
     def standard_constant(self, ell: int) -> FFElem:
         """The pullback of zeta_(p^a-1)^a along iota_{l, p^a-1}, a = level(l).
 
-        This is the canonical Kummer constant shared by all standard
+        Both orders have level a, so iota is the identity and the pullback is
+        X^a.  This is the canonical Kummer constant shared by all standard
         Hilbert-90 solutions of order l.
         """
         a = self.level(ell)
-        m = self.p ** a - 1
-        e = self.entry(m)
-        return self.embed_inverse(ell, m, e.zeta ** a)
+        return self.conway_field(a).gen() ** a

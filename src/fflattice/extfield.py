@@ -86,6 +86,10 @@ class ExtField:
         """n x n matrix of multiplication by x in the power basis."""
         return linalg.krylov(self._companion, x.vec, self.n, self.p)
 
+    def powers(self, x: "FFElem", k: int) -> np.ndarray:
+        """n x k matrix whose columns are the coordinates of 1, x, ..., x^(k-1)."""
+        return linalg.krylov(self.mul_matrix(x), self.one().vec, k, self.p)
+
     def __eq__(self, other):
         return isinstance(other, ExtField) and self.p == other.p and self.modulus == other.modulus
 
@@ -334,7 +338,7 @@ def minimal_polynomial(x: FFElem) -> list[int]:
     """
     f = x.field
     p, n = f.p, f.n
-    R, pivots = linalg.rref(linalg.krylov(f.mul_matrix(x), f.one().vec, n + 1, p), p)
+    R, pivots = linalg.rref(f.powers(x, n + 1), p)
     d = len(pivots)  # once a power depends on the lower ones, so do all higher powers
     # x^d = sum_{i<d} R[i, d] x^i  =>  minpoly = X^d - sum R[i, d] X^i
     return [(-int(c)) % p for c in R[:d, d]] + [1]

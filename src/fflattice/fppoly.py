@@ -81,12 +81,8 @@ def constant(c: int, p: int) -> list[int]:
     return [c] if c else []
 
 
-def monomial(n: int, p: int, c: int = 1) -> list[int]:
-    c %= p
-    if c == 0:
-        return []
-    out = [0] * n + [c]
-    return out
+def monomial(n: int, p: int) -> list[int]:
+    return [0] * n + [1]
 
 
 def add(a: list[int], b: list[int], p: int) -> list[int]:
@@ -103,10 +99,6 @@ def sub(a: list[int], b: list[int], p: int) -> list[int]:
     for i, x in enumerate(b):
         out[i] = (out[i] - x) % p
     return trim(out)
-
-
-def neg(a: list[int], p: int) -> list[int]:
-    return [(-x) % p for x in a]
 
 
 def scale(a: list[int], c: int, p: int) -> list[int]:
@@ -284,14 +276,6 @@ def compose_mod(f: list[int], g: list[int], m: list[int], p: int,
     return trim(acc.tolist())
 
 
-def evaluate(a: list[int], x: int, p: int) -> int:
-    """Horner evaluation at a scalar."""
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def exact_div(a: int, b: int) -> int:
     """Integer division that must be exact; a remainder signals an upstream bug."""
     if b == 0:
@@ -302,7 +286,7 @@ def exact_div(a: int, b: int) -> int:
     return q
 
 
-def to_string(a: list[int], var: str = "x") -> str:
+def to_string(a: list[int]) -> str:
     """Human-readable sparse form, descending monomials, e.g. 'x^15+x+1'."""
     if not a:
         return "0"
@@ -316,7 +300,7 @@ def to_string(a: list[int], var: str = "x") -> str:
         else:
             coef = "" if c == 1 else str(c)
             if i == 1:
-                parts.append(f"{coef}{var}")
+                parts.append(f"{coef}x")
             else:
-                parts.append(f"{coef}{var}^{i}")
+                parts.append(f"{coef}x^{i}")
     return "+".join(parts)

@@ -60,16 +60,6 @@ class KummerAlg:
             raise ValueError("defining polynomial degree does not match l")
         self._zeta_mul = self.scalar.mul_matrix(self.scalar.gen())
 
-    # -- scalar-side conversions -------------------------------------------------
-
-    def scalar_to_K(self, svec) -> FFElem:
-        """Interpret a scalar coordinate vector (in powers of zeta) in K_l."""
-        return self.lattice.from_power_basis(self.ell, svec)
-
-    def scalar_from_K(self, x: FFElem) -> np.ndarray:
-        """Coordinates of x in K_l on the zeta power basis."""
-        return self.lattice.to_power_basis(self.ell, x)
-
     # -- element constructors ------------------------------------------------------
 
     def element(self, coeffs) -> "KummerElem":
@@ -86,21 +76,13 @@ class KummerAlg:
         C[0, 0] = 1
         return KummerElem(self, C)
 
-    def from_left(self, x: FFElem) -> "KummerElem":
-        """x (x) 1."""
-        if x.field != self.left:
-            raise AlgebraMismatch("element does not live in the left field")
-        C = np.zeros((self.ell, self.a), dtype=np.int64)
-        C[:, 0] = x.vec
-        return KummerElem(self, C)
-
     def from_scalar(self, s) -> "KummerElem":
         """1 (x) s, where s is a scalar-field element or coordinate vector."""
         if isinstance(s, FFElem):
             if s.field == self.scalar:
                 svec = np.array(s.vec, dtype=np.int64)
             elif s.field == self.entry.K:
-                svec = self.scalar_from_K(s)
+                svec = self.lattice.to_power_basis(self.ell, s)
             else:
                 raise AlgebraMismatch("scalar lives in neither the scalar field nor K_l")
         else:
@@ -176,12 +158,6 @@ class KummerElem:
         M = alg.scalar.mul_matrix(e)
         return KummerElem(alg, linalg.matmul_mod(self.coeffs, M.T, alg.p))
 
-    def left_mul(self, x: FFElem) -> "KummerElem":
-        """Multiplication by x (x) 1."""
-        alg = self.algebra
-        M = alg.left.mul_matrix(x)
-        return KummerElem(alg, linalg.matmul_mod(M, self.coeffs, alg.p))
-
     def column(self, j: int) -> FFElem:
         """The left-field coefficient of zeta^j."""
         return self.algebra.left.element(list(self.coeffs[:, j]))
@@ -190,7 +166,8 @@ class KummerElem:
         """For elements 1 (x) s, the scalar s as an element of K_l."""
         if self.coeffs[1:].any():
             raise NotScalar("element has nonzero coefficients of positive X-degree")
-        return self.algebra.scalar_to_K(self.coeffs[0])
+        alg = self.algebra
+        return alg.lattice.from_power_basis(alg.ell, self.coeffs[0])
 
     def __repr__(self):
         return f"KummerElem({self.coeffs.tolist()})"
@@ -301,7 +278,7 @@ def scalar_norm(gamma: KummerElem, b: int, a: int) -> KummerElem:
 def project_first(beta: KummerElem, ell_sub: int) -> FFElem:
     """First coefficient y_0 of beta = sum y_i (x) eta^i, eta = zeta^(l/l_sub).
 
-    Each row of beta is solved against the Krylov basis 1, eta, ..., eta^(d-1)
+    Each row of beta is solved against the power basis 1, eta, ..., eta^(d-1)
     of GF(p)(eta), d the level of l_sub: one linear solve of the a x d basis
     against all l rows at once.  Raises ValueError when beta lies outside
     GF(p^l) (x) GF(p)(eta).
@@ -313,7 +290,7 @@ def project_first(beta: KummerElem, ell_sub: int) -> FFElem:
     d = alg.lattice.level(ell_sub)
     S = alg.scalar
     eta = S.gen() ** (ell // ell_sub)
-    W = linalg.krylov(S.mul_matrix(eta), S.one().vec, d, p)
+    W = S.powers(eta, d)
     try:
         X = linalg.solve(W, beta.coeffs.T, p)
     except linalg.InconsistentSystem:

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fppoly, linalg, extfield, kummer, standardize
+from . import fppoly, linalg, extfield, standardize
 from .conway import ConwayTable, parse_table
 from .cyclotomic import CycloLattice
-from .extfield import ExtField, FFElem
+from .extfield import FFElem
 from .standardize import DecoratedField, EmbeddingDesc
 
 
@@ -106,14 +106,14 @@ class StdLattice:
         return self._embedding_entry(ell, m).desc
 
     def _embedding_entry(self, ell: int, m: int) -> _EmbeddingEntry:
-        if m % ell:
-            raise ValueError(f"{ell} does not divide {m}")
         with self._lock:
             cached = self.embeddings.get((ell, m))
         if cached is not None:
             return cached
         src = self.field(ell)
         dst = self.field(m)
+        if m % ell:
+            raise ValueError(f"{ell} does not divide {m}")
         desc = standardize.standard_embed(src, dst, self.lattice)
         entry = _EmbeddingEntry(desc, self._embedding_matrix(src, dst, desc.s_image))
         with self._lock:
@@ -125,8 +125,8 @@ class StdLattice:
         p = self.p
         ell = src.ell
         # columns 1, s, ..., s^(l-1) and their images 1, t, ..., t^(l-1)
-        B_src = linalg.krylov(src.field.mul_matrix(src.s), src.field.one().vec, ell, p)  # l x l
-        B_dst = linalg.krylov(dst.field.mul_matrix(t), dst.field.one().vec, ell, p)      # m x l
+        B_src = src.field.powers(src.s, ell)  # l x l
+        B_dst = dst.field.powers(t, ell)      # m x l
         inv = linalg.solve(B_src, linalg.identity(ell), p)
         return linalg.matmul_mod(B_dst, inv, p)
 

@@ -16,13 +16,6 @@ class InconsistentSystem(ValueError):
     """Raised when a linear system has no solution."""
 
 
-def as_matrix(entries, p: int) -> np.ndarray:
-    M = np.asarray(entries, dtype=np.int64) % p
-    if M.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    return M
-
-
 def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """Exact modular product, accumulated in fppoly.word_dtype of the inner dimension."""
     if fppoly.word_dtype(A.shape[-1], p) is np.int64:
@@ -81,32 +74,6 @@ def rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return R, pivots
-
-
-def rank(M: np.ndarray, p: int) -> int:
-    return len(rref(M, p)[1])
-
-
-def kernel(M: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the right kernel {v : Mv = 0}, in reduced echelon form.
-
-    Each basis vector has a 1 in its own free column and zeros in the other
-    free columns; vectors are ordered by ascending free column.  The output
-    is deterministic for equal input.
-    """
-    M = np.asarray(M, dtype=np.int64) % p
-    rows, cols = M.shape
-    R, pivots = rref(M, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-R[r, f]) % p
-        basis.append(v)
-    return basis
 
 
 def solve(M: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

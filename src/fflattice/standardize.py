@@ -48,7 +48,6 @@ class EmbeddingDesc:
     source_degree: int
     target_degree: int
     s_image: FFElem
-    kappa: FFElem
 
 
 def decorate(ell: int, lattice: CycloLattice, defining_poly: list[int] | None = None,
@@ -84,9 +83,11 @@ def kappa_constant(ell: int, m: int, lattice: CycloLattice) -> FFElem:
     """The closed-form embedding constant kappa_{l,m}, an element of K_m.
 
     kappa is the cyclotomic pullback of zeta_(p^b-1) raised to
-    -((b-a) p^(b+a) - b p^b + a p^a) / ((p^a - 1) l), where a, b are the
-    levels of l, m.  The division is exact in arbitrary-precision integers
-    and must happen before reduction mod p^b - 1.
+    -q = -((b-a) p^(b+a) - b p^b + a p^a) / ((p^a - 1) l), where a, b are
+    the levels of l, m.  K_m and K_(p^b-1) are the same Conway field and
+    zeta_(p^b-1) is its generator X, so kappa = X^(-q).  The division is
+    exact in arbitrary-precision integers and must happen before reduction
+    mod p^b - 1.
     """
     if m % ell:
         raise ValueError(f"{ell} does not divide {m}")
@@ -95,10 +96,7 @@ def kappa_constant(ell: int, m: int, lattice: CycloLattice) -> FFElem:
     b = lattice.level(m)
     E = (b - a) * p ** (b + a) - b * p ** b + a * p ** a
     q = exact_div(E, (p ** a - 1) * ell)
-    N = p ** b - 1
-    complete = lattice.entry(N)
-    val = complete.zeta ** ((-q) % N)
-    return lattice.embed_inverse(m, N, val)
+    return lattice.conway_field(b).gen() ** ((-q) % (p ** b - 1))
 
 
 def standard_embed(src: DecoratedField, dst: DecoratedField,
@@ -120,7 +118,7 @@ def standard_embed(src: DecoratedField, dst: DecoratedField,
     if extfield.minimal_polynomial(t) != src.P:
         raise AssertionError("embedding image has the wrong minimal polynomial; "
                              "decorations are inconsistent")
-    return EmbeddingDesc(ell, m, t, kappa)
+    return EmbeddingDesc(ell, m, t)
 
 
 def baseline_embed(field_l: ExtField, field_m: ExtField,

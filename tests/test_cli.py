@@ -58,6 +58,12 @@ def test_embed_non_divisible(capsys):
     assert code == 2 and err  # 10 is even: p | m
 
 
+@pytest.mark.parametrize("l, m", [("0", "3"), ("3", "0"), ("-3", "3"), ("0", "0")])
+def test_embed_degree_below_one(capsys, l, m):
+    code, _, err = run(capsys, "embed", "-p", "2", "-l", l, "-m", m)
+    assert code == 2 and "degrees must be >= 1" in err
+
+
 def test_embed_machine_round_trips_through_loader(capsys):
     code, out, _ = run(capsys, "embed", "-p", "2", "-l", "3", "-m", "15",
                        "--format", "machine")

@@ -3,10 +3,20 @@ standard Kummer constants."""
 
 import random
 
+import numpy as np
 import pytest
 
-from fflattice import fppoly, extfield
+from fflattice import fppoly, extfield, linalg, standardize
 from fflattice.lattice import default_lattice
+
+# the degree sets of tests/data/golden_dumps.txt
+GOLDEN_DEGREES = {
+    2: [1, 3, 5, 7, 9, 15, 21, 45, 63],
+    3: [1, 2, 4, 5, 8, 10, 20, 40],
+    5: [1, 2, 3, 4, 6, 12, 24],
+    257: [1, 2, 3, 4, 6, 12, 24],
+    65521: [1, 2, 3, 6, 12, 24, 48],
+}
 
 
 def test_zeta_order_exact():
@@ -53,14 +63,44 @@ def test_embedding_transitivity():
     assert via == direct
 
 
-def test_embed_inverse():
+def pullback(L, ell, m, y):
+    """Oracle: the preimage of y under iota_{l,m}, by solving y against the
+    powers of zeta_m^(m/l) in K_m; raises InconsistentSystem off the image."""
+    src, dst = L.entry(ell), L.entry(m)
+    eta = dst.zeta ** (m // ell)
+    W = linalg.krylov(dst.K.mul_matrix(eta), dst.K.one().vec, src.level, L.p)
+    coords = linalg.solve(W, np.array(y.vec, dtype=np.int64), L.p)
+    return L.from_power_basis(ell, coords)
+
+
+def test_pullback_oracle():
     L = default_lattice(2)
     z = L.entry(5).zeta
-    y = L.embed(5, 15, z)
-    assert L.embed_inverse(5, 15, y) == z
+    assert pullback(L, 5, 15, L.embed(5, 15, z)) == z
     # zeta_15 is not in the image of K_3 -> K_15 (level 2 vs level 4)
-    with pytest.raises(ValueError):
-        L.embed_inverse(3, 15, L.entry(15).zeta)
+    with pytest.raises(linalg.InconsistentSystem):
+        pullback(L, 3, 15, L.entry(15).zeta)
+
+
+def test_constants_match_pullback():
+    # abar_l and kappa_{l,m} pull back powers of zeta_(p^a-1) from the
+    # complete order of the same level; the closed forms X^a and X^(-q) must
+    # agree with the pullback for every divisor pair of the golden degree sets
+    for p, degrees in GOLDEN_DEGREES.items():
+        L = default_lattice(p)
+        for ell in degrees:
+            a = L.level(ell)
+            N = p ** a - 1
+            assert L.standard_constant(ell) == pullback(L, ell, N, L.entry(N).zeta ** a), (p, ell)
+            for m in degrees:
+                if m % ell:
+                    continue
+                b = L.level(m)
+                N = p ** b - 1
+                E = (b - a) * p ** (b + a) - b * p ** b + a * p ** a
+                q = fppoly.exact_div(E, (p ** a - 1) * ell)
+                expected = pullback(L, m, N, L.entry(N).zeta ** ((-q) % N))
+                assert standardize.kappa_constant(ell, m, L) == expected, (p, ell, m)
 
 
 def test_power_basis_round_trip():

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from fflattice import fppoly, extfield, kummer
+from fflattice import fppoly, extfield, kummer, linalg
 from fflattice.kummer import KummerAlg, solve_h90, kummer_constant, recover_alpha
 from fflattice.lattice import default_lattice
 
@@ -216,9 +216,14 @@ def test_from_left_from_scalar_commute():
     rng = random.Random(3)
     x = alg.left.random_element(rng)
     s = alg.scalar.random_element(rng)
-    u = alg.from_left(x) * alg.from_scalar(s)
-    v = alg.from_scalar(s).left_mul(x)
+    C = np.zeros((alg.ell, alg.a), dtype=np.int64)
+    C[:, 0] = x.vec
+    x1 = alg.element(C)                                    # x (x) 1
+    u = x1 * alg.from_scalar(s)
+    v = alg.from_scalar(s) * x1
     assert u == v
+    assert u == alg.element(linalg.matmul_mod(alg.left.mul_matrix(x),
+                                              alg.from_scalar(s).coeffs, alg.p))
 
 
 def test_degenerate_level_one():
@@ -229,6 +234,51 @@ def test_degenerate_level_one():
     assert alpha ** 1 == alg.from_scalar(kummer_constant(alpha))
 
 
+def kernel(M, p):
+    """Basis of the right kernel {v : Mv = 0}, in reduced echelon form.
+
+    Each basis vector has a 1 in its own free column and zeros in the other
+    free columns; vectors are ordered by ascending free column.  The output
+    is deterministic for equal input.
+    """
+    M = np.asarray(M, dtype=np.int64) % p
+    rows, cols = M.shape
+    R, pivots = linalg.rref(M, p)
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        v = np.zeros(cols, dtype=np.int64)
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = (-R[r, f]) % p
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 97])
+def test_kernel_annihilation_and_nullity(p):
+    rng = random.Random(100 + p)
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+        M = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)],
+                     dtype=np.int64)
+        K = kernel(M, p)
+        assert len(K) == cols - len(linalg.rref(M, p)[1])
+        for v in K:
+            assert not (linalg.matmul_mod(M, v, p) % p).any()
+        if K:
+            assert len(linalg.rref(np.array(K), p)[1]) == len(K)  # independent
+
+
+def test_kernel_determinism():
+    rng = random.Random(7)
+    M = np.array([[rng.randrange(3) for _ in range(9)] for _ in range(6)], dtype=np.int64)
+    K1 = kernel(M, 3)
+    K2 = kernel(M.copy(), 3)
+    assert all((a == b).all() for a, b in zip(K1, K2)) and len(K1) == len(K2)
+
+
 def kernel_h90(alg):
     """Oracle: the normalized Hilbert-90 solution from a dense kernel.
 
@@ -236,12 +286,11 @@ def kernel_h90(alg):
     l x a coefficient matrix, takes the first kernel basis vector and scales
     its first nonzero row to 1, as solve_h90 does.
     """
-    from fflattice import linalg
     p, ell, a = alg.p, alg.ell, alg.a
     F = alg.left.frobenius_matrix
     Z = alg.scalar.mul_matrix(alg.scalar.gen())
     M = (np.kron(F, linalg.identity(a)) - np.kron(linalg.identity(ell), Z)) % p
-    basis = linalg.kernel(M, p)
+    basis = kernel(M, p)
     assert len(basis) == a
     C = basis[0].reshape(ell, a)
     i = next(i for i in range(ell) if C[i].any())

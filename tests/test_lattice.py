@@ -155,6 +155,13 @@ def test_non_divisible_pair_rejected():
         L.get_embedding(3, 5)
 
 
+def test_unregistered_degree_zero_rejected():
+    L = build(2, [3])
+    for ell, m in [(0, 3), (3, 0), (0, 0)]:
+        with pytest.raises(KeyError, match="degree 0 is not registered"):
+            L.get_embedding(ell, m)
+
+
 def test_verify_triangles():
     L = build(2, [1, 3, 5, 9, 15, 45])
     report = L.verify()

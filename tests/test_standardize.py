@@ -90,6 +90,17 @@ def test_kappa_examples():
     assert standardize.kappa_constant(15, 15, L) == L.entry(15).K.one()
 
 
+def test_constants_build_no_complete_entry():
+    # abar_l and kappa_{l,m} are powers of the Conway generator: decorating
+    # and embedding build cyclotomic entries for l and m only, not for the
+    # complete orders p^a - 1 (8 and 80 here)
+    L = default_lattice(3)
+    src = standardize.decorate(4, L)
+    dst = standardize.decorate(20, L)
+    standardize.standard_embed(src, dst, L)
+    assert sorted(L._cache) == [4, 20]
+
+
 def test_standard_embedding_image():
     L = default_lattice(2)
     src = standardize.decorate(3, L)
