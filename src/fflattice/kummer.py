@@ -11,6 +11,13 @@ Feo, Doliskani, Flori and Schost 2019): sum_i sigma^i(x) (x) zeta^(-i) solves
 (sigma (x) 1) alpha = (1 (x) zeta) alpha for every x, so one Krylov matrix of
 the Frobenius (l mat-vecs) and one l x l by l x a product give a solution in
 O(l^3 + l^2 a) word operations, with no linear system to solve.
+
+Powers (the Kummer constant alpha^l, alpha_m^(m/l) in an embedding) use that
+the p-th power map is the automorphism sigma (x) sigma: x^e walks the base-p
+digits of e, with floor(log_p e) applications of sigma (x) sigma, each
+O(l^2 a + l a^2), plus one product per nonzero digit beyond the first and
+the binary square-and-multiply of the digit powers x^d, d < p.  Every
+product costs O(l^2 a^2).
 """
 
 from __future__ import annotations
@@ -124,16 +131,38 @@ class KummerElem:
         return kalg_mul(self, other)
 
     def __pow__(self, e: int):
+        """x^e from the base-p digits of e, most significant first.
+
+        x^e = phi(x^(e div p)) x^(e mod p), where phi(y) = y^p is the ring
+        automorphism sigma (x) sigma: frob_left then frob_right, two matrix
+        products of O(l^2 a + l a^2).  The cost is floor(log_p e) applications
+        of phi, one kalg_mul per nonzero digit beyond the first, and the
+        squarings of the digit powers x^d, d < p, which are binary
+        square-and-multiply.  For e < p that is the whole computation.
+        """
         if e < 0:
             raise ValueError("negative powers not supported on algebra elements")
-        result = self.algebra.one()
-        base = self
+        digits = []
         while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
+            e, d = divmod(e, self.algebra.p)
+            digits.append(d)
+        if not digits:
+            return self.algebra.one()
+        result = None
+        for d in reversed(digits):
+            if result is not None:
+                result = frob_right(frob_left(result))
+            if not d:
+                continue
+            power, base = None, self
+            while True:
+                if d & 1:
+                    power = base if power is None else power * base
+                d >>= 1
+                if not d:
+                    break
                 base = base * base
+            result = power if result is None else result * power
         return result
 
     def __eq__(self, other):

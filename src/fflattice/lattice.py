@@ -79,6 +79,8 @@ class StdLattice:
         A second call with a different defining polynomial is an error: one
         representation per degree per lattice.
         """
+        if ell < 1:
+            raise ValueError("degree must be >= 1")
         if ell % self.p == 0:
             raise ValueError(f"degree {ell} is divisible by the characteristic {self.p}")
         with self._lock:

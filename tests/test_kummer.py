@@ -3,15 +3,18 @@
 Multiplication is cross-checked against an independent bivariate oracle
 (plain dict-based polynomial arithmetic), and the structural theorems are
 exercised: the H90 property, the Kummer constant, conjugate solutions,
-the scalar norm, projection and recovery.
+the scalar norm, projection and recovery.  Powers, which step through the
+Frobenius, are checked against square-and-multiply.
 """
 
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fflattice import fppoly, extfield, kummer, linalg
+from fflattice import fppoly, extfield, kummer, linalg, standardize
 from fflattice.kummer import KummerAlg, solve_h90, kummer_constant, recover_alpha
 from fflattice.lattice import default_lattice
 
@@ -358,3 +361,70 @@ def test_kalg_mul_matches_divrem_reference(p, degrees):
             prod = kummer.kalg_mul(u, v)
             assert prod.coeffs.dtype == np.int64
             assert np.array_equal(prod.coeffs, divrem_reference_mul(u, v))
+
+
+def square_multiply_oracle(x, e):
+    """x^e by binary square-and-multiply through kalg_mul: the reference for
+    KummerElem.__pow__, which steps through the base-p digits of e instead."""
+    if e < 0:
+        raise ValueError("negative powers not supported on algebra elements")
+    result = x.algebra.one()
+    base = x
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
+# Small algebras for each prime, levels above 1 where the Conway table reaches;
+# at p = 2^31 - 1 every product from l = 2 on accumulates in object dtype.
+POWER_DEGREES = {2: (3, 5, 9), 3: (2, 4, 13), 5: (3, 6, 13), 257: (3, 6),
+                 65521: (5, 12), 2 ** 31 - 1: (3, 7)}
+
+
+@functools.cache
+def power_algebra(p, ell):
+    return KummerAlg(default_lattice(p), ell)
+
+
+@pytest.mark.parametrize("p", sorted(POWER_DEGREES))
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(index=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1),
+       a=st.integers(1, 3), k=st.integers(1, 3), big=st.integers(0, 2 ** 100 - 1))
+def test_power_matches_square_multiply_oracle(p, index, seed, a, k, big):
+    degrees = POWER_DEGREES[p]
+    ell = degrees[index % len(degrees)]
+    alg = power_algebra(p, ell)
+    rng = random.Random(seed)
+    x = alg.element([[rng.randrange(p) for _ in range(alg.a)] for _ in range(ell)])
+    b = a * k
+    for e in (0, 1, 2, p - 1, p, p + 1, p ** 2, ell, (p ** b - 1) // (p ** a - 1), big):
+        assert x ** e == square_multiply_oracle(x, e), e
+    assert x ** p == kummer.frob_right(kummer.frob_left(x))
+
+
+def test_negative_power_rejected():
+    alg = KummerAlg(default_lattice(3), 4)
+    x = solve_h90(alg)
+    for e in (-1, -3):
+        with pytest.raises(ValueError, match="negative powers"):
+            x ** e
+
+
+def test_decorate_product_count(monkeypatch):
+    # at p = 2 every squaring in alpha^117 is a Frobenius: one product per
+    # nonzero binary digit of 117 = 1110101_2 beyond the first, for each of
+    # the two Kummer constants decorate computes
+    calls = []
+    mul = kummer.kalg_mul
+
+    def counted(u, v):
+        calls.append(1)
+        return mul(u, v)
+
+    monkeypatch.setattr(kummer, "kalg_mul", counted)
+    standardize.decorate(117, default_lattice(2))
+    assert 0 < len(calls) <= 8

@@ -162,6 +162,12 @@ def test_unregistered_degree_zero_rejected():
             L.get_embedding(ell, m)
 
 
+@pytest.mark.parametrize("p, ell", [(2, 0), (2, -2), (2, -1), (3, 0), (3, -3)])
+def test_add_field_rejects_degree_below_one(p, ell):
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        StdLattice(p).add_field(ell)
+
+
 def test_verify_triangles():
     L = build(2, [1, 3, 5, 9, 15, 45])
     report = L.verify()
