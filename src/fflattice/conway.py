@@ -9,6 +9,12 @@ Lexicographic comparison follows the published table convention: the
 polynomial x^n + c_{n-1} x^{n-1} + ... + c_0 is ranked by the word
 (a_{n-1}, ..., a_0) where a_j = (-1)^(n-j) c_j mod p, compared left to right.
 
+The search prunes with the norm of X (Heath and Loehr 2004).  For f
+irreducible of degree a, X^((p^a-1)/(p-1)) mod f is the product of the roots,
+(-1)^a f(0), so norm compatibility with C_1 = X - g holds only if
+(-1)^a f(0) = g.  That fixes a_0 = g (c_0 = (-1)^a g in the pseudo order),
+and a level-a search visits p^(a-1) candidates instead of p^a.
+
 Table file format: one entry per line, `p a c_0 c_1 ... c_a` with ascending
 decimal coefficients; lines starting with `#` are ignored.
 """
@@ -70,8 +76,11 @@ def conway_search(p: int, a: int, known: dict[int, list[int]], work_bound: int =
     """Brute-force the Conway polynomial of degree a.
 
     `known` must contain the Conway polynomials of all proper divisors of a
-    (callers recurse as needed).  The work bound is spent at a*a units per
-    candidate tested; exceeding it raises ConwayUnavailable.
+    (callers recurse as needed).  For a > 1 only the candidates whose norm
+    (-1)^a f(0) equals the root g of C_1 = X - g are visited: p^(a-1) of the
+    p^a, in the same order, each still put through every check.  The work
+    bound is spent at a*a units per candidate visited; exceeding it raises
+    ConwayUnavailable.
 
     With pseudo=True, candidates are enumerated in plain ascending
     coefficient order instead and the first primitive norm-compatible
@@ -86,8 +95,15 @@ def conway_search(p: int, a: int, known: dict[int, list[int]], work_bound: int =
     budget = work_bound // (a * a) if a > 1 else work_bound
     divisors = {d: f for d, f in known.items() if d < a and a % d == 0}
     order_primes = list(extfield.factorize(p ** a - 1))
+    # The lowest digit of index is a_0 (Conway word) or c_0 (pseudo order),
+    # and the d = 1 clause of norm compatibility fixes it: with C_1 = X - g,
+    # the norm X^((p^a-1)/(p-1)) = (-1)^a f(0) mod f must equal g.
+    first, step = 0, 1
+    if a > 1:
+        g = -known[1][0] % p
+        first, step = ((-1) ** a * g % p if pseudo else g), p
     tested = 0
-    for index in range(p ** a):
+    for index in range(first, p ** a, step):
         word = []
         v = index
         for _ in range(a):

@@ -12,11 +12,16 @@ deterministic l-th root extraction.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 
 from . import fppoly, linalg
+
+# Largest baby-step table discrete_log builds.  Level 1 at p = 2^31 - 1 needs
+# 46,341 steps; level 2 needs about p, so it is refused for p > 2^17.
+BSGS_MAX_STEPS = 2 ** 17
 
 
 class FieldMismatch(ValueError):
@@ -301,8 +306,6 @@ def _factor_rho(n: int, out: dict[int, int]) -> None:
 
 
 def _pollard_rho(n: int) -> int:
-    import math
-
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
@@ -365,7 +368,9 @@ def is_primitive(x: FFElem) -> bool:
 def discrete_log(x: FFElem, base: FFElem) -> int:
     """k with base^k = x, 0 <= k < p^n - 1, baby-step giant-step.
 
-    base must be primitive (order p^n - 1).
+    base must be primitive (order p^n - 1).  The search takes m = ceil(sqrt(p^n - 1))
+    baby steps; a group that needs more than BSGS_MAX_STEPS raises ValueError
+    before anything is built, so the table stays bounded.
     """
     if x.is_zero():
         raise ZeroDivisionError("discrete log of zero")
@@ -373,11 +378,12 @@ def discrete_log(x: FFElem, base: FFElem) -> int:
     N = f.order() - 1
     if N <= 1:
         return 0
+    m = math.isqrt(N - 1) + 1
+    if m > BSGS_MAX_STEPS:
+        raise ValueError(f"discrete log for p={f.p}, n={f.n} needs m={m} baby steps, "
+                         f"more than BSGS_MAX_STEPS={BSGS_MAX_STEPS}")
     if not is_primitive(base):
         raise ValueError("discrete_log base must be primitive")
-    import math
-
-    m = math.isqrt(N - 1) + 1
     table = {}
     cur = f.one()
     for j in range(m):
@@ -409,8 +415,6 @@ def nth_root(c: FFElem, ell: int) -> FFElem:
     N = f.order() - 1
     if N <= 1:
         return c
-    import math
-
     k = discrete_log(c, base)
     g = math.gcd(ell, N)
     if k % g:

@@ -106,6 +106,8 @@ def test_conway_golden(capsys):
     assert code == 0 and out.strip() == "x+1"
     code, out, _ = run(capsys, "conway", "-p", "3", "-a", "2", "--format", "machine")
     assert code == 0 and out.strip() == "3 2 2 2 1"
+    code, out, _ = run(capsys, "conway", "-p", "65521", "-a", "2")
+    assert code == 0 and out.strip() == "x^2+65518x+17"
 
 
 def test_conway_work_bound(capsys):
@@ -156,3 +158,9 @@ def test_verify_unreachable_prime_exits_3(capsys):
     # 2^31 - 1 > the default work bound: not even level 1 can be searched
     code, out, err = run(capsys, "verify", "-p", "2147483647", "--max", "8")
     assert code == 3 and "p=2147483647" in err and not out
+
+
+def test_stdpoly_level_two_at_largest_prime_exits_2(capsys):
+    # the level-2 Conway entry is found, but its discrete log exceeds the baby-step bound
+    code, out, err = run(capsys, "stdpoly", "-p", "2147483647", "-l", "4")
+    assert code == 2 and "p=2147483647" in err and not out

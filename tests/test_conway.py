@@ -9,7 +9,8 @@ import pytest
 
 from fflattice import fppoly, extfield
 from fflattice.conway import (ConwayTable, ConwayUnavailable, conway_search,
-                              parse_table, dump_table)
+                              parse_table, dump_table, _is_primitive_poly,
+                              _norm_compatible, _word_to_poly)
 from fflattice.conway_data import CONWAY_TABLE_TEXT
 
 
@@ -100,8 +101,6 @@ def test_primitive_predicate_matches_extfield(p):
     # ExtField's multiplicative order, on every monic irreducible of degree 2 and 3
     from itertools import product
 
-    from fflattice.conway import _is_primitive_poly
-
     for a in (2, 3):
         primes = sorted(extfield.factorize(p ** a - 1))
         seen = set()
@@ -114,3 +113,70 @@ def test_primitive_predicate_matches_extfield(p):
             seen.add(want)
         assert seen == {True, False}
     assert not _is_primitive_poly([0, 1], p, list(extfield.factorize(p - 1)))   # X = 0 mod X
+
+
+# -- the search over the norm-fixed candidates ------------------------------------
+
+
+def exhaustive_search_oracle(p, a, known, pseudo=False):
+    """conway_search as it ran before the norm pruning: every monic candidate
+    in enumeration order, no work bound."""
+    divisors = {d: f for d, f in known.items() if d < a and a % d == 0}
+    order_primes = list(extfield.factorize(p ** a - 1))
+    for index in range(p ** a):
+        word = []
+        v = index
+        for _ in range(a):
+            word.append(v % p)
+            v //= p
+        word.reverse()
+        if pseudo:
+            cand = word[::-1] + [1]
+        else:
+            cand = _word_to_poly(word, a, p)
+        if cand[0] == 0:
+            continue
+        if (extfield.is_irreducible(cand, p) and _is_primitive_poly(cand, p, order_primes)
+                and _norm_compatible(cand, a, divisors, p)):
+            return cand
+    raise ConwayUnavailable(f"no Conway polynomial found for p={p}, a={a}")
+
+
+ORACLE_LEVELS = {2: 13, 3: 8, 5: 5, 7: 4, 11: 3, 13: 3, 17: 3, 31: 2, 101: 2, 257: 3}
+
+
+@pytest.mark.parametrize("pseudo", [False, True])
+@pytest.mark.parametrize("p", sorted(ORACLE_LEVELS))
+def test_search_matches_exhaustive_oracle(p, pseudo):
+    known = {}
+    for a in range(1, ORACLE_LEVELS[p] + 1):
+        want = exhaustive_search_oracle(p, a, known, pseudo)
+        assert conway_search(p, a, known, work_bound=10 ** 12, pseudo=pseudo) == want, (p, a)
+        known[a] = want
+
+
+def test_search_at_65521():
+    # the exhaustive search took minutes for a = 2 and 3; these are its outputs
+    known = {}
+    for a, want in ((1, [65504, 1]), (2, [17, 65518, 1]), (3, [65504, 1, 0, 1])):
+        known[a] = conway_search(65521, a, known)
+        assert known[a] == want
+
+
+def test_search_visits_only_the_norm_fixed_candidates(monkeypatch):
+    # C_1 = X - 3 fixes f(0) = 3 at a = 2, so 7 candidates are tested (1539 exhaustively)
+    calls = []
+    test = extfield.is_irreducible
+
+    def counted(f, q):
+        calls.append(tuple(f))
+        return test(f, q)
+
+    monkeypatch.setattr(extfield, "is_irreducible", counted)
+    assert conway_search(257, 2, {1: [254, 1]}) == [3, 251, 1]
+    assert 0 < len(calls) <= 7 and all(f[0] == 3 for f in calls)
+    monkeypatch.setattr(extfield, "is_irreducible", test)
+    # the work bound is spent at a*a = 4 units per candidate visited
+    with pytest.raises(ConwayUnavailable):
+        conway_search(257, 2, {1: [254, 1]}, work_bound=27)
+    assert conway_search(257, 2, {1: [254, 1]}, work_bound=28) == [3, 251, 1]

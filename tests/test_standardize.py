@@ -158,3 +158,17 @@ def test_decorate_at_largest_prime_is_exact():
             assert kummer.frob_left(alpha) == alpha.scalar_mul(alg.scalar.gen())
             assert alpha ** ell == alg.from_scalar(L.lattice.standard_constant(ell))
             assert time.perf_counter() - t0 < 20
+
+
+def test_level_two_at_largest_prime_fails_in_bounded_time():
+    # p = 2^31 - 1, l = 4 has level 2: the Conway search finds C_2 at once, but
+    # a baby-step table for GF(p^2) would need p entries, so the l-th root is refused
+    import time
+    from fflattice.lattice import StdLattice
+    p = 2 ** 31 - 1
+    t0 = time.perf_counter()
+    L = StdLattice(p)
+    with pytest.raises(ValueError, match=f"p={p}, n=2 needs m={p} baby steps"):
+        L.add_field(4)
+    assert L.lattice.table.get(2) == [7, p - 3, 1]
+    assert time.perf_counter() - t0 < 5
