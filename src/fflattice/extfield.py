@@ -3,11 +3,12 @@
 Fields cache the matrix of the Frobenius x -> x^p in the power basis for the
 tensor-algebra operators and field-level Frobenius powers.
 They also cache the reduction matrix of their modulus (fppoly's reduction
-kernel), so a product of elements is one convolve plus one mat-vec.
-Matrices of multiplication and Frobenius are built as Krylov matrices
-(linalg.krylov) of the companion matrix of f.  Also provides minimal
-polynomials, primitivity, baby-step giant-step discrete logarithms and
-deterministic l-th root extraction.
+kernel), so a product of elements is one convolve plus one mat-vec, and the
+matrix of multiplication by an element is one matrix product
+(fppoly.mul_matrix).  The Frobenius matrix is the Krylov matrix
+(linalg.krylov, O(log n) products in its float64 tier) of multiplication by
+X^p.  Also provides minimal polynomials, primitivity, baby-step giant-step
+discrete logarithms and deterministic l-th root extraction.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class ExtField:
 
     def __init__(self, p: int, modulus: list[int], check: bool = True):
         self.p = fppoly.check_prime(p)
-        modulus = fppoly.monic([c % p for c in modulus], p)
+        modulus = fppoly.monic(fppoly.trim([c % p for c in modulus]), p)
         self.n = fppoly.degree(modulus)
         if self.n < 1:
             raise ValueError("defining polynomial must have degree >= 1")
@@ -44,7 +45,6 @@ class ExtField:
             raise ValueError(f"defining polynomial {modulus} is reducible over GF({p})")
         self.modulus = modulus
         self.reduction = fppoly.reduction_matrix(modulus, p)   # column i: X^(n+i) mod f
-        self._companion = companion_matrix(modulus, p)
         self.frobenius_matrix = frobenius_matrix(modulus, p, self.reduction)
         self._frob_powers = {0: linalg.identity(self.n), 1: self.frobenius_matrix}
         self._order_factors = None
@@ -89,7 +89,7 @@ class ExtField:
 
     def mul_matrix(self, x: "FFElem") -> np.ndarray:
         """n x n matrix of multiplication by x in the power basis."""
-        return linalg.krylov(self._companion, x.vec, self.n, self.p)
+        return fppoly.mul_matrix(x.vec, self.reduction, self.p)
 
     def powers(self, x: "FFElem", k: int) -> np.ndarray:
         """n x k matrix whose columns are the coordinates of 1, x, ..., x^(k-1)."""
@@ -185,25 +185,17 @@ class FFElem:
 # -- polynomial-level predicates ----------------------------------------------
 
 
-def companion_matrix(f: list[int], p: int) -> np.ndarray:
-    """n x n matrix of multiplication by X on GF(p)[X]/(f), f monic of degree n."""
-    n = fppoly.degree(f)
-    C = np.zeros((n, n), dtype=np.int64)
-    C[1:, :-1] = np.eye(n - 1, dtype=np.int64)
-    C[:, -1] = [(-c) % p for c in f[:n]]
-    return C
-
-
 def frobenius_matrix(f: list[int], p: int, R: np.ndarray | None = None) -> np.ndarray:
     """n x n matrix of y -> y^p on GF(p)[X]/(f), f monic: columns X^(p i) mod f.
 
-    One powmod for X^p (through the reduction matrix R of f, built there if
-    not given), then the columns are the Krylov iterates of multiplication
-    by X^p: 2n mat-vecs in all.
+    One powmod for X^p through the reduction matrix R of f (built here if
+    not given), one product for the matrix of multiplication by X^p
+    (fppoly.mul_matrix), then the columns are its Krylov iterates of 1.
     """
     n = fppoly.degree(f)
-    xp = fppoly.powmod([0, 1], p, f, p, R)
-    mul_xp = linalg.krylov(companion_matrix(f, p), xp + [0] * (n - len(xp)), n, p)
+    if R is None:
+        R = fppoly.reduction_matrix(f, p)
+    mul_xp = fppoly.mul_matrix(fppoly.powmod([0, 1], p, f, p, R), R, p)
     return linalg.krylov(mul_xp, [1] + [0] * (n - 1), n, p)
 
 
@@ -217,11 +209,14 @@ def is_irreducible(f: list[int], p: int) -> bool:
     factor and stop here.  The survivors go through Rabin's test: f is
     irreducible iff X^(p^n) = X mod f and, for every maximal proper divisor
     n/q of n, gcd(X^(p^(n/q)) - X, f) is constant.  The n iterates X^(p^k)
-    mod f, 1 <= k <= n, come from applying the Frobenius matrix to X n
-    times: O(n^3) word operations in n mat-vecs, plus one gcd per prime
-    factor of n.  The screen runs only when p <= n; Rabin's test alone is
-    complete, so the screen never changes the verdict.
+    mod f, 1 <= k <= n, are the Krylov iterates of X under the Frobenius
+    matrix: O(n^3) word operations in O(log n) matrix products (in
+    linalg.krylov's float64 tier, else n mat-vecs), plus one gcd per prime
+    factor of n.  The reduction matrix of f is built once, for X^p and the
+    Frobenius matrix.  The screen runs only when p <= n; Rabin's test alone
+    is complete, so the screen never changes the verdict.
     """
+    f = fppoly.trim([c % p for c in f])
     n = fppoly.degree(f)
     if n < 1:
         raise ValueError("irreducibility is defined for degree >= 1")
@@ -237,7 +232,8 @@ def is_irreducible(f: list[int], p: int) -> bool:
         q *= p
     x_vec = np.zeros(n, dtype=np.int64)
     x_vec[1] = 1
-    iterates = linalg.krylov(frobenius_matrix(f, p), x_vec, n + 1, p)  # column k: X^(p^k)
+    F = frobenius_matrix(f, p, fppoly.reduction_matrix(f, p))
+    iterates = linalg.krylov(F, x_vec, n + 1, p)  # column k: X^(p^k)
     if not np.array_equal(iterates[:, n], x_vec):
         return False
     for q in _prime_factors(n):

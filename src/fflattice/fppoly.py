@@ -5,23 +5,34 @@ with no trailing zeros; [] is the zero polynomial and its degree is -1.
 The modulus p travels as an explicit argument.  All arithmetic is exact.
 
 Reduction kernel.  For f monic of degree n, reduction_matrix(f, p) is the
-n x (n-1) matrix R whose column i is X^(n+i) mod f.  A coefficient array c
-of at most 2n - 1 residues reduces as c[:n] + R c[n:] mod p (reduce), so a
-product modulo f is one np.convolve plus one mat-vec (mulmod).  powmod,
-compose_mod, ExtField products and the Kummer-algebra product all reduce
-this way; divrem remains for gcd, xgcd and invmod.
+n x n matrix R whose column i is X^(n+i) mod f.  A coefficient array c of at
+most 2n residues reduces as c[:n] + R c[n:] mod p (reduce), so a product
+modulo f is one np.convolve plus one mat-vec (mulmod), and the matrix of
+multiplication by a is one matrix product, the Toeplitz matrix of a reduced
+the same way (mul_matrix).  powmod runs left to right: R's last column,
+X^(2n-1), lets a multiplication by a base of degree <= 1 ride on the
+squaring's reduction.  compose_mod, ExtField products and the
+Kummer-algebra product reduce this way too; divrem remains for gcd, xgcd
+and invmod.
 
 Overflow policy.  word_dtype(terms, p) is the one rule for exact sums of
 products of residues: int64 when terms (p-1)^2 < 2^62, else object (Python
 integers).  A convolution of two length-k arrays sums k products, R c[n:]
-sums n - 1 products plus a residue, a matrix product sums its inner
-dimension; mul, the reduction kernel, linalg.matmul_mod and kummer.kalg_mul
-all take their dtype from it.
+sums at most n products plus a residue (int64 keeps a 2^62 margin for it), a
+matrix product sums its inner dimension; mul, the reduction kernel,
+linalg.matmul_mod and kummer.kalg_mul all take their dtype from it.
+blas_dtype(terms, p) adds the one tier below: float64 when
+terms (p-1)^2 < 2^53.  Every partial sum of such a product is then a
+nonnegative integer below 2^53, exactly representable, so no summation
+order a float64 BLAS chooses can change a bit; linalg.matmul_mod and
+linalg.krylov run their matrix products there.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import linalg
 
 # p must fit a machine word with room for 64-bit accumulation
 MAX_PRIME = 1 << 31
@@ -113,6 +124,11 @@ def word_dtype(terms: int, p: int):
     return np.int64 if terms * (p - 1) * (p - 1) < (1 << 62) else object
 
 
+def blas_dtype(terms: int, p: int):
+    """float64 when a sum of `terms` products of residues mod p is below 2^53, else word_dtype."""
+    return np.float64 if terms * (p - 1) * (p - 1) < (1 << 53) else word_dtype(terms, p)
+
+
 def mul(a: list[int], b: list[int], p: int) -> list[int]:
     """Product of two polynomials; one np.convolve."""
     if not a or not b:
@@ -123,33 +139,37 @@ def mul(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def reduction_matrix(f: list[int], p: int) -> np.ndarray:
-    """The n x (n-1) matrix whose column i is X^(n+i) mod f, f monic of degree n >= 1.
+    """The n x n matrix whose column i is X^(n+i) mod f, f monic of degree n >= 1.
 
     Built by doubling: once columns 0..k-1 are known, column k + j is X^k
     times column j, a shift plus R[:, :k] times its top k entries, so
-    log2(n) blocks of matrix products fill it.  The dtype is
+    log2(n) matrix products (linalg.matmul_mod) fill it.  The dtype is
     word_dtype(n, p), the one reduce and mulmod compute in.
     """
     n = degree(f)
-    R = np.zeros((n, n - 1), dtype=word_dtype(n, p))
-    if n > 1:
-        R[:, 0] = [(-c) % p for c in f[:n]]     # X^n mod f
+    R = np.zeros((n, n), dtype=word_dtype(n, p))
+    R[:, 0] = [(-c) % p for c in f[:n]]     # X^n mod f
     k = 1
-    while k < n - 1:
-        m = min(k, n - 1 - k)
+    while k < n:
+        m = min(k, n - k)
         V = R[:, :m]
         R[k:, k:k + m] = V[:n - k]
-        R[:, k:k + m] = (R[:, k:k + m] + R[:, :k] @ V[n - k:]) % p
+        R[:, k:k + m] = (R[:, k:k + m] + linalg.matmul_mod(R[:, :k], V[n - k:], p)) % p
         k += m
     return R
 
 
 def reduce(c: np.ndarray, R: np.ndarray, p: int) -> np.ndarray:
-    """c mod f along axis 0, for at most 2n - 1 rows of residues; R = reduction_matrix(f, p)."""
+    """c mod f along axis 0, for at most 2n rows of residues; R = reduction_matrix(f, p).
+
+    A vector takes one mat-vec in R's dtype; a matrix, one linalg.matmul_mod.
+    """
     n = R.shape[0]
     if len(c) <= n:
         return c
-    return (c[:n] + R[:, :len(c) - n] @ c[n:]) % p
+    if c.ndim == 1:
+        return (c[:n] + R[:, :len(c) - n] @ c[n:]) % p
+    return (c[:n] + linalg.matmul_mod(R[:, :len(c) - n], c[n:], p)) % p
 
 
 def mulmod(a: np.ndarray, b: np.ndarray, R: np.ndarray, p: int) -> np.ndarray:
@@ -157,9 +177,23 @@ def mulmod(a: np.ndarray, b: np.ndarray, R: np.ndarray, p: int) -> np.ndarray:
     return reduce(np.convolve(a, b) % p, R, p)
 
 
-def _mulmod_lazy(a, b, m, p, R):
-    """(a b mod m, R), building R = reduction_matrix(m, p) only once a product reaches deg m."""
-    c = np.convolve(a, b) % p
+def mul_matrix(a, R: np.ndarray, p: int) -> np.ndarray:
+    """n x n int64 matrix of b -> a b mod f, for residues a of length <= n.
+
+    R = reduction_matrix(f, p).  Column j of the product before reduction is a shifted by j: the
+    (2n-1) x n Toeplitz matrix T of a.  Reduced as T[:n] + R T[n:], it is
+    one matrix product.
+    """
+    n = R.shape[0]
+    W = np.zeros((n, 2 * n), dtype=np.int64)
+    W[:, :len(a)] = a
+    # column j of T is n zeros after column j - 1's copy of a: W's rows end to end
+    T = W.reshape(-1)[:n * (2 * n - 1)].reshape(n, 2 * n - 1).T
+    return reduce(T, R, p).astype(np.int64, copy=False)
+
+
+def _reduce_lazy(c, m, p, R):
+    """(c mod m, R) for at most 2 deg m residues, R = reduction_matrix(m, p) built on first need."""
     if len(c) < len(m):
         return c, R
     if R is None:
@@ -233,10 +267,14 @@ def invmod(a: list[int], m: list[int], p: int) -> list[int]:
 
 def powmod(a: list[int], e: int, m: list[int], p: int,
            R: np.ndarray | None = None) -> list[int]:
-    """a^e mod m by square-and-multiply; e is an arbitrary-precision integer >= 0.
+    """a^e mod m, left to right over the bits of e; e is an arbitrary-precision integer >= 0.
 
     Every product goes through the reduction kernel: R = reduction_matrix(m, p)
-    when given, else built once a product first reaches degree deg m.
+    when given, else built once a product first reaches degree deg m.  A base
+    of degree <= 1 multiplies the unreduced square (degree <= 2n - 1, within
+    R's last column), so each bit of e costs one reduction.  For the base X
+    the leading bits of e, as long as they read k < 2n, give X^k directly:
+    a monomial, or column k - n of R.
     """
     if e < 0:
         raise ValueError("negative exponent")
@@ -246,15 +284,30 @@ def powmod(a: list[int], e: int, m: list[int], p: int,
     a = mod(a, m, p) if len(a) > n else a
     if not a:
         return [] if e else [1]
+    if e == 0:
+        return [1]
     base = np.array(a, dtype=word_dtype(n, p))
-    result = None
-    while e:
-        if e & 1:
-            result = base if result is None else _mulmod_lazy(result, base, m, p, R)[0]
-        e >>= 1
-        if e:
-            base, R = _mulmod_lazy(base, base, m, p, R)
-    return [1] if result is None else trim(result.tolist())
+    bits = bin(e)[3:]           # the bits after the leading one
+    acc = base
+    if a == [0, 1]:
+        k = 1
+        while bits and 2 * k + int(bits[0]) < 2 * n:
+            k, bits = 2 * k + int(bits[0]), bits[1:]
+        if k < n:
+            acc = np.zeros(k + 1, dtype=base.dtype)
+            acc[k] = 1
+        else:
+            if R is None:
+                R = reduction_matrix(m, p)
+            acc = R[:, k - n]
+    for bit in bits:
+        c = np.convolve(acc, acc) % p
+        if bit == "1":
+            if len(a) > 2:
+                c, R = _reduce_lazy(c, m, p, R)
+            c = np.convolve(c, base) % p
+        acc, R = _reduce_lazy(c, m, p, R)
+    return trim(acc.tolist())
 
 
 def compose_mod(f: list[int], g: list[int], m: list[int], p: int,
@@ -271,7 +324,7 @@ def compose_mod(f: list[int], g: list[int], m: list[int], p: int,
     x = np.array(g, dtype=dtype)
     acc = np.array(f[-1:], dtype=dtype)
     for c in reversed(f[:-1]):
-        acc, R = _mulmod_lazy(acc, x, m, p, R)
+        acc, R = _reduce_lazy(np.convolve(acc, x) % p, m, p, R)
         acc[0] = (acc[0] + c) % p
     return trim(acc.tolist())
 

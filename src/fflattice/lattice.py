@@ -86,9 +86,10 @@ class StdLattice:
         with self._lock:
             existing = self.fields.get(ell)
         if existing is not None:
-            if defining_poly is not None and fppoly.monic(
-                    [c % self.p for c in defining_poly], self.p) != existing.field.modulus:
-                raise ValueError(f"degree {ell} already registered with a different polynomial")
+            if defining_poly is not None:
+                given = fppoly.monic(fppoly.trim([c % self.p for c in defining_poly]), self.p)
+                if given != existing.field.modulus:
+                    raise ValueError(f"degree {ell} already registered with a different polynomial")
             return existing
         dec = standardize.decorate(ell, self.lattice, defining_poly, seed=seed)
         with self._lock:

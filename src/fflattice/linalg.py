@@ -3,6 +3,12 @@
 Matrices are numpy int64 arrays with entries reduced mod p.  Gaussian
 elimination is fully deterministic (first nonzero pivot, reduced row
 echelon form) so that downstream canonical choices are reproducible.
+
+Matrix products take their dtype from fppoly.blas_dtype of the inner
+dimension.  In its float64 tier a product goes through BLAS and is still
+exact, which makes a large product cost about what a numpy call costs.
+krylov uses that to build k Krylov columns from O(log k) matrix products
+instead of k - 1 mat-vecs.
 """
 
 from __future__ import annotations
@@ -16,11 +22,25 @@ class InconsistentSystem(ValueError):
     """Raised when a linear system has no solution."""
 
 
+# Matrix products with fewer multiply-adds than this are faster in int64 than
+# through the float64 conversions BLAS needs: at 16^3 they tie (3.5 vs 3.0 us,
+# one thread of a 2-vCPU x86-64 host, OpenBLAS).
+BLAS_MIN_WORK = 4096
+
+
 def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Exact modular product, accumulated in fppoly.word_dtype of the inner dimension."""
-    if fppoly.word_dtype(A.shape[-1], p) is np.int64:
-        return (A @ B) % p
-    return ((A.astype(object) @ B.astype(object)) % p).astype(np.int64)
+    """Exact modular product of residue arrays, int64 result.
+
+    The accumulator is fppoly.blas_dtype of the inner dimension: float64
+    BLAS for a matrix-matrix product of at least BLAS_MIN_WORK multiply-adds,
+    else int64 or, past 2^62, Python integers.
+    """
+    dtype = fppoly.blas_dtype(A.shape[-1], p)
+    if dtype is object:
+        return ((A.astype(object) @ B.astype(object)) % p).astype(np.int64)
+    if dtype is np.float64 and B.ndim == 2 and A.size * B.shape[-1] >= BLAS_MIN_WORK:
+        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
+    return (A @ B) % p
 
 
 def matpow_mod(A: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -39,9 +59,30 @@ def matpow_mod(A: np.ndarray, e: int, p: int) -> np.ndarray:
 
 
 def krylov(M: np.ndarray, v, k: int, p: int) -> np.ndarray:
-    """The n x k matrix with columns v, Mv, ..., M^(k-1) v: k - 1 mat-vecs, no matrix powers."""
+    """The n x k int64 matrix with columns v, Mv, ..., M^(k-1) v, M an n x n residue matrix.
+
+    In fppoly.blas_dtype's float64 tier, for k >= 16 and 2k >= n, by
+    doubling (Keller-Gehrig 1985): columns j..2j-1 are M^j times columns
+    0..j-1 and M^(2j) = (M^j)^2, so about 2 log2(k) BLAS products.
+    Otherwise k - 1 mat-vecs, the only way at p near 2^31.  The crossover
+    was measured on one thread of a 2-vCPU x86-64 host: doubling ties the
+    loop at k = 12-16 for n <= 48 and at k = n/2 for n = 117, 256 and 511.
+    """
     cur = np.asarray(v, dtype=np.int64) % p
-    K = np.empty((cur.shape[0], k), dtype=np.int64)
+    n = cur.shape[0]
+    if k >= max(16, n / 2) and fppoly.blas_dtype(n, p) is np.float64:
+        K = np.empty((n, k), dtype=np.float64)
+        K[:, 0] = cur
+        P = M.astype(np.float64)
+        j = 1
+        while True:
+            m = min(j, k - j)
+            K[:, j:j + m] = (P @ K[:, :m]).astype(np.int64) % p
+            j += m
+            if j == k:
+                return K.astype(np.int64)
+            P = ((P @ P).astype(np.int64) % p).astype(np.float64)
+    K = np.empty((n, k), dtype=np.int64)
     for i in range(k):
         K[:, i] = cur
         if i + 1 < k:

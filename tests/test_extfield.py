@@ -176,8 +176,49 @@ def test_minimal_polynomial_properties_subfields():
 # -- the Ben-Or screen in front of Rabin's test ----------------------------------
 
 
+def krylov_oracle(M, v, k, p):
+    """Columns v, Mv, ..., M^(k-1) v by k - 1 mat-vecs: linalg.krylov as it ran before doubling."""
+    dtype = fppoly.word_dtype(len(v), p)
+    M = np.asarray(M).astype(dtype)
+    cur = np.asarray(v).astype(dtype) % p
+    K = np.empty((len(v), k), dtype=np.int64)
+    for i in range(k):
+        K[:, i] = cur
+        cur = (M @ cur) % p
+    return K
+
+
+def companion_oracle(f, p):
+    """n x n matrix of multiplication by X modulo f, f monic of degree n."""
+    n = fppoly.degree(f)
+    C = np.zeros((n, n), dtype=np.int64)
+    C[1:, :-1] = np.eye(n - 1, dtype=np.int64)
+    C[:, -1] = [(-c) % p for c in f[:n]]
+    return C
+
+
+def mul_matrix_oracle(x, f, p):
+    """Matrix of multiplication by x modulo f: Krylov columns of the companion matrix."""
+    n = fppoly.degree(f)
+    return krylov_oracle(companion_oracle(f, p), list(x) + [0] * (n - len(x)), n, p)
+
+
+def frobenius_oracle(f, p):
+    """Frobenius matrix of GF(p)[X]/(f) as built before the reduction-kernel matrices:
+    X^p by square-and-multiply through divrem, then two companion-matrix Krylov passes."""
+    n = fppoly.degree(f)
+    xp, base, e = [1], [0, 1], p
+    while e:
+        if e & 1:
+            xp = fppoly.mod(fppoly.mul(xp, base, p), f, p)
+        base = fppoly.mod(fppoly.mul(base, base, p), f, p)
+        e >>= 1
+    return krylov_oracle(mul_matrix_oracle(xp, f, p), [1] + [0] * (n - 1), n, p)
+
+
 def rabin_oracle(f, p):
-    """Rabin's test alone: is_irreducible as it ran before the Ben-Or screen."""
+    """Rabin's test alone: is_irreducible as it ran before the Ben-Or screen,
+    on the oracle Frobenius matrix and Krylov loop."""
     n = fppoly.degree(f)
     if n == 1:
         return True
@@ -186,7 +227,7 @@ def rabin_oracle(f, p):
     f = fppoly.monic(f, p)
     x_vec = np.zeros(n, dtype=np.int64)
     x_vec[1] = 1
-    iterates = linalg.krylov(extfield.frobenius_matrix(f, p), x_vec, n + 1, p)
+    iterates = krylov_oracle(frobenius_oracle(f, p), x_vec, n + 1, p)
     if not np.array_equal(iterates[:, n], x_vec):
         return False
     for q in extfield._prime_factors(n):
@@ -194,6 +235,31 @@ def rabin_oracle(f, p):
         if not g or fppoly.degree(fppoly.gcd(g, f, p)) > 0:
             return False
     return True
+
+
+# -- the matrix kernels against the oracles above -----------------------------------
+
+MATRIX_PRIMES = [2, 3, 257, 65521, 2 ** 31 - 1]
+MATRIX_DEGREES = [1, 2, 3, 16, 17, 48, 120]
+
+
+@pytest.mark.parametrize("p", MATRIX_PRIMES)
+@pytest.mark.parametrize("n", MATRIX_DEGREES)
+def test_matrix_kernels_match_oracles(p, n):
+    rng = random.Random(9100 + n + p % 1000)
+    f = [rng.randrange(p) for _ in range(n)] + [1]
+    F = ExtField(p, f, check=False)
+    assert np.array_equal(F.frobenius_matrix, frobenius_oracle(f, p))
+    assert np.array_equal(extfield.frobenius_matrix(f, p), F.frobenius_matrix)
+    for x in (F.gen(), F.random_element(rng)):
+        assert np.array_equal(F.mul_matrix(x), mul_matrix_oracle(x.vec, f, p))
+    # Krylov lengths on both sides of the loop/doubling crossover (k = 16, k = n/2)
+    M = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+    v = [rng.randrange(p) for _ in range(n)]
+    lengths = sorted({1, 2, 15, 16, 17, n // 2, (n + 1) // 2, n // 2 + 1, n, n + 1} - {0})
+    want = krylov_oracle(M, v, max(lengths), p)
+    for k in lengths:
+        assert np.array_equal(linalg.krylov(M, v, k, p), want[:, :k]), k
 
 
 @pytest.fixture
@@ -230,9 +296,10 @@ def test_screened_test_matches_rabin_exhaustive(p, max_n):
 
 
 def test_screened_test_matches_rabin_random():
+    # 65521: Krylov doubling in float64 from n = 15 up; 2^31 - 1: the object-dtype fallback
     rng = random.Random(5301)
-    for p in (2, 3, 5, 7, 257):
-        for _ in range(40):
+    for p in (2, 3, 5, 7, 257, 65521, 2 ** 31 - 1):
+        for _ in range(16 if p > 1 << 30 else 40):
             n = rng.randrange(2, 65)
             f = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
             assert extfield.is_irreducible(f, p) == rabin_oracle(f, p), (p, f)
@@ -297,3 +364,23 @@ def test_random_irreducible_pinned(p, n, seed, code):
     # the screen changes no verdict, so the search accepts the same candidate
     f = extfield.random_irreducible(p, n, seed)
     assert len(f) == n + 1 and _encode(f, p) == code
+
+
+def test_untrimmed_and_zero_moduli():
+    # a trailing zero coefficient is trimmed before the modulus is made monic
+    F = ExtField(2, [1, 1, 1, 0])
+    assert F.modulus == [1, 1, 1] and F.n == 2
+    assert ExtField(5, [3, 1, 5]).modulus == [3, 1]
+    assert extfield.is_irreducible([1, 1, 0], 2)
+    assert not extfield.is_irreducible([1, 0, 1, 0], 2)
+    for p, f in [(5, [0, 0]), (5, [5, 10]), (2, [])]:
+        with pytest.raises(ValueError, match="degree >= 1"):
+            ExtField(p, f)
+        with pytest.raises(ValueError, match="degree >= 1"):
+            extfield.is_irreducible(f, p)
+    from fflattice.lattice import StdLattice
+    L = StdLattice(2)
+    with pytest.raises(ValueError, match="does not match"):
+        L.add_field(3, [1, 1, 1, 0])
+    dec = L.add_field(3)
+    assert L.add_field(3, dec.field.modulus + [0]) is dec

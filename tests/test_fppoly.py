@@ -140,16 +140,19 @@ def test_powmod_matches_divrem_oracle(p):
     for m in kernel_moduli(p, rng):
         n = fppoly.degree(m)
         R = fppoly.reduction_matrix(m, p)
-        assert R.shape == (n, n - 1)
+        assert R.shape == (n, n)     # X^n .. X^(2n-1): a square times a linear base
         assert R.dtype == fppoly.word_dtype(n, p)
-        for i in range(n - 1):
+        for i in range(n):
             assert fppoly.trim([int(c) for c in R[:, i]]) == fppoly.mod(
                 fppoly.monomial(n + i, p), m, p)
+        # both sides of the leading bits read off R for the base X, and large e
+        exponents = sorted({0, 1, 2, n - 1, n, 2 * n - 1, 2 * n, p, p * p,
+                            rng.randrange(1 << 12)})
         for a in ([0, 1], rand_poly(rng, p, 2 * n)):
-            e = rng.randrange(1 << 12)
-            want = oracle_powmod(fppoly.mod(a, m, p), e, m, p)
-            assert fppoly.powmod(a, e, m, p) == want
-            assert fppoly.powmod(a, e, m, p, R) == want
+            for e in exponents:
+                want = oracle_powmod(fppoly.mod(a, m, p), e, m, p)
+                assert fppoly.powmod(a, e, m, p) == want, (m, a, e)
+                assert fppoly.powmod(a, e, m, p, R) == want, (m, a, e)
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -180,11 +183,21 @@ def test_compose_mod_matches_horner_oracle(p):
 
 
 def test_word_dtype_boundary():
-    # one policy: int64 while terms (p-1)^2 < 2^62, Python integers beyond
+    # one policy, three tiers: matrix products in float64 BLAS while terms (p-1)^2 < 2^53,
+    # int64 while terms (p-1)^2 < 2^62, Python integers beyond
     p = 2 ** 31 - 1
     assert fppoly.word_dtype(1, p) is np.int64
     assert fppoly.word_dtype(2, p) is object
     assert fppoly.word_dtype(1 << 62, 2) is object
     assert fppoly.word_dtype((1 << 62) - 1, 2) is np.int64
+    assert fppoly.blas_dtype((1 << 53) - 1, 2) is np.float64
+    assert fppoly.blas_dtype(1 << 53, 2) is np.int64
+    assert fppoly.blas_dtype((1 << 62) - 1, 2) is np.int64
+    assert fppoly.blas_dtype(1 << 62, 2) is object
+    assert fppoly.blas_dtype(1, p) is np.int64
+    assert fppoly.blas_dtype(2, p) is object
+    q = 65521   # largep: float64 up to an inner dimension of 2^53 // 65520^2 = 2098176
+    assert fppoly.blas_dtype(2098176, q) is np.float64
+    assert fppoly.blas_dtype(2098177, q) is np.int64
     big = [p - 1, p - 2, p - 3]
     assert fppoly.mul(big, big, p) == schoolbook_mul(big, big, p)

@@ -1,12 +1,13 @@
 """Exact linear algebra mod p, cross-checked against an independent
-pure-Python Gaussian elimination oracle."""
+pure-Python Gaussian elimination oracle and object-dtype products."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from fflattice import linalg
+from fflattice import fppoly, linalg
 
 PRIMES = [2, 3, 5, 97]
 
@@ -92,3 +93,44 @@ def test_krylov_columns_are_matrix_powers(p):
     assert K.shape == (6, 8)
     for i in range(8):
         assert (K[:, i] == linalg.matmul_mod(linalg.matpow_mod(M, i, p), v, p)).all()
+
+
+# -- the float64 BLAS tier at its 2^53 boundary ----------------------------------------
+
+
+def object_krylov(M, v, k, p):
+    M = np.asarray(M).astype(object)
+    cur = np.asarray(v).astype(object) % p
+    cols = []
+    for _ in range(k):
+        cols.append(cur)
+        cur = (M @ cur) % p
+    return np.array(cols, dtype=np.int64).T
+
+
+def tier_prime(terms):
+    """The largest prime p with terms (p-1)^2 < 2^53."""
+    p = math.isqrt(((1 << 53) - 1) // terms) + 1
+    while terms * (p - 1) ** 2 >= 1 << 53 or not fppoly.is_prime(p):
+        p -= 1
+    return p
+
+
+@pytest.mark.parametrize("terms", [16, 64, 100])
+def test_float64_tier_boundary(terms):
+    p = tier_prime(terms)
+    assert terms * (p - 1) ** 2 < 1 << 53 <= (terms + 1) * (p - 1) ** 2
+    rng = random.Random(terms)
+    for n, tier in [(terms, np.float64), (terms + 1, np.int64)]:
+        assert fppoly.blas_dtype(n, p) is tier
+        full = np.full((n, n), p - 1, dtype=np.int64)     # every sum is n (p-1)^2, the largest
+        mixed = np.array([[p - 1 - rng.randrange(2) for _ in range(n)] for _ in range(n)],
+                         dtype=np.int64)                 # odd sums too
+        for A in (full, mixed):
+            want = ((A.astype(object) @ A.astype(object)) % p).astype(np.int64)
+            assert np.array_equal(linalg.matmul_mod(A, A, p), want)
+            assert np.array_equal(linalg.krylov(A, A[0], n, p), object_krylov(A, A[0], n, p))
+            if tier is np.int64 and A is mixed:
+                # one term past the tier, float64 rounds: the boundary is where it must be
+                assert not np.array_equal(
+                    (A.astype(np.float64) @ A.astype(np.float64)).astype(np.int64) % p, want)
