@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
+
 from . import fppoly, extfield
 
 
@@ -41,33 +43,30 @@ def _word_to_poly(word: list[int], n: int, p: int) -> list[int]:
     return coeffs
 
 
-def _norm_compatible(cand: list[int], a: int, divisors: dict[int, list[int]], p: int) -> bool:
-    # C_a(X^((p^b-1)/(p^a-1))) = 0 mod C_b for every stored b with a | b,
-    # and C_d(X^((p^a-1)/(p^d-1))) = 0 mod cand for every stored d | a.
+def _norm_compatible(cand: list[int], a: int, divisors: dict[int, list[int]], p: int,
+                     R: np.ndarray) -> bool:
+    """C_d(X^((p^a-1)/(p^d-1))) = 0 mod cand for every stored proper divisor d of a.
+
+    R = fppoly.reduction_matrix(cand, p), built once per candidate by the caller.
+    """
     for d, cd in divisors.items():
-        if d == a:
-            continue
-        if a % d == 0:
+        if d != a and a % d == 0:
             e = (p ** a - 1) // (p ** d - 1)
-            xe = fppoly.powmod([0, 1], e, cand, p)
-            if fppoly.compose_mod(cd, xe, cand, p):
-                return False
-        elif d % a == 0:
-            e = (p ** d - 1) // (p ** a - 1)
-            xe = fppoly.powmod([0, 1], e, cd, p)
-            if fppoly.compose_mod(cand, xe, cd, p):
+            xe = fppoly.powmod([0, 1], e, cand, p, R)
+            if fppoly.compose_mod(cd, xe, cand, p, R):
                 return False
     return True
 
 
-def _is_primitive_poly(f: list[int], p: int, order_primes: list[int]) -> bool:
+def _is_primitive_poly(f: list[int], p: int, order_primes: list[int], R: np.ndarray) -> bool:
     """Whether X generates (GF(p)[X]/(f))^*, for f irreducible of degree a.
 
     order_primes are the prime factors q of p^a - 1, factored once by the
     caller; X is primitive iff X != 0 and X^((p^a-1)/q) != 1 mod f for each.
+    R = fppoly.reduction_matrix(f, p).
     """
     order = p ** fppoly.degree(f) - 1
-    return f[0] != 0 and all(fppoly.powmod([0, 1], order // q, f, p) != [1]
+    return f[0] != 0 and all(fppoly.powmod([0, 1], order // q, f, p, R) != [1]
                              for q in order_primes)
 
 
@@ -126,9 +125,10 @@ def conway_search(p: int, a: int, known: dict[int, list[int]], work_bound: int =
                 f"Conway search for p={p}, a={a} exceeded the work bound; supply a table")
         if not extfield.is_irreducible(cand, p):
             continue
-        if not _is_primitive_poly(cand, p, order_primes):
+        R = fppoly.reduction_matrix(cand, p)
+        if not _is_primitive_poly(cand, p, order_primes, R):
             continue
-        if not _norm_compatible(cand, a, divisors, p):
+        if not _norm_compatible(cand, a, divisors, p, R):
             continue
         return cand
     raise ConwayUnavailable(f"no Conway polynomial found for p={p}, a={a}")
@@ -158,9 +158,10 @@ class ConwayTable:
                 if validate:
                     if not extfield.is_irreducible(f, p):
                         raise ValueError(f"table entry p={p} a={a} is reducible")
-                    if not _is_primitive_poly(f, p, list(extfield.factorize(p ** a - 1))):
+                    R = fppoly.reduction_matrix(f, p)
+                    if not _is_primitive_poly(f, p, list(extfield.factorize(p ** a - 1)), R):
                         raise ValueError(f"table entry p={p} a={a} is not primitive")
-                    if not _norm_compatible(f, a, self._polys, p):
+                    if not _norm_compatible(f, a, self._polys, p, R):
                         raise ValueError(f"table entry p={p} a={a} is not norm compatible")
                 self._polys[a] = f
 

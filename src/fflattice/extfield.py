@@ -9,6 +9,12 @@ matrix of multiplication by an element is one matrix product
 (linalg.krylov, O(log n) products in its float64 tier) of multiplication by
 X^p.  Also provides minimal polynomials, primitivity, baby-step giant-step
 discrete logarithms and deterministic l-th root extraction.
+
+Irreducibility over GF(2) is Ben-Or's test on f packed into one Python int
+(bit i is the coefficient of X^i): at most floor(n/2) squarings and
+shift-XOR gcds, stopping at the first nonconstant gcd, with no matrix.
+Odd p keeps Ben-Or's small-degree screen and Rabin's test on the Frobenius
+iterates of X (is_irreducible).
 """
 
 from __future__ import annotations
@@ -200,17 +206,27 @@ def frobenius_matrix(f: list[int], p: int, R: np.ndarray | None = None) -> np.nd
 
 
 def is_irreducible(f: list[int], p: int) -> bool:
-    """Ben-Or's small-degree gcds, then Rabin's test on the Frobenius iterates of X.
+    """Ben-Or's test on bit-packed GF(2)[X] at p = 2; at odd p, Ben-Or's
+    small-degree gcds, then Rabin's test on the Frobenius iterates of X.
 
-    Screen (Ben-Or): for each q = p^k <= n, a nonconstant gcd(X^q - X, f)
-    exposes an irreducible factor of degree dividing k < n, so f is
-    reducible.  X^q - X has degree at most n, so each step is one gcd of
-    size n with no modular powering; most reducible candidates have a small
-    factor and stop here.  The survivors go through Rabin's test: f is
-    irreducible iff X^(p^n) = X mod f and, for every maximal proper divisor
-    n/q of n, gcd(X^(p^(n/q)) - X, f) is constant.  The n iterates X^(p^k)
-    mod f, 1 <= k <= n, are the Krylov iterates of X under the Frobenius
-    matrix: O(n^3) word operations in O(log n) matrix products (in
+    p = 2 (Ben-Or 1981): f is one Python int, bit i the coefficient of X^i.
+    For k = 1 .. floor(n/2), X^(2^k) mod f is the square of the previous
+    iterate (its bits spread, then reduced by shift-XOR against f), and a
+    nonconstant gcd(X^(2^k) - X, f), by a shift-XOR Euclid, rejects f.  A
+    reducible f has an irreducible factor of degree k <= n/2, which divides
+    X^(2^k) - X, so the test is complete.  Cost: at most floor(n/2)
+    squarings and gcds of O(n) shift-XOR steps each, no matrix; a random
+    reducible f stops at small k (Gao and Panario 2003).
+
+    Odd p.  Screen (Ben-Or): for each q = p^k <= n, a nonconstant
+    gcd(X^q - X, f) exposes an irreducible factor of degree dividing k < n,
+    so f is reducible.  X^q - X has degree at most n, so each step is one
+    gcd of size n with no modular powering; most reducible candidates have
+    a small factor and stop here.  The survivors go through Rabin's test: f
+    is irreducible iff X^(p^n) = X mod f and, for every maximal proper
+    divisor n/q of n, gcd(X^(p^(n/q)) - X, f) is constant.  The n iterates
+    X^(p^k) mod f, 1 <= k <= n, are the Krylov iterates of X under the
+    Frobenius matrix: O(n^3) word operations in O(log n) matrix products (in
     linalg.krylov's float64 tier, else n mat-vecs), plus one gcd per prime
     factor of n.  The reduction matrix of f is built once, for X^p and the
     Frobenius matrix.  The screen runs only when p <= n; Rabin's test alone
@@ -224,6 +240,8 @@ def is_irreducible(f: list[int], p: int) -> bool:
         return True
     if f[0] == 0:
         return False  # divisible by X
+    if p == 2:
+        return _is_irreducible_gf2(f)
     f = fppoly.monic(f, p)
     q = p
     while q <= n:
@@ -245,8 +263,33 @@ def is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
+def _is_irreducible_gf2(f: list[int]) -> bool:
+    """Ben-Or's test for f over GF(2), monic of degree n >= 2 with f(0) = 1."""
+    n = len(f) - 1
+    F = int("".join(map(str, reversed(f))), 2)   # bit i: coefficient of X^i
+    y = 2                                          # X
+    for _ in range(n // 2):
+        y = int(format(y, "b"), 4)                 # y^2: bit i moves to bit 2i
+        d = y.bit_length() - 1 - n
+        while d >= 0:
+            y ^= F << d
+            d = y.bit_length() - 1 - n
+        a, b = F, y ^ 2                            # gcd(f, X^(2^k) - X)
+        while b:
+            lb = b.bit_length()
+            d = a.bit_length() - lb
+            while d >= 0:
+                a ^= b << d
+                d = a.bit_length() - lb
+            a, b = b, a
+        if a != 1:
+            return False
+    return True
+
+
 def random_irreducible(p: int, n: int, seed: int = 0) -> list[int]:
     """Deterministic (given seed) monic irreducible of degree n over GF(p)."""
+    fppoly.check_prime(p)
     if n < 1:
         raise ValueError("degree must be >= 1")
     rng = random.Random(f"{p}:{n}:{seed}")

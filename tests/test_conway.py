@@ -109,10 +109,11 @@ def test_primitive_predicate_matches_extfield(p):
             if not extfield.is_irreducible(f, p):
                 continue
             want = extfield.is_primitive(extfield.ExtField(p, f).gen())
-            assert _is_primitive_poly(f, p, primes) == want, f
+            assert _is_primitive_poly(f, p, primes, fppoly.reduction_matrix(f, p)) == want, f
             seen.add(want)
         assert seen == {True, False}
-    assert not _is_primitive_poly([0, 1], p, list(extfield.factorize(p - 1)))   # X = 0 mod X
+    assert not _is_primitive_poly([0, 1], p, list(extfield.factorize(p - 1)),   # X = 0 mod X
+                                  fppoly.reduction_matrix([0, 1], p))
 
 
 # -- the search over the norm-fixed candidates ------------------------------------
@@ -136,8 +137,11 @@ def exhaustive_search_oracle(p, a, known, pseudo=False):
             cand = _word_to_poly(word, a, p)
         if cand[0] == 0:
             continue
-        if (extfield.is_irreducible(cand, p) and _is_primitive_poly(cand, p, order_primes)
-                and _norm_compatible(cand, a, divisors, p)):
+        if not extfield.is_irreducible(cand, p):
+            continue
+        R = fppoly.reduction_matrix(cand, p)
+        if (_is_primitive_poly(cand, p, order_primes, R)
+                and _norm_compatible(cand, a, divisors, p, R)):
             return cand
     raise ConwayUnavailable(f"no Conway polynomial found for p={p}, a={a}")
 

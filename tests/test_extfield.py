@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fflattice import fppoly, extfield, linalg
 from fflattice.extfield import ExtField
@@ -104,6 +105,15 @@ def test_random_irreducible_deterministic():
     assert extfield.is_irreducible(f3, 2)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 2 ** 31 + 11])
+def test_random_irreducible_rejects_non_primes(p):
+    # checked before the first draw; unchecked, p = 1 and 9 draw forever and p = 4 fails in monic
+    with pytest.raises(ValueError):
+        extfield.random_irreducible(p, 3)
+    with pytest.raises(ValueError):
+        extfield.random_irreducible(p, 1)
+
+
 def test_factorize():
     assert extfield.factorize(1) == {}
     assert extfield.factorize(12) == {2: 2, 3: 1}
@@ -123,10 +133,11 @@ def _monic_polynomials(p, n):
         yield [(k // p ** i) % p for i in range(n)] + [1]
 
 
-@pytest.mark.parametrize("p, max_n", [(2, 8), (3, 5), (5, 3)])
+@pytest.mark.parametrize("p, max_n", [(2, 16), (3, 5), (5, 3)])
 def test_irreducible_count_matches_gauss(p, max_n):
     # (1/n) sum_{d | n} mu(d) p^(n/d) monic irreducibles of degree n
-    mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0}
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0,
+              9: 0, 10: 1, 11: -1, 12: 0, 13: -1, 14: 1, 15: 1, 16: 0}
     for n in range(1, max_n + 1):
         gauss = sum(mobius[d] * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
         found = sum(extfield.is_irreducible(f, p) for f in _monic_polynomials(p, n))
@@ -305,6 +316,26 @@ def test_screened_test_matches_rabin_random():
             assert extfield.is_irreducible(f, p) == rabin_oracle(f, p), (p, f)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 200), seed=st.integers(0, 2 ** 16),
+       kind=st.sampled_from(["random", "product", "square"]))
+def test_packed_gf2_test_matches_rabin(n, seed, kind):
+    # a product with a factor of degree floor(n/2), or a square, is rejected only
+    # at Ben-Or's last step, k = floor(n/2)
+    def factor(d, seed):
+        return [1, 1] if d == 1 else _irreducible(2, d, seed)
+
+    if kind == "random":
+        rng = random.Random(seed)
+        f = [1] + [rng.randrange(2) for _ in range(n - 1)] + [1]
+    elif kind == "product":
+        f = fppoly.mul(factor(n // 2, seed), factor(n - n // 2, seed + 1), 2)
+    else:
+        g = factor(n // 2, seed)
+        f = fppoly.mul(g, g, 2)
+    assert extfield.is_irreducible(f, 2) == rabin_oracle(f, 2), f
+
+
 def test_screen_catches_small_factors(rabin_calls):
     # g irreducible with p^deg g <= n divides X^(p^deg g) - X: the screen rejects g*h
     rng = random.Random(5302)
@@ -319,12 +350,13 @@ def test_screen_catches_small_factors(rabin_calls):
 
 
 def test_rabin_catches_large_factors(rabin_calls):
-    # every factor has p^deg > n, so the screen passes f on and Rabin's test rejects it
+    # every factor has p^deg > n, so the screen passes f on and Rabin's test rejects it;
+    # at p = 2 Ben-Or's test on the packed polynomial rejects it with no Frobenius matrix
     for p, n, d in [(2, 20, 5), (2, 40, 6), (2, 64, 7), (3, 10, 3), (3, 30, 4),
                     (5, 8, 2), (7, 6, 2), (257, 10, 3)]:
         for seed in range(2):
             f = fppoly.mul(_irreducible(p, d, seed), _irreducible(p, n - d, seed), p)
-            assert _verdict(f, p, rabin_calls) == (False, True), (p, f)
+            assert _verdict(f, p, rabin_calls) == (False, p != 2), (p, f)
             assert not rabin_oracle(f, p)
 
 
@@ -332,13 +364,15 @@ def test_squares_are_reducible(rabin_calls):
     for p, d in [(2, 3), (2, 5), (2, 16), (3, 2), (3, 7), (5, 3), (257, 4)]:
         g = _irreducible(p, d, 1)
         f = fppoly.mul(g, g, p)
-        assert _verdict(f, p, rabin_calls) == (False, True), (p, g)   # p^d > 2d: past the screen
+        # p^d > 2d: past the screen at odd p; p = 2 builds no Frobenius matrix
+        assert _verdict(f, p, rabin_calls) == (False, p != 2), (p, g)
         assert not rabin_oracle(f, p)
 
 
 def test_equal_degree_products_reach_rabin_gcd(rabin_calls):
     # X^(p^n) = X holds modulo g*h when deg g, deg h divide n: only the gcd
-    # step of Rabin's test can reject these, and the screen passes them on
+    # step of Rabin's test can reject these, and the screen passes them on;
+    # at p = 2 Ben-Or's gcd at k = deg g rejects them with no Frobenius matrix
     for p, degrees in [(2, (4, 4)), (2, (6, 6)), (2, (8, 8)), (3, (3, 3)), (3, (5, 5)),
                        (5, (2, 2)), (5, (2, 4, 6)), (257, (3, 3))]:
         factors = [_irreducible(p, d, seed) for seed, d in enumerate(degrees)]
@@ -346,7 +380,7 @@ def test_equal_degree_products_reach_rabin_gcd(rabin_calls):
         f = [1]
         for g in factors:
             f = fppoly.mul(f, g, p)
-        assert _verdict(f, p, rabin_calls) == (False, True), (p, degrees)
+        assert _verdict(f, p, rabin_calls) == (False, p != 2), (p, degrees)
         assert not rabin_oracle(f, p)
 
 
