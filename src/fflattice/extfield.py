@@ -7,8 +7,10 @@ kernel), so a product of elements is one convolve plus one mat-vec, and the
 matrix of multiplication by an element is one matrix product
 (fppoly.mul_matrix).  The Frobenius matrix is the Krylov matrix
 (linalg.krylov, O(log n) products in its float64 tier) of multiplication by
-X^p.  Also provides minimal polynomials, primitivity, baby-step giant-step
-discrete logarithms and deterministic l-th root extraction.
+X^p.  Also provides minimal polynomials (Berlekamp-Massey on the constant
+coordinates of 1, x, ..., x^(2n-1), O(n^2) beyond that Krylov matrix),
+primitivity, baby-step giant-step discrete logarithms and deterministic l-th
+root extraction.
 
 Irreducibility over GF(2) is Ben-Or's test on f packed into one Python int
 (bit i is the coefficient of X^i): at most floor(n/2) squarings and
@@ -19,6 +21,7 @@ iterates of X (is_irreducible).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -231,7 +234,12 @@ def is_irreducible(f: list[int], p: int) -> bool:
     factor of n.  The reduction matrix of f is built once, for X^p and the
     Frobenius matrix.  The screen runs only when p <= n; Rabin's test alone
     is complete, so the screen never changes the verdict.
+
+    A p that is not prime raises ValueError.  The verdict of
+    fppoly.check_prime is memoized per prime that passed, so a search pays
+    one lookup per candidate.
     """
+    _check_prime_memo(p)
     f = fppoly.trim([c % p for c in f])
     n = fppoly.degree(f)
     if n < 1:
@@ -261,6 +269,12 @@ def is_irreducible(f: list[int], p: int) -> bool:
         if fppoly.degree(fppoly.gcd(g, f, p)) > 0:
             return False
     return True
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _check_prime_memo(p: int) -> int:
+    """fppoly.check_prime; a raise is not cached, so only passed primes are kept."""
+    return fppoly.check_prime(p)
 
 
 def _is_irreducible_gf2(f: list[int]) -> bool:
@@ -372,18 +386,56 @@ def frobenius(x: FFElem, k: int = 1) -> FFElem:
 
 
 def minimal_polynomial(x: FFElem) -> list[int]:
-    """Monic minimal polynomial of x over GF(p), by one Krylov elimination.
+    """Monic minimal polynomial of x over GF(p), by Berlekamp-Massey.
 
-    The powers 1, x, ..., x^n are the Krylov columns of multiplication by x
-    (n mat-vecs); one rref of that n x (n+1) matrix, O(n^3), finds the first
-    power x^d that depends on the lower ones and its coordinates on them.
+    The sequence is row 0 of the Krylov matrix 1, x, ..., x^(2n-1)
+    (F.powers, O(log n) products in linalg.krylov's float64 tier): the
+    constant coordinates of the powers of x (Wiedemann 1986; Shoup 1999).
+    Every polynomial Q with Q(x) = 0 annihilates it, so its minimal
+    polynomial divides the irreducible minimal polynomial of x; it starts
+    with 1, the constant coordinate of x^0, so it is not constant, and the
+    two are equal.  Berlekamp-Massey finds it from 2n terms in O(n^2).
+    Q(x) = 0, read off columns 0..deg Q of the same matrix, is asserted.
     """
     f = x.field
     p, n = f.p, f.n
-    R, pivots = linalg.rref(f.powers(x, n + 1), p)
-    d = len(pivots)  # once a power depends on the lower ones, so do all higher powers
-    # x^d = sum_{i<d} R[i, d] x^i  =>  minpoly = X^d - sum R[i, d] X^i
-    return [(-int(c)) % p for c in R[:d, d]] + [1]
+    K = f.powers(x, 2 * n)
+    Q = _berlekamp_massey(K[0], p)
+    if linalg.matmul_mod(K[:, :len(Q)], np.array(Q, dtype=np.int64), p).any():
+        raise AssertionError("Berlekamp-Massey polynomial does not vanish at x")
+    return Q
+
+
+def _berlekamp_massey(s: np.ndarray, p: int) -> list[int]:
+    """Monic minimal polynomial of a sequence of residues of linear complexity <= len(s)/2.
+
+    Massey (1969): C is the connection polynomial, s_k + sum_i C_i s_(k-i) = 0
+    for L <= k < len(s), and B the one before the last length change.  L
+    stays below h = len(s)/2 + 1, so each discrepancy is one dot product of h
+    terms, in fppoly.word_dtype, against a window of the reversed sequence.
+    Returns the reversal X^L C(1/X), ascending.
+    """
+    N = len(s)
+    h = N // 2 + 1
+    dtype = fppoly.word_dtype(h, p)
+    r = np.zeros(N + h, dtype=dtype)
+    r[:N] = s[::-1]                     # r[N-1-k+i] = s[k-i], 0 for i > k
+    C = np.zeros(N + 1, dtype=dtype)
+    C[0] = 1
+    B = C.copy()
+    L, LB, m, b_inv = 0, 0, 1, 1
+    for k in range(N):
+        d = int(C[:h] @ r[N - 1 - k:N - 1 - k + h]) % p
+        if d == 0:
+            m += 1
+            continue
+        T = C.copy() if 2 * L <= k else None
+        C[m:m + LB + 1] = (C[m:m + LB + 1] - (d * b_inv % p) * B[:LB + 1]) % p
+        if T is None:
+            m += 1
+        else:
+            B, LB, L, b_inv, m = T, L, k + 1 - L, pow(d, -1, p), 1
+    return C[L::-1].tolist()
 
 
 def multiplicative_order(x: FFElem) -> int:

@@ -4,7 +4,10 @@ StdLattice decorates fields on demand, caches standard embeddings with their
 evaluation matrices, evaluates embeddings and their sections, and can verify
 the triangle (composition) identity over every registered divisibility chain.
 Adding a field never touches existing entries; per-field persistent storage
-(f, s, P) is linear in the degree.
+(f, s, P) is linear in the degree.  An embedding matrix is the image powers
+1, t, ..., t^(l-1) that standard_embed returns times B_l^(-1), the inverse
+of the power basis 1, s_l, ..., s_l^(l-1), which is cached once per source
+degree.
 
 Serialization is a portable text format: a header line `p`, then one line
 per field `l f_coeffs s_coeffs P_coeffs`, then one line per cached embedding
@@ -16,7 +19,7 @@ being told from embedding lines by their token count, 3l + 3.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,6 +70,7 @@ class StdLattice:
         self.p = p
         self.fields: dict[int, DecoratedField] = {}
         self.embeddings: dict[tuple[int, int], _EmbeddingEntry] = {}
+        self._basis_inverses: dict[int, np.ndarray] = {}   # l -> B_l^(-1), a cache
         self._lock = threading.Lock()
         self.embedding_computations = 0  # instrumentation for cache tests
 
@@ -118,20 +122,22 @@ class StdLattice:
         if m % ell:
             raise ValueError(f"{ell} does not divide {m}")
         desc = standardize.standard_embed(src, dst, self.lattice)
-        entry = _EmbeddingEntry(desc, self._embedding_matrix(src, dst, desc.s_image))
+        matrix = linalg.matmul_mod(desc.powers, self._basis_inverse(src), self.p)
+        entry = _EmbeddingEntry(replace(desc, powers=None), matrix)
         with self._lock:
             self.embedding_computations += 1
             return self.embeddings.setdefault((ell, m), entry)
 
-    def _embedding_matrix(self, src: DecoratedField, dst: DecoratedField,
-                          t: FFElem) -> np.ndarray:
-        p = self.p
-        ell = src.ell
-        # columns 1, s, ..., s^(l-1) and their images 1, t, ..., t^(l-1)
-        B_src = src.field.powers(src.s, ell)  # l x l
-        B_dst = dst.field.powers(t, ell)      # m x l
-        inv = linalg.solve(B_src, linalg.identity(ell), p)
-        return linalg.matmul_mod(B_dst, inv, p)
+    def _basis_inverse(self, src: DecoratedField) -> np.ndarray:
+        """Inverse of the l x l matrix with columns 1, s_l, ..., s_l^(l-1); cached per degree."""
+        with self._lock:
+            inv = self._basis_inverses.get(src.ell)
+        if inv is None:
+            B = src.field.powers(src.s, src.ell)
+            inv = linalg.solve(B, linalg.identity(src.ell), self.p)
+            with self._lock:
+                inv = self._basis_inverses.setdefault(src.ell, inv)
+        return inv
 
     def embed_eval(self, ell: int, m: int, x: FFElem) -> FFElem:
         """phi(x) for the standard embedding GF(p^l) -> GF(p^m)."""
@@ -205,7 +211,7 @@ class StdLattice:
 
         Field lines are re-decorated through the standard machinery, which
         re-checks every invariant (standardness of s, P equality); embedding
-        lines are validated against the minimal-polynomial criterion.
+        lines are recomputed, which re-checks P_l(t) = 0, and compared.
         """
         lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
         if not lines:
@@ -245,5 +251,8 @@ class StdLattice:
             return cls.loads(fh.read(), lattice)
 
     def stored_coefficients(self) -> int:
-        """Number of persistently stored GF(p) coefficients (storage-linearity check)."""
+        """Number of persistently stored GF(p) coefficients (storage-linearity check).
+
+        Caches (embedding matrices, basis inverses) are not counted.
+        """
         return sum(len(d.field.modulus) + len(d.s.vec) + len(d.P) for d in self.fields.values())

@@ -3,16 +3,21 @@
 decorate() normalizes an arbitrary Hilbert-90 solution to the standard one
 (whose Kummer constant is the canonical cyclotomic pullback), yielding the
 standard generator s_l and the standard defining polynomial P_l.
-standard_embed() then computes the image of s_l in a larger decorated field
-through the closed-form constant kappa_{l,m}; the resulting embeddings
-compose compatibly across the whole divisibility lattice.
+standard_embed() then computes the image t of s_l in a larger decorated
+field through the closed-form constant kappa_{l,m}, and checks it by
+P_l(t) = 0 on the Krylov matrix 1, t, ..., t^l, whose first l columns it
+returns for the embedding matrix; the resulting embeddings compose
+compatibly across the whole divisibility lattice.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
-from . import fppoly, extfield, kummer
+import numpy as np
+
+from . import fppoly, extfield, kummer, linalg
 from .cyclotomic import CycloLattice
 from .extfield import ExtField, FFElem
 from .fppoly import exact_div
@@ -43,11 +48,18 @@ class DecoratedField:
 
 @dataclass(frozen=True)
 class EmbeddingDesc:
-    """Description of a standard embedding: s_l maps to s_image in GF(p^m)."""
+    """Description of a standard embedding: s_l maps to s_image in GF(p^m).
+
+    standard_embed also sets powers, the m x l matrix of 1, t, ..., t^(l-1),
+    t = s_image, in the power basis of GF(p^m).  It is derived from s_image
+    and not compared; StdLattice keeps the embedding matrix made from it
+    and drops it.
+    """
 
     source_degree: int
     target_degree: int
     s_image: FFElem
+    powers: np.ndarray | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
 def decorate(ell: int, lattice: CycloLattice, defining_poly: list[int] | None = None,
@@ -56,7 +68,10 @@ def decorate(ell: int, lattice: CycloLattice, defining_poly: list[int] | None = 
 
     Steps: solve Hilbert 90 for zeta_l, rescale by an l-th root kappa of
     abar_l / a'_l so the Kummer constant becomes the standard one, project
-    to the first tensor coordinate, and take its minimal polynomial.
+    to the first tensor coordinate, and take its minimal polynomial.  The
+    rescaled solution is checked in K_l, as a'_l kappa^l = abar_l: since
+    (alpha' (1 (x) kappa))^l = (1 (x) a'_l)(1 (x) kappa^l), that is the
+    statement alpha^l = 1 (x) abar_l without a second power in the algebra.
     """
     alg = KummerAlg(lattice, ell, defining_poly, seed=seed)
     abar = lattice.standard_constant(ell)
@@ -64,9 +79,9 @@ def decorate(ell: int, lattice: CycloLattice, defining_poly: list[int] | None = 
     a_prime = kummer.kummer_constant(alpha_prime)
     ratio = abar * a_prime.inverse()
     kappa = extfield.nth_root(ratio, ell)  # exists by construction; failure is a bug
-    alpha = alpha_prime.scalar_mul(kappa)
-    if kummer.kummer_constant(alpha) != abar:
+    if a_prime * kappa ** ell != abar:
         raise AssertionError("standardized solution does not carry the standard constant")
+    alpha = alpha_prime.scalar_mul(kappa)
     s = alpha.column(0)
     P = extfield.minimal_polynomial(s)
     if fppoly.degree(P) != ell:
@@ -103,8 +118,10 @@ def standard_embed(src: DecoratedField, dst: DecoratedField,
                    lattice: CycloLattice) -> EmbeddingDesc:
     """Image of the standard generator s_l inside the decorated GF(p^m).
 
-    Returns t = [ (1 (x) kappa_{l,m}) alpha_m^(m/l) ]_(zeta_m^(m/l)); the
-    minimal polynomial of t is asserted to equal P_l.
+    Returns t = [ (1 (x) kappa_{l,m}) alpha_m^(m/l) ]_(zeta_m^(m/l)) with
+    the powers 1, t, ..., t^(l-1).  P_l(t) = 0 is asserted on the Krylov
+    matrix 1, t, ..., t^l; P_l is irreducible of degree l (decorate asserts
+    the degree), so that is the same test as minimal polynomial of t = P_l.
     """
     ell, m = src.ell, dst.ell
     if m % ell:
@@ -115,10 +132,11 @@ def standard_embed(src: DecoratedField, dst: DecoratedField,
     kappa = kappa_constant(ell, m, lattice)
     beta = (alpha_m ** (m // ell)).scalar_mul(kappa)
     t = kummer.project_first(beta, ell)
-    if extfield.minimal_polynomial(t) != src.P:
-        raise AssertionError("embedding image has the wrong minimal polynomial; "
+    T = dst.field.powers(t, ell + 1)
+    if linalg.matmul_mod(T, np.array(src.P, dtype=np.int64), lattice.p).any():
+        raise AssertionError("embedding image is not a root of P_l; "
                              "decorations are inconsistent")
-    return EmbeddingDesc(ell, m, t)
+    return EmbeddingDesc(ell, m, t, T[:, :ell])
 
 
 def baseline_embed(field_l: ExtField, field_m: ExtField,

@@ -170,6 +170,40 @@ def test_minimal_polynomial_properties_random():
             _check_minimal_polynomial(F.random_element(rng))
 
 
+def minpoly_oracle(x):
+    """minimal_polynomial as it ran before Berlekamp-Massey: one rref of the
+    n x (n+1) Krylov matrix 1, x, ..., x^n; the first power that depends on
+    the lower ones gives the polynomial."""
+    f = x.field
+    p, n = f.p, f.n
+    R, pivots = linalg.rref(f.powers(x, n + 1), p)
+    d = len(pivots)
+    return [(-int(c)) % p for c in R[:d, d]] + [1]
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 4), (2, 12), (2, 60), (3, 8), (5, 6),
+                                  (7, 1), (65521, 4), (2 ** 31 - 1, 1), (2 ** 31 - 1, 4)])
+def test_minimal_polynomial_matches_oracle(p, n):
+    rng = random.Random(31 * p + n)
+    F = ExtField(p, extfield.random_irreducible(p, n, seed=1))
+    xs = [F.zero(), F.one(), F.gen()] + [F.random_element(rng) for _ in range(8)]
+    for d in range(1, n):
+        if n % d == 0:   # norms to the subfield GF(p^d): minimal polynomials of degree <= d
+            xs += [F.random_element(rng) ** ((F.order() - 1) // (p ** d - 1)) for _ in range(3)]
+    degrees = set()
+    for x in xs:
+        h = extfield.minimal_polynomial(x)
+        assert h == minpoly_oracle(x), (p, n, x)
+        degrees.add(fppoly.degree(h))
+    assert n in degrees and (n == 1 or min(degrees) < n)
+
+
+@pytest.mark.parametrize("f, p", [([1, 1, 1], 9), ([1, 1, 1], 4), ([1, 0, 0, 1], 15)])
+def test_is_irreducible_rejects_non_primes(f, p):
+    with pytest.raises(ValueError, match=f"{p} is not prime"):
+        extfield.is_irreducible(f, p)
+
+
 def test_minimal_polynomial_properties_subfields():
     from fflattice.lattice import StdLattice
     L = StdLattice(2)

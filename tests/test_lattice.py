@@ -53,6 +53,19 @@ def test_embedding_cache():
     assert L.embedding_computations == n
 
 
+def test_basis_inverse_cached_per_source_degree():
+    L = build(2, [3, 9, 15, 45])
+    stored = L.stored_coefficients()
+    for ell, m in [(3, 9), (3, 15), (3, 45), (9, 45)]:
+        L.get_embedding(ell, m)
+    assert sorted(L._basis_inverses) == [3, 9]
+    src = L.field(3)
+    B = src.field.powers(src.s, 3)
+    assert np.array_equal(linalg.matmul_mod(B, L._basis_inverses[3], 2), linalg.identity(3))
+    assert L.stored_coefficients() == stored   # a cache, not stored state
+    assert L.get_embedding(3, 45).powers is None   # the entry keeps E, not 1, t, ..., t^(l-1)
+
+
 def test_embedding_is_ring_homomorphism():
     L = build(3, [2, 8])
     F = L.field(2).field

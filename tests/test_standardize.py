@@ -4,6 +4,7 @@ norm key identity."""
 
 import random
 
+import numpy as np
 import pytest
 
 from fflattice import fppoly, extfield, kummer, standardize
@@ -109,6 +110,26 @@ def test_standard_embedding_image():
     assert extfield.minimal_polynomial(desc.s_image) == src.P
 
 
+def test_standard_embed_rejects_a_wrong_image(monkeypatch):
+    # the root check P_l(t) = 0 is live: t + 1 is not a root of P_3 = x^3 + x + 1
+    L = default_lattice(2)
+    src = standardize.decorate(3, L)
+    dst = standardize.decorate(15, L)
+    project = kummer.project_first
+    monkeypatch.setattr(kummer, "project_first", lambda beta, ell: project(beta, ell) + 1)
+    with pytest.raises(AssertionError, match="not a root of P_l"):
+        standardize.standard_embed(src, dst, L)
+
+
+def test_standard_embed_returns_image_powers():
+    L = default_lattice(3)
+    src = standardize.decorate(4, L)
+    dst = standardize.decorate(20, L)
+    desc = standardize.standard_embed(src, dst, L)
+    assert desc.powers.shape == (20, 4)
+    assert np.array_equal(desc.powers, dst.field.powers(desc.s_image, 4))
+
+
 def test_embed_exponent_divisibility():
     # the exponent E / ((p^a - 1) l) must divide exactly for many pairs
     for p in (2, 3, 5):
@@ -158,6 +179,17 @@ def test_decorate_at_largest_prime_is_exact():
             assert kummer.frob_left(alpha) == alpha.scalar_mul(alg.scalar.gen())
             assert alpha ** ell == alg.from_scalar(L.lattice.standard_constant(ell))
             assert time.perf_counter() - t0 < 20
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_decorations_carry_the_standard_constant(p):
+    # decorate checks a'_l kappa^l = abar_l in K_l; here the full power alpha^l
+    from test_golden import DEGREES
+    from fflattice.lattice import StdLattice
+    L = StdLattice(p)
+    for ell in DEGREES[p]:
+        d = L.add_field(ell)
+        assert d.alpha() ** ell == d.algebra.from_scalar(L.lattice.standard_constant(ell)), ell
 
 
 def test_level_two_at_largest_prime_fails_in_bounded_time():
