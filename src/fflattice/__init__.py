@@ -3,10 +3,12 @@
 Public surface: polynomial and linear algebra over GF(p) (fppoly, linalg),
 extension fields (ExtField), Conway polynomial tables, the cyclotomic lattice
 of roots of unity, Kummer algebras with Hilbert-90 solutions, field
-decoration and standard embeddings, and the StdLattice registry.
+decoration and standard embeddings, the StdLattice registry, and the limits
+every stage checks before its work.
 """
 
-from . import fppoly, linalg, extfield, conway, cyclotomic, kummer, standardize, lattice
+from . import (fppoly, linalg, extfield, conway, cyclotomic, kummer, standardize, lattice,
+               limits)
 from .extfield import ExtField, FFElem
 from .conway import ConwayTable, ConwayUnavailable, conway_search, load_table, parse_table
 from .cyclotomic import CycloLattice
@@ -20,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "fppoly", "linalg", "extfield", "conway", "cyclotomic", "kummer",
-    "standardize", "lattice",
+    "standardize", "lattice", "limits",
     "ExtField", "FFElem",
     "ConwayTable", "ConwayUnavailable", "conway_search", "load_table", "parse_table",
     "CycloLattice",

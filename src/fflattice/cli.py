@@ -9,8 +9,10 @@ Subcommands:
   bench    CSV timings for decoration and one fixed embedding per degree
   conway   look up or search a Conway polynomial (--pseudo relaxes the search)
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 missing or unreachable Conway data.
+Exit codes: 0 success, 1 verification failure, 2 invalid input or a size
+refused by fflattice.limits (before any work), 3 missing or unreachable
+Conway data.  `verify` and `bench` take the degrees up to --max that
+_valid_degrees admits by the same limits.
 
 Machine-format output is line oriented and deterministic for a fixed
 (config, seed); `embed --format machine` emits the lattice serialization,
@@ -23,7 +25,7 @@ import argparse
 import sys
 import time
 
-from . import fppoly, standardize
+from . import fppoly, limits, standardize
 from .conway import ConwayTable, ConwayUnavailable, load_table
 from .cyclotomic import CycloLattice
 from .lattice import StdLattice, default_lattice
@@ -91,28 +93,33 @@ def cmd_embed(args) -> int:
 
 
 def _valid_degrees(p: int, max_degree: int, cyclo: CycloLattice) -> list[int]:
-    """Degrees <= max coprime to p whose level the Conway table can reach.
+    """Degrees <= max coprime to p that decorate within the library's limits.
 
-    The reach is the largest tabulated level or, for a prime the table does
-    not cover, every level a whose exhaustive Conway search fits the table's
-    work bound (p^a a^2 <= work_bound).  Raises ConwayUnavailable when a
-    degree above 1 was asked for and none is reachable.
+    A degree is admitted when it passes limits.check_decoration and its level
+    a is at most the largest tabulated one or, for a prime the Conway table
+    does not cover, the worst-case search at level a fits the work bound
+    (limits.check_conway_search).  Raises ConwayUnavailable, naming the first
+    refusal, when a degree above 1 was asked for and none is admitted.
     """
     table = cyclo.table
-    reach = max(table.degrees(), default=0)
-    if not reach:
-        while p ** (reach + 1) * (reach + 1) ** 2 <= table.work_bound:
-            reach += 1
+    top = max(table.degrees(), default=0)
     candidates = [ell for ell in range(1, max_degree + 1) if ell % p]
-    out = []
+    out, refusal = [], None
     for ell in candidates:
-        a = cyclo.level(ell)
-        if table.has(a) or a <= reach:
+        try:
+            limits.check_decoration(cyclo, ell)
+            a = cyclo.level(ell)
+            if not top:
+                limits.check_conway_search(p, a, table.work_bound)
+        except ValueError as exc:
+            refusal = refusal or exc
+            continue
+        if not top or a <= top:
             out.append(ell)
     if max(out, default=1) == 1 and max(candidates, default=1) > 1:
+        reason = refusal or f"the Conway table stops at level {top}"
         raise ConwayUnavailable(
-            f"no degree in 2..{max_degree} is reachable for p={p}: the Conway table "
-            f"reaches level {reach} (work bound {table.work_bound})")
+            f"no degree in 2..{max_degree} is reachable for p={p}: {reason}")
     return out
 
 

@@ -25,7 +25,7 @@ import threading
 
 import numpy as np
 
-from . import fppoly, extfield
+from . import fppoly, extfield, limits
 
 
 class ConwayUnavailable(LookupError):
@@ -78,8 +78,9 @@ def conway_search(p: int, a: int, known: dict[int, list[int]], work_bound: int =
     (callers recurse as needed).  For a > 1 only the candidates whose norm
     (-1)^a f(0) equals the root g of C_1 = X - g are visited: p^(a-1) of the
     p^a, in the same order, each still put through every check.  The work
-    bound is spent at a*a units per candidate visited; exceeding it raises
-    ConwayUnavailable.
+    bound is spent at limits.conway_unit(a) = a^2 per candidate visited, as
+    the search goes, not refused up front on its worst case; exceeding it
+    raises ConwayUnavailable.
 
     With pseudo=True, candidates are enumerated in plain ascending
     coefficient order instead and the first primitive norm-compatible
@@ -91,7 +92,7 @@ def conway_search(p: int, a: int, known: dict[int, list[int]], work_bound: int =
     for d in range(1, a):
         if a % d == 0 and d not in known:
             raise ValueError(f"search for degree {a} requires the degree-{d} entry first")
-    budget = work_bound // (a * a) if a > 1 else work_bound
+    budget = work_bound // limits.conway_unit(a)
     divisors = {d: f for d, f in known.items() if d < a and a % d == 0}
     order_primes = list(extfield.factorize(p ** a - 1))
     # The lowest digit of index is a_0 (Conway word) or c_0 (pseudo order),

@@ -27,11 +27,7 @@ import random
 
 import numpy as np
 
-from . import fppoly, linalg
-
-# Largest baby-step table discrete_log builds.  Level 1 at p = 2^31 - 1 needs
-# 46,341 steps; level 2 needs about p, so it is refused for p > 2^17.
-BSGS_MAX_STEPS = 2 ** 17
+from . import fppoly, limits, linalg
 
 
 class FieldMismatch(ValueError):
@@ -41,7 +37,9 @@ class FieldMismatch(ValueError):
 class ExtField:
     """GF(p^n) as GF(p)[X]/(modulus), modulus monic irreducible of degree n.
 
-    Immutable after construction; safe for shared concurrent reads.
+    An n whose dense n x n matrices exceed limits.DENSE_MATRIX_MAX_BYTES is
+    refused before any is built.  Immutable after construction; safe for
+    shared concurrent reads.
     """
 
     def __init__(self, p: int, modulus: list[int], check: bool = True):
@@ -50,6 +48,7 @@ class ExtField:
         self.n = fppoly.degree(modulus)
         if self.n < 1:
             raise ValueError("defining polynomial must have degree >= 1")
+        limits.check_dense_matrices(p, self.n)
         if check and not is_irreducible(modulus, p):
             raise ValueError(f"defining polynomial {modulus} is reducible over GF({p})")
         self.modulus = modulus
@@ -302,10 +301,12 @@ def _is_irreducible_gf2(f: list[int]) -> bool:
 
 
 def random_irreducible(p: int, n: int, seed: int = 0) -> list[int]:
-    """Deterministic (given seed) monic irreducible of degree n over GF(p)."""
+    """Deterministic (given seed) monic irreducible of degree n over GF(p);
+    an n that ExtField would refuse is refused before the first draw."""
     fppoly.check_prime(p)
     if n < 1:
         raise ValueError("degree must be >= 1")
+    limits.check_dense_matrices(p, n)
     rng = random.Random(f"{p}:{n}:{seed}")
     if n == 1:
         return [rng.randrange(p), 1]
@@ -460,8 +461,8 @@ def discrete_log(x: FFElem, base: FFElem) -> int:
     """k with base^k = x, 0 <= k < p^n - 1, baby-step giant-step.
 
     base must be primitive (order p^n - 1).  The search takes m = ceil(sqrt(p^n - 1))
-    baby steps; a group that needs more than BSGS_MAX_STEPS raises ValueError
-    before anything is built, so the table stays bounded.
+    baby steps; a group that needs more than limits.BSGS_MAX_STEPS raises
+    ValueError before anything is built, so the table stays bounded.
     """
     if x.is_zero():
         raise ZeroDivisionError("discrete log of zero")
@@ -469,10 +470,8 @@ def discrete_log(x: FFElem, base: FFElem) -> int:
     N = f.order() - 1
     if N <= 1:
         return 0
-    m = math.isqrt(N - 1) + 1
-    if m > BSGS_MAX_STEPS:
-        raise ValueError(f"discrete log for p={f.p}, n={f.n} needs m={m} baby steps, "
-                         f"more than BSGS_MAX_STEPS={BSGS_MAX_STEPS}")
+    limits.check_discrete_log(f.p, f.n)
+    m = limits.baby_steps(f.p, f.n)
     if not is_primitive(base):
         raise ValueError("discrete_log base must be primitive")
     table = {}

@@ -13,7 +13,8 @@ Serialization is a portable text format: a header line `p`, then one line
 per field `l f_coeffs s_coeffs P_coeffs`, then one line per cached embedding
 `E l m t_coeffs`, all ascending decimal coefficients.  The `E` tag marks
 embedding records; text without it (older output) still loads, field lines
-being told from embedding lines by their token count, 3l + 3.
+being told from embedding lines by their token count, 3l + 3, and by a
+degree l not registered yet (`1 4 t_coeffs` also has 3 * 1 + 3 tokens).
 """
 
 from __future__ import annotations
@@ -219,11 +220,11 @@ class StdLattice:
         p = int(lines[0])
         L = cls(p, lattice)
         i = 1
-        # field lines: `l  f(l+1)  s(l)  P(l+1)` -> 3l + 3 tokens, no tag
+        # field lines: `l  f(l+1)  s(l)  P(l+1)` -> 3l + 3 tokens, no tag, new l
         while i < len(lines) and not lines[i].startswith("E"):
             toks = [int(t) for t in lines[i].split()]
             ell = toks[0]
-            if ell < 1 or len(toks) != 3 * ell + 3:
+            if ell < 1 or ell in L.fields or len(toks) != 3 * ell + 3:
                 break
             f = toks[1:ell + 2]
             s_vec = toks[ell + 2:2 * ell + 2]

@@ -17,14 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fppoly, extfield, kummer, linalg
+from . import fppoly, extfield, kummer, limits, linalg
 from .cyclotomic import CycloLattice
 from .extfield import ExtField, FFElem
 from .fppoly import exact_div
 from .kummer import KummerAlg, KummerElem
-
-# Largest complete-algebra dimension (p^b - 1) b that verify_key_identity builds.
-KEY_IDENTITY_DIMENSION_BOUND = 4096
 
 
 @dataclass
@@ -72,7 +69,11 @@ def decorate(ell: int, lattice: CycloLattice, defining_poly: list[int] | None = 
     rescaled solution is checked in K_l, as a'_l kappa^l = abar_l: since
     (alpha' (1 (x) kappa))^l = (1 (x) a'_l)(1 (x) kappa^l), that is the
     statement alpha^l = 1 (x) abar_l without a second power in the algebra.
+
+    A degree refused by limits.check_decoration raises ValueError before any
+    Conway search or polynomial draw.
     """
+    limits.check_decoration(lattice, ell)
     alg = KummerAlg(lattice, ell, defining_poly, seed=seed)
     abar = lattice.standard_constant(ell)
     alpha_prime = kummer.solve_h90(alg)
@@ -145,11 +146,13 @@ def baseline_embed(field_l: ExtField, field_m: ExtField,
 
     Returns (s, t) such that s |-> t defines an embedding of field_l into
     field_m.  No decoration: the l-th root is extracted from the ratio of the
-    two Kummer constants directly.
+    two Kummer constants directly, in K_m: the limits of decorating GF(p^m)
+    cover the pair and are checked first.
     """
     ell, m = field_l.n, field_m.n
     if m % ell:
         raise ValueError(f"{ell} does not divide {m}")
+    limits.check_decoration(lattice, m)
     alg_l = KummerAlg(lattice, ell, field_l.modulus)
     alg_m = KummerAlg(lattice, m, field_m.modulus)
     alpha_l = kummer.solve_h90(alg_l)
@@ -172,16 +175,14 @@ def verify_key_identity(a: int, b: int, lattice: CycloLattice) -> bool:
     alpha^((p^b-1)/(p^a-1)) = (1 (x) zeta)^e  N_{b/a}(alpha)
     with e = ((b-a) p^(b+a) - b p^b + a p^a) / (p^a - 1)^2.
 
-    Complete algebras grow exponentially with the level, hence the bound
-    KEY_IDENTITY_DIMENSION_BOUND on (p^b - 1) * b.
+    Complete algebras grow exponentially with the level, hence
+    limits.check_complete_algebra on (p^b - 1) * b.
     """
     if b % a:
         raise ValueError(f"{a} does not divide {b}")
     p = lattice.p
+    limits.check_complete_algebra(p, b)
     ell = p ** b - 1
-    if ell * b > KEY_IDENTITY_DIMENSION_BOUND:
-        raise ValueError(f"complete algebra dimension {ell * b} exceeds bound "
-                         f"{KEY_IDENTITY_DIMENSION_BOUND}")
     alg = KummerAlg(lattice, ell)
     alpha = kummer.solve_h90(alg)  # every nonzero solution is standard here
     e = exact_div((b - a) * p ** (b + a) - b * p ** b + a * p ** a, (p ** a - 1) ** 2)

@@ -1,5 +1,8 @@
 """CLI: golden outputs, exit codes, and machine-format round-trips."""
 
+import time
+import tracemalloc
+
 import pytest
 
 from fflattice.cli import main
@@ -164,3 +167,17 @@ def test_stdpoly_level_two_at_largest_prime_exits_2(capsys):
     # the level-2 Conway entry is found, but its discrete log exceeds the baby-step bound
     code, out, err = run(capsys, "stdpoly", "-p", "2147483647", "-l", "4")
     assert code == 2 and "p=2147483647" in err and not out
+
+
+@pytest.mark.parametrize("p, l, need", [("2", "262143", 549751619592),
+                                        ("3", "6560", 344268800)])
+def test_stdpoly_oversize_degree_exits_2_at_once(capsys, p, l, need):
+    # refused by the dense-matrix limit before any search, draw or matrix
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "stdpoly", "-p", p, "-l", l)
+    elapsed = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 2 and not out and elapsed < 1 and peak < 2 ** 22
+    assert f"p={p}, l={l} need {need} bytes" in err and "268435456" in err

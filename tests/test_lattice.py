@@ -192,6 +192,7 @@ def test_verify_triangles():
 
 def test_serialization_round_trip():
     L = build(3, [1, 2, 4, 8])
+    L.get_embedding(1, 4)   # `1 4 t(4)` has 3 * 1 + 3 tokens, like a field line
     L.get_embedding(2, 8)
     L.get_embedding(4, 8)
     text = L.dumps()
@@ -250,6 +251,7 @@ def test_serialization_round_trip_ambiguous_token_count():
 
 def test_loader_reads_untagged_embedding_records():
     L = build(3, [1, 2, 4, 8])
+    L.get_embedding(1, 4)   # `1 4 t(4)` has 3 * 1 + 3 tokens, like a field line
     L.get_embedding(2, 8)
     L.get_embedding(4, 8)
     text = L.dumps()
