@@ -9,8 +9,9 @@ matrix of multiplication by an element is one matrix product
 (linalg.krylov, O(log n) products in its float64 tier) of multiplication by
 X^p.  Also provides minimal polynomials (Berlekamp-Massey on the constant
 coordinates of 1, x, ..., x^(2n-1), O(n^2) beyond that Krylov matrix),
-primitivity, baby-step giant-step discrete logarithms and deterministic l-th
-root extraction.
+primitivity, Pohlig-Hellman discrete logarithms (baby-step giant-step in the
+subgroup of each prime order q dividing p^n - 1, on tables cached per field
+and base) and deterministic l-th root extraction.
 
 Irreducibility over GF(2) is Ben-Or's test on f packed into one Python int
 (bit i is the coefficient of X^i): at most floor(n/2) squarings and
@@ -38,8 +39,12 @@ class ExtField:
     """GF(p^n) as GF(p)[X]/(modulus), modulus monic irreducible of degree n.
 
     An n whose dense n x n matrices exceed limits.DENSE_MATRIX_MAX_BYTES is
-    refused before any is built.  Immutable after construction; safe for
-    shared concurrent reads.
+    refused before any is built.  Immutable after construction apart from
+    three lazy caches, each filled on first use with values that depend only
+    on the field: the Frobenius powers (frob_power), the factorization of
+    p^n - 1 (_order_factors) and the Pohlig-Hellman tables of each
+    discrete-log base (_dlog_tables).  A fill repeated by concurrent readers
+    stores the same value, so shared concurrent reads stay safe.
     """
 
     def __init__(self, p: int, modulus: list[int], check: bool = True):
@@ -56,6 +61,7 @@ class ExtField:
         self.frobenius_matrix = frobenius_matrix(modulus, p, self.reduction)
         self._frob_powers = {0: linalg.identity(self.n), 1: self.frobenius_matrix}
         self._order_factors = None
+        self._dlog_tables = {}
 
     def frob_power(self, k: int) -> np.ndarray:
         """Matrix of x -> x^(p^k), k reduced mod n; cached."""
@@ -439,15 +445,20 @@ def _berlekamp_massey(s: np.ndarray, p: int) -> list[int]:
     return C[L::-1].tolist()
 
 
+def _order_factors(f: ExtField) -> dict[int, int]:
+    """The factorization of p^n - 1, computed once per field."""
+    if f._order_factors is None:
+        f._order_factors = factorize(f.order() - 1)
+    return f._order_factors
+
+
 def multiplicative_order(x: FFElem) -> int:
     """Exact order in the multiplicative group, via factoring p^n - 1."""
     if x.is_zero():
         raise ZeroDivisionError("zero has no multiplicative order")
     f = x.field
-    if f._order_factors is None:
-        f._order_factors = factorize(f.order() - 1)
     order = f.order() - 1
-    for q in f._order_factors:
+    for q in _order_factors(f):
         while order % q == 0 and (x ** (order // q)) == f.one():
             order //= q
     return order
@@ -458,43 +469,110 @@ def is_primitive(x: FFElem) -> bool:
 
 
 def discrete_log(x: FFElem, base: FFElem) -> int:
-    """k with base^k = x, 0 <= k < p^n - 1, baby-step giant-step.
+    """k with base^k = x, 0 <= k < N = p^n - 1, by Pohlig-Hellman (1978).
 
-    base must be primitive (order p^n - 1).  The search takes m = ceil(sqrt(p^n - 1))
-    baby steps; a group that needs more than limits.BSGS_MAX_STEPS raises
-    ValueError before anything is built, so the table stays bounded.
+    For each prime power q^e exactly dividing N, h = x^(N/q^e) lies in the
+    subgroup of order q^e generated by g_q = base^(N/q^e); its e base-q
+    digits are found one at a time, each by baby-step giant-step in the
+    subgroup of order q generated by gamma_q = base^(N/q): with
+    m = ceil(sqrt(q)), digit d is j - t m mod q for the first t <= m at which
+    y gamma_q^(t m) is some gamma_q^j, j < m (m^2 >= q, so every residue is
+    reached).  The residues mod q^e are combined by the Chinese remainder
+    theorem.  k is unique mod N, so the answer is that of a search over the
+    whole group.
+
+    base must be primitive (order N).  The per-base tables (g_q, the baby
+    steps of gamma_q and its giant step, the CRT coefficients) are built on
+    the first call with that base and cached on the field
+    (ExtField._dlog_tables, keyed by the coordinates of base); the build
+    reads primitivity off the gamma_q, since base is primitive iff none is 1.
+    After it, a call costs about sum over q of e log2 N + sqrt(q) products.
+    A field whose full group would need more than limits.BSGS_MAX_STEPS baby
+    steps is still refused before anything is built.  A zero x raises
+    ZeroDivisionError, a base of another field FieldMismatch, and a base that
+    is not primitive ValueError.
     """
     if x.is_zero():
         raise ZeroDivisionError("discrete log of zero")
     f = x.field
+    base = x._check(base)
     N = f.order() - 1
     if N <= 1:
         return 0
     limits.check_discrete_log(f.p, f.n)
-    m = limits.baby_steps(f.p, f.n)
-    if not is_primitive(base):
+    k = 0
+    for q, e, qe, g, table, m, giant, crt in _dlog_tables(f, base):
+        h = x ** (N // qe)
+        k_q = 0
+        for i in range(e):
+            # (h g^(-k_q))^(q^(e-1-i)) = gamma_q^(digit i)
+            y = h * g ** (qe - k_q) if k_q else h
+            if i < e - 1:
+                y = y ** q ** (e - 1 - i)
+            for t in range(m + 1):
+                j = table.get(y.vec)
+                if j is not None:
+                    break
+                y = y * giant
+            else:
+                raise AssertionError("discrete log digit not found in a subgroup of prime order")
+            k_q += (j - t * m) % q * q ** i     # y gamma_q^(t m) = gamma_q^j
+        k += k_q * crt
+    return k % N
+
+
+def _dlog_tables(f: ExtField, base: FFElem) -> list[tuple]:
+    """Pohlig-Hellman tables of a primitive base of f, built once per base.
+
+    One entry per prime q with q^e exactly dividing N = p^n - 1:
+    (q, e, q^e, g_q = base^(N/q^e), the baby-step table {gamma_q^j: j} for
+    j < m = ceil(sqrt(q)) with gamma_q = g_q^(q^(e-1)) = base^(N/q), m, the
+    giant step gamma_q^m (the baby loop's last product), the CRT coefficient
+    of q^e mod N).  Everything is a power of base, with no inversion.
+    Raises ValueError when some gamma_q is 1 (or base is zero): then base is
+    not primitive, and nothing is cached.
+    """
+    tables = f._dlog_tables.get(base.vec)
+    if tables is not None:
+        return tables
+    if base.is_zero():
         raise ValueError("discrete_log base must be primitive")
-    table = {}
-    cur = f.one()
-    for j in range(m):
-        table.setdefault(cur.vec, j)
-        cur = cur * base
-    giant = base.inverse() ** m
-    gamma = x
-    for i in range(m + 1):
-        j = table.get(gamma.vec)
-        if j is not None:
-            return (i * m + j) % N
-        gamma = gamma * giant
-    raise ValueError("discrete log not found; base is not a generator")
+    N = f.order() - 1
+    one = f.one()
+    prime_powers = []
+    for q, e in _order_factors(f).items():
+        qe = q ** e
+        g = base ** (N // qe)
+        gamma = g ** q ** (e - 1) if e > 1 else g
+        if gamma == one:
+            raise ValueError("discrete_log base must be primitive")
+        prime_powers.append((q, e, qe, g, gamma))
+    tables = []
+    for q, e, qe, g, gamma in prime_powers:
+        m = math.isqrt(q - 1) + 1
+        table, cur = {}, one
+        for j in range(m):
+            table[cur.vec] = j
+            cur = cur * gamma
+        cofactor = N // qe
+        crt = cofactor * pow(cofactor, -1, qe) % N
+        tables.append((q, e, qe, g, table, m, cur, crt))
+    f._dlog_tables[base.vec] = tables
+    return tables
 
 
 def nth_root(c: FFElem, ell: int) -> FFElem:
     """Deterministic l-th root: among all x with x^ell = c, the one of smallest
     discrete log to the class of X, which must be primitive.
 
-    Raises ValueError when no root exists, which signals a broken Kummer
-    constant upstream in this library's main use.
+    k = discrete_log(c, X) by Pohlig-Hellman on the tables of X cached on the
+    field (ExtField._dlog_tables, built on the field's first call).  With
+    N = p^n - 1 and g = gcd(ell, N), a root exists iff g | k, the roots are
+    X^(j + i N/g) for 0 <= i < g with j = (k/g) (ell/g)^-1 mod N/g, and X^j
+    is returned.  Cost after the build: about sum over q^e || N of
+    e log2 N + sqrt(q) products, plus one power for X^j.  Raises ValueError
+    when no root exists, which signals a broken Kummer constant upstream in
+    this library's main use.
     """
     if ell < 1:
         raise ValueError("root order must be >= 1")

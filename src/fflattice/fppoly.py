@@ -274,7 +274,8 @@ def powmod(a: list[int], e: int, m: list[int], p: int,
     of degree <= 1 multiplies the unreduced square (degree <= 2n - 1, within
     R's last column), so each bit of e costs one reduction.  For the base X
     the leading bits of e, as long as they read k < 2n, give X^k directly:
-    a monomial, or column k - n of R.
+    a monomial, or column k - n of R.  A constant base c gives c^e mod p by
+    integer powering, with no product mod m.
     """
     if e < 0:
         raise ValueError("negative exponent")
@@ -284,6 +285,8 @@ def powmod(a: list[int], e: int, m: list[int], p: int,
     a = mod(a, m, p) if len(a) > n else a
     if not a:
         return [] if e else [1]
+    if len(a) == 1:
+        return trim([pow(int(a[0]), e, p)])
     if e == 0:
         return [1]
     base = np.array(a, dtype=word_dtype(n, p))

@@ -14,8 +14,11 @@ import math
 
 # ExtField holds n x n int64 matrices (reduction, Frobenius and its powers).
 DENSE_MATRIX_MAX_BYTES = 2 ** 28          # n <= 5792
-# Level 1 at p = 2^31 - 1 needs 46,341 steps; level 2 needs about p, so it is
-# refused for p > 2^17.
+# Baby steps of one search over the whole group GF(p^n)^*: level 1 at
+# p = 2^31 - 1 would take 46,341, level 2 about p, so level 2 is refused for
+# p > 2^17.  extfield.discrete_log is Pohlig-Hellman, whose largest table,
+# ceil(sqrt(q)) for the largest prime q dividing p^n - 1, is at most
+# ceil(sqrt(p^n - 1)): the bound is unchanged and still holds, but is loose.
 BSGS_MAX_STEPS = 2 ** 17
 # verify_key_identity's Kummer algebra of order p^b - 1 has dimension (p^b - 1) b.
 COMPLETE_ALGEBRA_MAX_DIMENSION = 4096
@@ -26,7 +29,7 @@ def dense_matrix_bytes(n: int) -> int:
 
 
 def baby_steps(p: int, n: int) -> int:
-    """m = ceil(sqrt(p^n - 1)), the baby steps of a discrete log in GF(p^n)."""
+    """m = ceil(sqrt(p^n - 1)), the baby steps of a search over all of GF(p^n)^*."""
     N = p ** n - 1
     return math.isqrt(N - 1) + 1 if N > 1 else 0
 

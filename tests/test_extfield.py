@@ -1,6 +1,8 @@
 """Extension fields GF(p^n): field axioms, Frobenius vs direct powering,
 minimal polynomials, orders and discrete logarithms."""
 
+import functools
+import math
 import random
 
 import numpy as np
@@ -452,3 +454,146 @@ def test_untrimmed_and_zero_moduli():
         L.add_field(3, [1, 1, 1, 0])
     dec = L.add_field(3)
     assert L.add_field(3, dec.field.modulus + [0]) is dec
+
+
+# -- discrete logarithms and l-th roots against the whole-group search -----------
+
+
+def bsgs_oracle(x, base):
+    """k with base^k = x by baby-step giant-step over the whole group GF(p^n)^*
+    (ceil(sqrt(p^n - 1)) baby steps), for a primitive base."""
+    f = x.field
+    N = f.order() - 1
+    if N <= 1:
+        return 0
+    m = math.isqrt(N - 1) + 1
+    table = {}
+    cur = f.one()
+    for j in range(m):
+        table.setdefault(cur.vec, j)
+        cur = cur * base
+    giant = base.inverse() ** m
+    gamma = x
+    for i in range(m + 1):
+        j = table.get(gamma.vec)
+        if j is not None:
+            return (i * m + j) % N
+        gamma = gamma * giant
+    raise ValueError("discrete log not found; base is not a generator")
+
+
+@functools.lru_cache(maxsize=None)
+def _conway_field(p, a):
+    from fflattice.lattice import default_lattice
+    return ExtField(p, default_lattice(p).table.get(a))
+
+
+def _nonzero_elements(F):
+    for code in range(1, F.order()):
+        yield F.element([code // F.p ** i % F.p for i in range(F.n)])
+
+
+@pytest.mark.parametrize("p, a", [(7, 1), (2, 4), (2, 6), (2, 8), (3, 3), (5, 2)],
+                         ids=["7", "2^4", "2^6", "2^8", "3^3", "5^2"])
+def test_discrete_log_matches_bsgs_oracle_exhaustive(p, a):
+    # 63 = 3^2 * 7 has a two-digit prime power, 255 = 3 * 5 * 17 three primes
+    F = _conway_field(p, a)
+    X = F.gen()
+    for x in _nonzero_elements(F):
+        assert extfield.discrete_log(x, X) == bsgs_oracle(x, X), x
+
+
+@pytest.mark.parametrize("p, a", [(2, 4), (3, 2)], ids=["2^4", "3^2"])
+def test_nth_root_is_smallest_log_root_exhaustive(p, a):
+    F = _conway_field(p, a)
+    X = F.gen()
+    N = F.order() - 1
+    for ell in range(2, 7):
+        for c in _nonzero_elements(F):
+            roots = [t for t in range(N) if (X ** t) ** ell == c]
+            if roots:
+                assert extfield.nth_root(c, ell) == X ** roots[0], (ell, c)
+            else:
+                with pytest.raises(ValueError, match="no .*-th root"):
+                    extfield.nth_root(c, ell)
+
+
+@pytest.mark.parametrize("p, a", [(65521, 1), (257, 2), (2 ** 31 - 1, 1)],
+                         ids=["65521", "257^2", "2^31-1"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_discrete_log_at_large_primes(p, a, data):
+    # N = 2^4 3^2 5 7 13, 2^9 3 43 and 2 3^2 7 11 31 151 331
+    F = _conway_field(p, a)
+    X = F.gen()
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=a, max_size=a)
+                       .filter(any))
+    x = F.element(coeffs)
+    k = extfield.discrete_log(x, X)
+    assert 0 <= k < F.order() - 1
+    assert X ** k == x
+
+
+def test_discrete_log_error_paths_and_cache_keyed_by_base():
+    F = ExtField(2, [1, 1, 1, 1, 1])       # X has order 5 mod X^4 + X^3 + X^2 + X + 1
+    X = F.gen()
+    assert extfield.multiplicative_order(X) == 5
+    prim = next(y for y in _nonzero_elements(F) if extfield.is_primitive(y))
+    x = F.element([1, 1, 0, 1])
+    with pytest.raises(ZeroDivisionError):
+        extfield.discrete_log(F.zero(), prim)
+    other = _conway_field(2, 4).gen()
+    with pytest.raises(extfield.FieldMismatch):
+        extfield.discrete_log(x, other)
+    assert not F._dlog_tables
+    # primitive base first, then the non-primitive one
+    k = extfield.discrete_log(x, prim)
+    assert k == bsgs_oracle(x, prim) and prim ** k == x
+    with pytest.raises(ValueError, match="discrete_log base must be primitive"):
+        extfield.discrete_log(x, X)
+    with pytest.raises(ValueError, match="discrete_log base must be primitive"):
+        extfield.discrete_log(x, F.zero())
+    assert list(F._dlog_tables) == [prim.vec]
+    # the other order, in a fresh field
+    G = ExtField(2, [1, 1, 1, 1, 1])
+    y = G.element(x.vec)
+    with pytest.raises(ValueError, match="discrete_log base must be primitive"):
+        extfield.discrete_log(y, G.gen())
+    assert not G._dlog_tables
+    assert extfield.discrete_log(y, G.element(prim.vec)) == k
+    with pytest.raises(ValueError, match="discrete_log base must be primitive"):
+        extfield.discrete_log(y, G.gen())
+    assert list(G._dlog_tables) == [prim.vec]
+
+
+def test_discrete_log_tables_shared_by_threads():
+    # threads that find the tables missing each build them; every build stores
+    # the same tables, so every log is right and one entry per base remains
+    import sys
+    import threading
+
+    F = ExtField(2, _conway_field(2, 6).modulus)
+    X = F.gen()
+    want = {x.vec: bsgs_oracle(x, X) for x in _nonzero_elements(F)}
+    got, errors = [], []
+
+    def work():
+        try:
+            got.append({x.vec: extfield.discrete_log(x, X) for x in _nonzero_elements(F)})
+        except Exception as exc:   # reported below: a thread's exception is otherwise lost
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert got == [want] * 6
+    assert list(F._dlog_tables) == [X.vec]

@@ -155,6 +155,23 @@ def test_powmod_matches_divrem_oracle(p):
                 assert fppoly.powmod(a, e, m, p, R) == want, (m, a, e)
 
 
+@pytest.mark.parametrize("p", [2, 65521, 2 ** 31 - 1])
+def test_powmod_of_constants_matches_multiplied_out_products(p):
+    # a constant base is powered as an integer mod p, with no product mod m;
+    # the oracle multiplies out by schoolbook products and divrem
+    rng = random.Random(6100 + p % 1000)
+    for n in (1, 2, 12):
+        m = [rng.randrange(p) for _ in range(n)] + [1]
+        R = fppoly.reduction_matrix(m, p)
+        for c in (0, 1, p - 1):
+            for e in (0, 1, 2 ** 64 + 3):
+                want = oracle_powmod(fppoly.trim([c]), e, m, p)
+                assert fppoly.powmod(fppoly.trim([c]), e, m, p) == want, (m, c, e)
+                assert fppoly.powmod([c], e, m, p, R) == want, (m, c, e)
+                # a base of degree >= n that reduces to the constant c
+                assert fppoly.powmod(fppoly.add(fppoly.trim([c]), m, p), e, m, p) == want
+
+
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_field_products_match_divrem_oracle(p):
     from fflattice.extfield import ExtField
