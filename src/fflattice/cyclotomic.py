@@ -25,7 +25,12 @@ from .extfield import ExtField, FFElem
 
 @dataclass(frozen=True)
 class CycloEntry:
-    """Cached data for one root order l."""
+    """Cached data for one root order l.
+
+    power_inverse, the inverse of power_matrix, is solved once when
+    CycloLattice.entry builds the entry, so a change to the zeta-power basis
+    (to_power_basis) is one mat-vec.
+    """
 
     ell: int
     level: int                    # a = [GF(p)(zeta_l) : GF(p)]
@@ -35,6 +40,7 @@ class CycloEntry:
     b_coeffs: list               # zeta^a = sum b_i zeta^i
     power_matrix: np.ndarray      # a x a, column i = coordinates of zeta^i
     scalar_field: ExtField        # GF(p)[Y]/(h), the abstract GF(p)(zeta)
+    power_inverse: np.ndarray     # a x a, power_matrix^(-1)
 
 
 class CycloLattice:
@@ -80,7 +86,8 @@ class CycloLattice:
         b_coeffs = [(-c) % self.p for c in h[:a]]
         Z = K.powers(zeta, a)
         scalar = K if h == K.modulus else ExtField(self.p, h, check=False)
-        e = CycloEntry(ell, a, K, zeta, h, b_coeffs, Z, scalar)
+        e = CycloEntry(ell, a, K, zeta, h, b_coeffs, Z, scalar,
+                       linalg.solve(Z, linalg.identity(a), self.p))
         with self._lock:
             self._cache.setdefault(ell, e)
             return self._cache[ell]
@@ -88,11 +95,14 @@ class CycloLattice:
     # -- coordinates in the zeta-power basis -----------------------------------
 
     def to_power_basis(self, ell: int, x: FFElem) -> np.ndarray:
-        """Coordinates of x in the basis 1, zeta_l, ..., zeta_l^(a-1)."""
+        """Coordinates of x in the basis 1, zeta_l, ..., zeta_l^(a-1).
+
+        One mat-vec by the entry's cached power_inverse.
+        """
         e = self.entry(ell)
         if x.field != e.K:
             raise extfield.FieldMismatch("element does not live in K_l")
-        return linalg.solve(e.power_matrix, np.array(x.vec, dtype=np.int64), self.p)
+        return linalg.matmul_mod(e.power_inverse, np.array(x.vec, dtype=np.int64), self.p)
 
     def from_power_basis(self, ell: int, coords) -> FFElem:
         e = self.entry(ell)

@@ -19,13 +19,14 @@ Overflow policy.  word_dtype(terms, p) is the one rule for exact sums of
 products of residues: int64 when terms (p-1)^2 < 2^62, else object (Python
 integers).  A convolution of two length-k arrays sums k products, R c[n:]
 sums at most n products plus a residue (int64 keeps a 2^62 margin for it), a
-matrix product sums its inner dimension; mul, the reduction kernel,
-linalg.matmul_mod and kummer.kalg_mul all take their dtype from it.
+matrix product sums its inner dimension; mul, the reduction kernel and
+linalg.matmul_mod all take their dtype from it.
 blas_dtype(terms, p) adds the one tier below: float64 when
 terms (p-1)^2 < 2^53.  Every partial sum of such a product is then a
 nonnegative integer below 2^53, exactly representable, so no summation
 order a float64 BLAS chooses can change a bit; linalg.matmul_mod and
-linalg.krylov run their matrix products there.
+linalg.krylov run their matrix products there, and kummer.kalg_mul its
+Kronecker convolution.
 """
 
 from __future__ import annotations

@@ -17,7 +17,12 @@ the p-th power map is the automorphism sigma (x) sigma: x^e walks the base-p
 digits of e, with floor(log_p e) applications of sigma (x) sigma, each
 O(l^2 a + l a^2), plus one product per nonzero digit beyond the first and
 the binary square-and-multiply of the digit powers x^d, d < p.  Every
-product costs O(l^2 a^2).
+product (kalg_mul) is one np.convolve of length l(2a-1), by Kronecker
+substitution: O(l^2 a^2) multiply-adds in a single numpy call, exact in
+float64 while l a (p-1)^2 < 2^53, then two reduction-kernel products.
+
+Recovering alpha from its first coordinate (recover_alpha) takes a - 1
+Frobenius mat-vecs on the columns of one array.
 """
 
 from __future__ import annotations
@@ -69,11 +74,17 @@ class KummerAlg:
 
     # -- element constructors ------------------------------------------------------
 
+    def _residues(self, coeffs) -> np.ndarray:
+        """coeffs mod p as int64; integers of any size are reduced before the conversion."""
+        if isinstance(coeffs, np.ndarray) and coeffs.dtype == np.int64:
+            return coeffs % self.p
+        return np.asarray(np.asarray(coeffs, dtype=object) % self.p, dtype=np.int64)
+
     def element(self, coeffs) -> "KummerElem":
-        C = np.asarray(coeffs, dtype=np.int64) % self.p
+        C = coeffs if isinstance(coeffs, np.ndarray) else np.asarray(coeffs, dtype=object)
         if C.shape != (self.ell, self.a):
             raise ValueError(f"coefficient matrix must be {self.ell} x {self.a}")
-        return KummerElem(self, C)
+        return KummerElem(self, self._residues(C))
 
     def zero(self) -> "KummerElem":
         return KummerElem(self, np.zeros((self.ell, self.a), dtype=np.int64))
@@ -93,7 +104,7 @@ class KummerAlg:
             else:
                 raise AlgebraMismatch("scalar lives in neither the scalar field nor K_l")
         else:
-            svec = np.asarray(s, dtype=np.int64) % self.p
+            svec = self._residues(s)
         C = np.zeros((self.ell, self.a), dtype=np.int64)
         C[0, :] = svec
         return KummerElem(self, C)
@@ -205,24 +216,28 @@ class KummerElem:
 def kalg_mul(u: KummerElem, v: KummerElem) -> KummerElem:
     """Bivariate product, reduced mod f in X and mod h in zeta.
 
-    a^2 column convolutions give the (2l-1) x (2a-1) product; then one
-    reduction-kernel product with the left field's matrix reduces the rows
-    (X^l, ..., X^(2l-2)) and one with the scalar field's the columns.  Each
-    entry of the product sums at most l a products, so the dtype is
-    fppoly.word_dtype(l a, p).
+    Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 8.4): u and v, padded to l x (2a-1) and flattened row by row,
+    make one np.convolve of length l(2a-1).  Entry (i, j) lands at
+    i(2a-1) + j, and every column sum j + k <= 2a-2 stays inside its row, so
+    the first (2l-1)(2a-1) entries, reshaped, are the unreduced (2l-1) x
+    (2a-1) product with no carries between rows.  Each entry sums at most
+    l a products of residues, so the dtype is fppoly.blas_dtype(l a, p):
+    exact in float64 while l a (p-1)^2 < 2^53.  The product is reduced mod p
+    in that dtype, then one reduction-kernel product with the left field's
+    matrix reduces the rows (X^l, ..., X^(2l-2)) and one with the scalar
+    field's the columns.
     """
     alg = u.algebra
     p, ell, a = alg.p, alg.ell, alg.a
-    dtype = fppoly.word_dtype(ell * a, p)
-    A, B = u.coeffs.astype(dtype, copy=False), v.coeffs.astype(dtype, copy=False)
-    C = np.zeros((2 * ell - 1, 2 * a - 1), dtype=dtype)
-    for j in range(a):
-        col_a = A[:, j]
-        if not col_a.any():
-            continue
-        for k in range(a):
-            C[:, j + k] += np.convolve(col_a, B[:, k])
-    C = fppoly.reduce(C % p, alg.left.reduction, p)
+    w = 2 * a - 1
+    dtype = fppoly.blas_dtype(ell * a, p)
+    A = np.zeros((ell, w), dtype=dtype)
+    B = np.zeros((ell, w), dtype=dtype)
+    A[:, :a] = u.coeffs
+    B[:, :a] = v.coeffs
+    C = np.convolve(A.reshape(-1), B.reshape(-1))[:(2 * ell - 1) * w].reshape(2 * ell - 1, w)
+    C = fppoly.reduce((C % p).astype(np.int64), alg.left.reduction, p)
     C = fppoly.reduce(C.T, alg.scalar.reduction, p).T
     return KummerElem(alg, C.astype(np.int64))
 
@@ -330,9 +345,10 @@ def project_first(beta: KummerElem, ell_sub: int) -> FFElem:
 def recover_alpha(alg: KummerAlg, x0: FFElem) -> KummerElem:
     """Rebuild a Hilbert-90 solution from its first tensor coordinate.
 
-    Uses the recursion x_{a-1} = sigma(x_0)/b_0,
-    x_i = sigma(x_{i+1}) - b_{i+1} x_{a-1}, where zeta^a = sum b_i zeta^i.
-    The result is verified against the Hilbert-90 equation; failure means x_0
+    Uses the recursion x_{a-1} = F x_0 / b_0, x_i = F x_{i+1} - b_{i+1} x_{a-1},
+    where zeta^a = sum b_i zeta^i and F is the left field's Frobenius matrix:
+    a - 1 mat-vecs fill the l x a coefficient matrix column by column.  The
+    result is verified against the Hilbert-90 equation; failure means x_0
     was not the first coordinate of a valid solution.
     """
     p, a = alg.p, alg.a
@@ -341,15 +357,14 @@ def recover_alpha(alg: KummerAlg, x0: FFElem) -> KummerElem:
     b = alg.entry.b_coeffs + [0] * (a - len(alg.entry.b_coeffs))
     if b[0] == 0:
         raise ArithmeticError("minimal polynomial of zeta has zero constant term")
-    cols = [None] * a
-    cols[0] = x0
+    F = alg.left.frobenius_matrix
+    C = np.empty((alg.ell, a), dtype=np.int64)
+    C[:, 0] = x0.vec
     if a > 1:
-        inv_b0 = pow(b[0], -1, p)
-        x_top = extfield.frobenius(x0, 1) * inv_b0
-        cols[a - 1] = x_top
+        top = linalg.matmul_mod(F, C[:, 0], p) * pow(b[0], -1, p) % p
+        C[:, a - 1] = top
         for i in range(a - 2, 0, -1):
-            cols[i] = extfield.frobenius(cols[i + 1], 1) - x_top * b[i + 1]
-    C = np.array([c.vec for c in cols], dtype=np.int64).T % p
+            C[:, i] = (linalg.matmul_mod(F, C[:, i + 1], p) - b[i + 1] * top) % p
     alpha = KummerElem(alg, C)
     if frob_left(alpha, 1) != alpha.scalar_mul(alg.scalar.gen()):
         raise ArithmeticError("recovered element fails the Hilbert-90 equation; "

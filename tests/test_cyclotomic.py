@@ -104,12 +104,41 @@ def test_constants_match_pullback():
 
 
 def test_power_basis_round_trip():
+    # every entry with l <= 60 whose level the Conway table covers
+    for p in (2, 3, 5):
+        L = default_lattice(p)
+        top = max(L.table.degrees())
+        rng = random.Random(55 + p)
+        for ell in range(1, 61):
+            if ell % p == 0 or L.level(ell) > top:
+                continue
+            e = L.entry(ell)
+            assert np.array_equal(linalg.matmul_mod(e.power_matrix, e.power_inverse, p),
+                                  linalg.identity(e.level))
+            for i in range(e.level):
+                assert L.to_power_basis(ell, e.zeta ** i).tolist() == [int(j == i) for j in range(e.level)]
+            for _ in range(5):
+                x = e.K.random_element(rng)
+                assert L.from_power_basis(ell, L.to_power_basis(ell, x)) == x, (p, ell)
+        with pytest.raises(extfield.FieldMismatch):
+            L.to_power_basis(1, L.entry(7).zeta)
+
+
+def test_power_basis_solves_once_per_entry(monkeypatch):
+    calls = []
+    solve = linalg.solve
+
+    def counted(M, b, q):
+        calls.append(1)
+        return solve(M, b, q)
+
+    monkeypatch.setattr(linalg, "solve", counted)
     L = default_lattice(5)
-    rng = random.Random(55)
-    e = L.entry(13)
+    rng = random.Random(56)
+    K = L.entry(13).K
     for _ in range(30):
-        x = e.K.random_element(rng)
-        assert L.from_power_basis(13, L.to_power_basis(13, x)) == x
+        L.to_power_basis(13, K.random_element(rng))
+    assert len(calls) <= 1
 
 
 def test_standard_constant_p3_l2():

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from fflattice import fppoly, extfield, kummer, linalg, standardize
 from fflattice.kummer import KummerAlg, solve_h90, kummer_constant, recover_alpha
-from fflattice.lattice import default_lattice
+from fflattice.lattice import StdLattice, default_lattice
+from test_golden import DEGREES as GOLDEN_DEGREES
 
 
 def oracle_mul(u, v):
@@ -213,6 +214,43 @@ def test_recover_alpha_round_trip():
         assert recover_alpha(alg, alpha.column(0)) == alpha
 
 
+def recover_alpha_oracle(alg, x0):
+    """The recursion x_{a-1} = sigma(x_0)/b_0, x_i = sigma(x_{i+1}) - b_{i+1} x_{a-1}
+    on left-field elements, one Frobenius each: the reference for recover_alpha,
+    which runs it on the columns of an array."""
+    p, a = alg.p, alg.a
+    b = alg.entry.b_coeffs + [0] * (a - len(alg.entry.b_coeffs))
+    cols = [x0] + [None] * (a - 1)
+    if a > 1:
+        x_top = extfield.frobenius(x0, 1) * pow(b[0], -1, p)
+        cols[a - 1] = x_top
+        for i in range(a - 2, 0, -1):
+            cols[i] = extfield.frobenius(cols[i + 1], 1) - x_top * b[i + 1]
+    return np.array([c.vec for c in cols], dtype=np.int64).T % p
+
+
+@pytest.mark.parametrize("p, degrees", [(2, GOLDEN_DEGREES[2]), (3, GOLDEN_DEGREES[3]),
+                                        (257, (3, 8))])
+def test_recover_alpha_matches_oracle(p, degrees):
+    L = StdLattice(p)
+    for ell in degrees:
+        dec = L.add_field(ell)
+        alpha = recover_alpha(dec.algebra, dec.s)
+        assert np.array_equal(alpha.coeffs, recover_alpha_oracle(dec.algebra, dec.s)), (p, ell)
+
+
+def test_recover_alpha_rejects_non_standard_coordinates():
+    # l = 7 has level 6 at p = 3: the first coordinates of Hilbert-90
+    # solutions form a 6-dimensional subspace of GF(3^7), which s + 1 and
+    # s X leave.  2 s is the first coordinate of the solution 2 alpha.
+    dec = StdLattice(3).add_field(7)
+    alg, s = dec.algebra, dec.s
+    for x0 in (s + 1, s * alg.left.gen()):
+        with pytest.raises(ArithmeticError, match="fails the Hilbert-90 equation"):
+            recover_alpha(alg, x0)
+    assert recover_alpha(alg, s * 2) == recover_alpha(alg, s).scalar_mul(2)
+
+
 def test_from_left_from_scalar_commute():
     L = default_lattice(2)
     alg = KummerAlg(L, 3)
@@ -344,11 +382,36 @@ def divrem_reference_mul(u, v):
     return C
 
 
+def column_convolution_oracle(u, v):
+    """The product as a^2 column convolutions: column j of u against column k
+    of v adds into column j + k of the (2l-1) x (2a-1) product, then the rows
+    and the columns are reduced with the two fields' reduction kernels.  The
+    reference for kalg_mul's single Kronecker convolution."""
+    alg = u.algebra
+    p, ell, a = alg.p, alg.ell, alg.a
+    dtype = fppoly.word_dtype(ell * a, p)
+    A, B = u.coeffs.astype(dtype), v.coeffs.astype(dtype)
+    C = np.zeros((2 * ell - 1, 2 * a - 1), dtype=dtype)
+    for j in range(a):
+        for k in range(a):
+            C[:, j + k] += np.convolve(A[:, j], B[:, k])
+    C = fppoly.reduce(C % p, alg.left.reduction, p)
+    C = fppoly.reduce(C.T, alg.scalar.reduction, p).T
+    return C.astype(np.int64)
+
+
+def random_element(alg, rng):
+    return alg.element([[rng.randrange(alg.p) for _ in range(alg.a)] for _ in range(alg.ell)])
+
+
 @pytest.mark.parametrize("p, degrees", [
     (2, (3, 9, 21, 45)),          # levels 2, 6, 6, 12
     (3, (4, 13, 20)),             # levels 2, 3, 4
     (65521, (1, 5, 48)),          # level 1, int64
     (2 ** 31 - 1, (1, 3, 7)),     # level 1; int64 at l = 1, object dtype from l = 2
+    (2, (19, 57, 117)),           # levels 18, 18, 12
+    (5, (21, 56)),                # level 6
+    (257, (43,)),                 # level 2
 ])
 def test_kalg_mul_matches_divrem_reference(p, degrees):
     L = default_lattice(p)
@@ -356,11 +419,32 @@ def test_kalg_mul_matches_divrem_reference(p, degrees):
     for ell in degrees:
         alg = KummerAlg(L, ell)
         for _ in range(3):
-            u = alg.element([[rng.randrange(p) for _ in range(alg.a)] for _ in range(ell)])
-            v = alg.element([[rng.randrange(p) for _ in range(alg.a)] for _ in range(ell)])
+            u, v = random_element(alg, rng), random_element(alg, rng)
             prod = kummer.kalg_mul(u, v)
             assert prod.coeffs.dtype == np.int64
             assert np.array_equal(prod.coeffs, divrem_reference_mul(u, v))
+
+
+@pytest.mark.parametrize("p", sorted(GOLDEN_DEGREES))
+def test_kalg_mul_matches_column_convolution_oracle(p):
+    rng = random.Random(9100 + p % 1000)
+    for ell in GOLDEN_DEGREES[p]:
+        alg = power_algebra(p, ell)
+        for _ in range(20):
+            u, v = random_element(alg, rng), random_element(alg, rng)
+            assert np.array_equal(kummer.kalg_mul(u, v).coeffs,
+                                  column_convolution_oracle(u, v)), (p, ell)
+
+
+@pytest.mark.parametrize("c", [2 ** 64, -2 ** 70, 3 * 2 ** 63 + 1])
+def test_constructors_reduce_big_integers(c):
+    # the same coefficients through ExtField.element, which reduces Python ints mod p
+    alg = power_algebra(3, 4)
+    x = alg.element([[c, -c]] + [[c + 1, 0]] * 3)
+    for j, col in enumerate(([c] + [c + 1] * 3, [-c, 0, 0, 0])):
+        assert x.column(j) == alg.left.element(col)
+    assert alg.from_scalar([c, -c]).coeffs[0].tolist() == list(alg.scalar.element([c, -c]).vec)
+    assert not alg.from_scalar([c, -c]).coeffs[1:].any()
 
 
 def square_multiply_oracle(x, e):
