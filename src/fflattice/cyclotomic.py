@@ -107,7 +107,7 @@ class CycloLattice:
     def from_power_basis(self, ell: int, coords) -> FFElem:
         e = self.entry(ell)
         vec = linalg.matmul_mod(e.power_matrix, np.asarray(coords, dtype=np.int64) % self.p, self.p)
-        return e.K.element(list(vec))
+        return FFElem(e.K, tuple(vec.tolist()))
 
     # -- embeddings -------------------------------------------------------------
 

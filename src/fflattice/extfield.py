@@ -110,7 +110,8 @@ class ExtField:
         return linalg.krylov(self.mul_matrix(x), self.one().vec, k, self.p)
 
     def __eq__(self, other):
-        return isinstance(other, ExtField) and self.p == other.p and self.modulus == other.modulus
+        return other is self or (isinstance(other, ExtField) and self.p == other.p
+                                 and self.modulus == other.modulus)
 
     def __hash__(self):
         return hash((self.p, tuple(self.modulus)))

@@ -96,18 +96,23 @@ class KummerAlg:
         return KummerElem(self, C)
 
     def from_scalar(self, s) -> "KummerElem":
-        """1 (x) s, where s is a scalar-field element or coordinate vector."""
+        """1 (x) s, where s is a scalar-field element, an element of K_l, an
+        integer (the scalar s * 1) or a coordinate vector of length a."""
+        C = np.zeros((self.ell, self.a), dtype=np.int64)
         if isinstance(s, FFElem):
             if s.field == self.scalar:
-                svec = np.array(s.vec, dtype=np.int64)
+                C[0] = s.vec
             elif s.field == self.entry.K:
-                svec = self.lattice.to_power_basis(self.ell, s)
+                C[0] = self.lattice.to_power_basis(self.ell, s)
             else:
                 raise AlgebraMismatch("scalar lives in neither the scalar field nor K_l")
+        elif isinstance(s, (int, np.integer)):
+            C[0, 0] = int(s) % self.p
         else:
             svec = self._residues(s)
-        C = np.zeros((self.ell, self.a), dtype=np.int64)
-        C[0, :] = svec
+            if svec.shape != (self.a,):
+                raise ValueError(f"scalar coordinate vector must have length {self.a}")
+            C[0] = svec
         return KummerElem(self, C)
 
     def __repr__(self):
@@ -115,7 +120,11 @@ class KummerAlg:
 
 
 class KummerElem:
-    """Element of a KummerAlg; immutable by convention (coeffs never mutated)."""
+    """Element of a KummerAlg; immutable by convention (coeffs never mutated).
+
+    coeffs is an l x a int64 array of residues in [0, p), so a column or row
+    of it is a field element's coordinate vector as it stands.
+    """
 
     __slots__ = ("algebra", "coeffs")
 
@@ -190,18 +199,13 @@ class KummerElem:
     def scalar_mul(self, s) -> "KummerElem":
         """Multiplication by 1 (x) s."""
         alg = self.algebra
-        if isinstance(s, FFElem) or not np.isscalar(s):
-            svec = alg.from_scalar(s).coeffs[0]
-        else:
-            svec = np.zeros(alg.a, dtype=np.int64)
-            svec[0] = int(s) % alg.p
-        e = alg.scalar.element(list(svec))
+        e = FFElem(alg.scalar, tuple(alg.from_scalar(s).coeffs[0].tolist()))
         M = alg.scalar.mul_matrix(e)
         return KummerElem(alg, linalg.matmul_mod(self.coeffs, M.T, alg.p))
 
     def column(self, j: int) -> FFElem:
         """The left-field coefficient of zeta^j."""
-        return self.algebra.left.element(list(self.coeffs[:, j]))
+        return FFElem(self.algebra.left, tuple(self.coeffs[:, j].tolist()))
 
     def scalar_value(self) -> FFElem:
         """For elements 1 (x) s, the scalar s as an element of K_l."""
@@ -286,7 +290,7 @@ def solve_h90(alg: KummerAlg) -> KummerElem:
             f"Hilbert-90 resolvent fails (sigma (x) 1) alpha = (1 (x) zeta) alpha at "
             f"p={p}, l={ell}, level {a}; inputs are corrupted or gcd(l, p) != 1")
     i = int(np.flatnonzero(C.any(axis=1))[0])
-    s = alg.scalar.element(list(C[i]))
+    s = FFElem(alg.scalar, tuple(C[i].tolist()))
     return KummerElem(alg, C).scalar_mul(s.inverse())
 
 
@@ -342,7 +346,7 @@ def project_first(beta: KummerElem, ell_sub: int) -> FFElem:
         X = linalg.solve(W, beta.coeffs.T, p)
     except linalg.InconsistentSystem:
         raise ValueError("element lies outside the requested subalgebra") from None
-    return alg.left.element(list(X[0]))
+    return FFElem(alg.left, tuple(X[0].tolist()))
 
 
 def recover_alpha(alg: KummerAlg, x0: FFElem) -> KummerElem:

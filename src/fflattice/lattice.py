@@ -9,6 +9,11 @@ Adding a field never touches existing entries; per-field persistent storage
 of the power basis 1, s_l, ..., s_l^(l-1), which is cached once per source
 degree.
 
+Evaluation is quadratic: embed_eval is one m x l mat-vec by that matrix, and
+section_eval builds the l x m left inverse once per pair, then costs two
+mat-vecs per call.  Both build their result from the reduced product as it
+is, with no second validation through ExtField.element.
+
 Serialization is a portable text format: a header line `p`, then one line
 per field `l f_coeffs s_coeffs P_coeffs`, then one line per cached embedding
 `E l m t_coeffs`, all ascending decimal coefficients.  The `E` tag marks
@@ -27,7 +32,7 @@ import numpy as np
 from . import fppoly, linalg, extfield, standardize
 from .conway import ConwayTable, parse_table
 from .cyclotomic import CycloLattice
-from .extfield import FFElem
+from .extfield import ExtField, FFElem
 from .standardize import DecoratedField, EmbeddingDesc
 
 
@@ -46,6 +51,8 @@ def default_lattice(p: int, work_bound: int = 2_000_000) -> CycloLattice:
 class _EmbeddingEntry:
     desc: EmbeddingDesc
     matrix: np.ndarray       # m x l matrix E of the embedding on GF(p)-coordinates
+    source: ExtField         # GF(p^l)
+    target: ExtField         # GF(p^m)
     section: np.ndarray | None = None   # l x m left inverse of E, built on first section_eval
 
 
@@ -124,7 +131,7 @@ class StdLattice:
             raise ValueError(f"{ell} does not divide {m}")
         desc = standardize.standard_embed(src, dst, self.lattice)
         matrix = linalg.matmul_mod(desc.powers, self._basis_inverse(src), self.p)
-        entry = _EmbeddingEntry(replace(desc, powers=None), matrix)
+        entry = _EmbeddingEntry(replace(desc, powers=None), matrix, src.field, dst.field)
         with self._lock:
             self.embedding_computations += 1
             return self.embeddings.setdefault((ell, m), entry)
@@ -141,28 +148,37 @@ class StdLattice:
         return inv
 
     def embed_eval(self, ell: int, m: int, x: FFElem) -> FFElem:
-        """phi(x) for the standard embedding GF(p^l) -> GF(p^m)."""
+        """phi(x) for the standard embedding GF(p^l) -> GF(p^m).
+
+        One m x l mat-vec by the cached embedding matrix.  The product is
+        already reduced mod p and has m entries, so the result is built from
+        it directly, with no second reduction.
+        """
         entry = self._embedding_entry(ell, m)
-        src = self.field(ell)
-        if x.field != src.field:
+        if x.field != entry.source:
             raise extfield.FieldMismatch("element does not live in the source field")
         vec = linalg.matmul_mod(entry.matrix, np.array(x.vec, dtype=np.int64), self.p)
-        return self.field(m).field.element(list(vec))
+        return FFElem(entry.target, tuple(vec.tolist()))
 
     def section_eval(self, ell: int, m: int, y: FFElem) -> FFElem | None:
-        """The preimage x = section y of y, or None when E x != y (y is outside the subfield)."""
+        """The preimage x = section y of y, or None when E x != y (y is outside the subfield).
+
+        The l x m left inverse of E is solved once, on the first call for the
+        pair; every call is then two mat-vecs, x = section y and the
+        membership test E x = y.  Like embed_eval, the result is built from
+        the reduced product directly.
+        """
         entry = self._embedding_entry(ell, m)
-        dst = self.field(m)
-        if y.field != dst.field:
+        if y.field != entry.target:
             raise extfield.FieldMismatch("element does not live in the target field")
         if entry.section is None:
             # section @ E = identity; racing threads compute the same matrix
             entry.section = linalg.solve(entry.matrix.T, linalg.identity(ell), self.p).T
         y_vec = np.array(y.vec, dtype=np.int64)
         x = linalg.matmul_mod(entry.section, y_vec, self.p)
-        if not np.array_equal(linalg.matmul_mod(entry.matrix, x, self.p), y_vec):
+        if (linalg.matmul_mod(entry.matrix, x, self.p) != y_vec).any():
             return None
-        return self.field(ell).field.element(list(x))
+        return FFElem(entry.source, tuple(x.tolist()))
 
     # -- verification ----------------------------------------------------------------
 

@@ -447,6 +447,21 @@ def test_constructors_reduce_big_integers(c):
     assert not alg.from_scalar([c, -c]).coeffs[1:].any()
 
 
+@pytest.mark.parametrize("p, ell", [(3, 4), (2, 7)])     # levels 2 and 3
+@pytest.mark.parametrize("c", [2, -1, 2 ** 64, np.int64(5)])
+def test_from_scalar_puts_an_integer_at_coordinate_zero(p, ell, c):
+    # an integer c is the scalar c * 1 (x) 1, not c in every zeta-coordinate
+    alg = power_algebra(p, ell)
+    assert alg.a > 1
+    x = alg.from_scalar(c)
+    assert x == alg.one().scalar_mul(c) == alg.from_scalar([c] + [0] * (alg.a - 1))
+    assert x.coeffs[0, 0] == int(c) % p
+    assert not x.coeffs[0, 1:].any() and not x.coeffs[1:].any()
+    for wrong in ([c], [c] * (alg.a + 1)):
+        with pytest.raises(ValueError):
+            alg.from_scalar(wrong)
+
+
 def square_multiply_oracle(x, e):
     """x^e by binary square-and-multiply through kalg_mul: the reference for
     KummerElem.__pow__, which steps through the base-p digits of e instead."""

@@ -132,6 +132,92 @@ def test_section_built_on_first_use():
     assert all(e.section is None for key, e in L.embeddings.items() if key != (2, 4))
 
 
+# one lattice per prime tier: p = 2 and 3 (many levels), p = 65521 (int64
+# mat-vecs) and p = 2^31 - 1 (object-dtype mat-vecs from l = 2 on)
+EVAL_DEGREES = {
+    2: (1, 3, 9, 15),
+    3: (1, 2, 4, 8),
+    65521: (1, 2, 4, 12, 48),
+    2 ** 31 - 1: (1, 3, 9),
+}
+
+
+def assert_residue_tuple(z, field):
+    # what ExtField.element builds: a full-length tuple of Python int residues
+    assert z.field is field
+    assert type(z.vec) is tuple and len(z.vec) == field.n
+    assert all(type(v) is int and 0 <= v < field.p for v in z.vec)
+
+
+@pytest.mark.parametrize("p", sorted(EVAL_DEGREES))
+def test_eval_results_are_residue_tuples(p):
+    # embed_eval and section_eval build their results from the reduced
+    # product; those must equal, and hash like, ExtField.element of an oracle
+    degrees = EVAL_DEGREES[p]
+    L = build(p, degrees)
+    rng = random.Random(p % 1000 + 15)
+    for ell, m in [(ell, m) for ell in degrees for m in degrees if m % ell == 0]:
+        src = L.field(ell)
+        S, T = src.field, L.field(m).field
+        E = L._embedding_entry(ell, m).matrix
+        B = S.powers(src.s, ell)
+        t = L.get_embedding(ell, m).s_image
+        xs = [S.zero(), S.one(), S.element([p - 1] * ell)]
+        xs += [S.random_element(rng) for _ in range(4)]
+        for x in xs:
+            y = L.embed_eval(ell, m, x)
+            assert_residue_tuple(y, T)
+            want = T.element(list(linalg.matmul_mod(E, np.array(x.vec, dtype=np.int64), p)))
+            assert y == want and hash(y) == hash(want), (ell, m, x)
+            # independently: x = sum c_i s^i by a fresh solve, phi(x) = sum c_i t^i
+            c = linalg.solve(B, np.array(x.vec, dtype=np.int64), p).tolist()
+            assert y == sum((t ** i * ci for i, ci in enumerate(c)), T.zero()), (ell, m, x)
+            back = L.section_eval(ell, m, y)
+            assert_residue_tuple(back, S)
+            assert back == x and hash(back) == hash(x), (ell, m, x)
+        for z in [T.random_element(rng) for _ in range(4)]:
+            got = L.section_eval(ell, m, z)
+            try:
+                sol = linalg.solve(E, np.array(z.vec, dtype=np.int64), p)
+            except InconsistentSystem:
+                assert got is None, (ell, m, z)
+                continue
+            assert_residue_tuple(got, S)
+            want = S.element(list(sol))
+            assert got == want and hash(got) == hash(want), (ell, m, z)
+        if ell < m:
+            assert L.section_eval(ell, m, T.gen()) is None
+
+
+@pytest.mark.parametrize("p, ell, m", [(3, 2, 8), (65521, 4, 12)])
+def test_warm_eval_call_counts(monkeypatch, p, ell, m):
+    # once the pair is warm, embed_eval is one mat-vec and section_eval at
+    # most two, with no solve and no ExtField.element re-validation
+    L = build(p, [ell, m])
+    x = L.field(ell).field.random_element(random.Random(p))
+    y = L.embed_eval(ell, m, x)
+    assert L.section_eval(ell, m, y) == x
+    outside = L.field(m).field.gen()
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "matmul_mod", counted("matmul_mod", linalg.matmul_mod))
+    monkeypatch.setattr(linalg, "solve", counted("solve", linalg.solve))
+    monkeypatch.setattr(extfield.ExtField, "element", counted("element", extfield.ExtField.element))
+    assert L.embed_eval(ell, m, x) == y
+    assert calls == ["matmul_mod"]
+    for z, want in ((y, x), (outside, None)):
+        calls.clear()
+        assert L.section_eval(ell, m, z) == want
+        assert "solve" not in calls and "element" not in calls
+        assert calls.count("matmul_mod") <= 2
+
+
 def test_add_field_tests_each_candidate_once(monkeypatch):
     # the polynomial the search accepted is not tested a second time when its
     # field is built; a supplied polynomial is still checked
