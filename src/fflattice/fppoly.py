@@ -275,8 +275,10 @@ def powmod(a: list[int], e: int, m: list[int], p: int,
     of degree <= 1 multiplies the unreduced square (degree <= 2n - 1, within
     R's last column), so each bit of e costs one reduction.  For the base X
     the leading bits of e, as long as they read k < 2n, give X^k directly:
-    a monomial, or column k - n of R.  A constant base c gives c^e mod p by
-    integer powering, with no product mod m.
+    a monomial, or column k - n of R; after them a bit b costs one square s,
+    and X^b s mod m is one mat-vec with R's columns from X^(n-b) on, so the
+    shift by X needs no product of its own.  A constant base c gives c^e
+    mod p by integer powering, with no product mod m.
     """
     if e < 0:
         raise ValueError("negative exponent")
@@ -304,6 +306,13 @@ def powmod(a: list[int], e: int, m: list[int], p: int,
             if R is None:
                 R = reduction_matrix(m, p)
             acc = R[:, k - n]
+            for bit in bits:    # k >= n: X^b times the square, reduced by R's columns
+                c = np.convolve(acc, acc) % p
+                b = int(bit)
+                acc = R[:, :n - 1 + b] @ c[n - b:]
+                acc[b:] += c[:n - b]
+                acc %= p
+            return trim(acc.tolist())
     for bit in bits:
         c = np.convolve(acc, acc) % p
         if bit == "1":

@@ -8,7 +8,8 @@ Matrix products take their dtype from fppoly.blas_dtype of the inner
 dimension.  In its float64 tier a product goes through BLAS and is still
 exact, which makes a large product cost about what a numpy call costs.
 krylov uses that to build k Krylov columns from O(log k) matrix products
-instead of k - 1 mat-vecs.
+instead of k - 1 mat-vecs, and reduces the squarings it needs in float64
+(float_mod).
 """
 
 from __future__ import annotations
@@ -41,6 +42,29 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     if dtype is np.float64 and B.ndim == 2 and A.size * B.shape[-1] >= BLAS_MIN_WORK:
         return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
     return (A @ B) % p
+
+
+# Below this many entries a float64 array reduces faster through int64 % p
+# than by float_mod's four passes: they tie at 1024 entries, and at 4096
+# float_mod is 2x faster (one thread of a 2-vCPU x86-64 host, p = 3, 65521).
+FLOAT_MOD_MIN_ENTRIES = 1024
+
+
+def float_mod(C: np.ndarray, p: int) -> np.ndarray:
+    """C mod p, exact, for a float64 array C of integers in [0, 2^53); C is not written.
+
+    From FLOAT_MOD_MIN_ENTRIES entries up, C - floor(C/p) p in float64 with
+    one IEEE division: a non-integer C/p lies at least 1/p below the next
+    integer and fl(C/p) within half an ulp of it, less than 1/p as
+    C < 2^53, so the floor is exact.  A smaller C goes through int64 % p.
+    Either way the result is float64.
+    """
+    if C.size < FLOAT_MOD_MIN_ENTRIES:
+        return (C.astype(np.int64) % p).astype(np.float64)
+    q = C / p
+    np.floor(q, out=q)
+    q *= p
+    return np.subtract(C, q, out=q)
 
 
 def matpow_mod(A: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -81,7 +105,7 @@ def krylov(M: np.ndarray, v, k: int, p: int) -> np.ndarray:
             j += m
             if j == k:
                 return K.astype(np.int64)
-            P = ((P @ P).astype(np.int64) % p).astype(np.float64)
+            P = float_mod(P @ P, p)
     K = np.empty((n, k), dtype=np.int64)
     for i in range(k):
         K[:, i] = cur

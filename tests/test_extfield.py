@@ -343,9 +343,10 @@ def test_screened_test_matches_rabin_exhaustive(p, max_n):
 
 
 def test_screened_test_matches_rabin_random():
-    # 65521: Krylov doubling in float64 from n = 15 up; 2^31 - 1: the object-dtype fallback
+    # 65521: Rabin's test on float64 squarings of the Frobenius matrix; 2^31 - 1: on the
+    # Krylov iterates in object dtype; 1021: the root screen at a prime above every n
     rng = random.Random(5301)
-    for p in (2, 3, 5, 7, 257, 65521, 2 ** 31 - 1):
+    for p in (2, 3, 5, 7, 257, 65521, 2 ** 31 - 1, 1021):
         for _ in range(16 if p > 1 << 30 else 40):
             n = rng.randrange(2, 65)
             f = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
@@ -418,6 +419,92 @@ def test_equal_degree_products_reach_rabin_gcd(rabin_calls):
             f = fppoly.mul(f, g, p)
         assert _verdict(f, p, rabin_calls) == (False, p != 2), (p, degrees)
         assert not rabin_oracle(f, p)
+
+
+# -- the root screen, the folded Ben-Or screen and the block draws ------------------
+
+
+def _rootless(p, d, seed):
+    """A product of irreducible quadratics (and one cubic for odd d >= 3): degree d, no root."""
+    f = _irreducible(p, 3, seed) if d % 2 else [1]
+    for i in range(d // 2 - (d % 2)):
+        f = fppoly.mul(f, _irreducible(p, 2, seed + 1 + i), p)
+    return f
+
+
+def test_one_linear_factor_stops_at_the_root_screen(rabin_calls):
+    # (X - a) times a cofactor with no root: the root screen rejects it before Rabin's
+    # test while p <= ROOT_SCREEN_MAX_P = 8192 and p (n + 1) <= ROOT_TABLE_MAX_ENTRIES
+    # = 2^17, and Rabin's test rejects it just past either bound (every p here
+    # exceeds n, so no Ben-Or gcd runs)
+    rng = random.Random(5303)
+    for p, n, past_a_bound in [(7, 5, False), (257, 48, False), (1021, 127, False),
+                               (1021, 128, True), (8191, 15, False), (8191, 16, True),
+                               (8209, 4, True)]:
+        a = rng.randrange(1, p)
+        f = fppoly.mul([p - a, 1], _rootless(p, n - 1, n), p)
+        assert _verdict(f, p, rabin_calls) == (False, past_a_bound), (p, n)
+
+
+def test_folded_gcd_finds_a_quadratic_factor_without_a_root(rabin_calls):
+    # no root, an irreducible quadratic factor and p^2 <= n: the gcd with X^(p^2) - X
+    # on f folded mod X^(p^2) - X rejects f before Rabin's test
+    for p, n in [(3, 9), (3, 20), (5, 25), (5, 33), (7, 49)]:
+        for seed in range(2):
+            f = fppoly.mul(_irreducible(p, 2, seed), _irreducible(p, n - 2, seed), p)
+            assert _verdict(f, p, rabin_calls) == (False, False), (p, n, seed)
+            assert not rabin_oracle(f, p)
+
+
+def _drawn_by_randrange(p, n, seed, count):
+    """The candidates as random_irreducible drew them with one randrange call per coefficient."""
+    rng = random.Random(f"{p}:{n}:{seed}")
+    return [[rng.randrange(p) for _ in range(n)] + [1] for _ in range(count)]
+
+
+def _search_by_randrange(p, n, seed):
+    """random_irreducible with randrange draws: (the accepted f, the candidates it tested)."""
+    rng = random.Random(f"{p}:{n}:{seed}")
+    if n == 1:
+        return [rng.randrange(p), 1], []
+    tested = []
+    while True:
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        if f[0]:
+            tested.append(f)
+            if extfield.is_irreducible(f, p):
+                return f, tested
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257, 65521, 2 ** 31 - 1])
+@pytest.mark.parametrize("n", [1, 2, 48, 117])
+def test_block_draws_match_randrange(p, n):
+    # the getrandbits word layout the block draws rely on; the stream holds the
+    # candidates with c_0 = 0 too (about half of them at p = 2), which the search skips
+    for seed in range(3):
+        blocks = extfield._candidates(random.Random(f"{p}:{n}:{seed}"), p, n)
+        assert [next(blocks) for _ in range(20)] == _drawn_by_randrange(p, n, seed, 20)
+        if n <= 2 or p == 2 or (n <= 48 and p < 1 << 30):
+            assert extfield.random_irreducible(p, n, seed) == _search_by_randrange(p, n, seed)[0]
+
+
+@pytest.mark.parametrize("p, n", [(2, 30), (5, 12), (257, 16), (65521, 12)])
+def test_search_tests_each_nonskipped_candidate_once(monkeypatch, p, n):
+    # perfbench's SearchLedger charges a search at one is_irreducible call per
+    # candidate with c_0 != 0, drawn uniformly: every screen runs inside that call
+    want = [_search_by_randrange(p, n, seed) for seed in range(2)]
+    tested = []
+    test = extfield.is_irreducible
+
+    def counted(f, q):
+        tested.append(list(f))
+        return test(f, q)
+
+    monkeypatch.setattr(extfield, "is_irreducible", counted)
+    for seed, (f, candidates) in enumerate(want):
+        tested.clear()
+        assert extfield.random_irreducible(p, n, seed) == f
+        assert tested == candidates
 
 
 def _encode(f, p):

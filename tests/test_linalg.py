@@ -134,3 +134,26 @@ def test_float64_tier_boundary(terms):
                 # one term past the tier, float64 rounds: the boundary is where it must be
                 assert not np.array_equal(
                     (A.astype(np.float64) @ A.astype(np.float64)).astype(np.int64) % p, want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 257, 65521, tier_prime(16), tier_prime(100)])
+def test_float_mod_is_exact_below_2_53(p):
+    # the largest values of the float64 tier, multiples of p and their neighbours,
+    # where a floor of the rounded quotient would be off by one if it could be;
+    # reduced whole (the division) and in pieces below FLOAT_MOD_MIN_ENTRIES (int64 %)
+    rng = random.Random(p)
+    top = (1 << 53) - 1
+    values = [top - k for k in range(300)] + [rng.randrange(1 << 53) for _ in range(600)]
+    for k in [top // p - rng.randrange(1000) for _ in range(200)] + list(range(1, 200)):
+        values += [k * p - 1, k * p, k * p + 1]
+    values = [v for v in values if 0 <= v <= top]
+    assert len(values) >= 2 * linalg.FLOAT_MOD_MIN_ENTRIES
+    C = np.array(values, dtype=np.float64)
+    assert C.astype(np.int64).tolist() == values
+    pieces = [C] + np.array_split(C, len(values) // 100)
+    assert max(len(c) for c in pieces[1:]) < linalg.FLOAT_MOD_MIN_ENTRIES
+    got = [linalg.float_mod(c, p) for c in pieces]
+    assert all(r.dtype == np.float64 for r in got) and C.astype(np.int64).tolist() == values
+    want = [v % p for v in values]
+    assert got[0].astype(np.int64).tolist() == want
+    assert np.concatenate(got[1:]).astype(np.int64).tolist() == want
