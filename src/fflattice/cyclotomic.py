@@ -112,19 +112,18 @@ class CycloLattice:
     # -- embeddings -------------------------------------------------------------
 
     def embed(self, ell: int, m: int, x: FFElem) -> FFElem:
-        """iota_{l,m}(x) for l | m: zeta_l |-> zeta_m^(m/l)."""
+        """iota_{l,m}(x) for l | m: zeta_l |-> zeta_m^(m/l).
+
+        One mat-vec: the powers 1, eta, ..., eta^(a-1) of eta = zeta_m^(m/l),
+        a = level(l), times the coordinates of x in the zeta_l-power basis.
+        """
         if m % ell:
             raise ValueError(f"{ell} does not divide {m}")
-        src, dst = self.entry(ell), self.entry(m)
+        dst = self.entry(m)
         coords = self.to_power_basis(ell, x)
         eta = dst.zeta ** (m // ell)
-        out = dst.K.zero()
-        cur = dst.K.one()
-        for c in coords:
-            if c:
-                out = out + cur * int(c)
-            cur = cur * eta
-        return out
+        vec = linalg.matmul_mod(dst.K.powers(eta, len(coords)), coords, self.p)
+        return FFElem(dst.K, tuple(vec.tolist()))
 
     def standard_constant(self, ell: int) -> FFElem:
         """The pullback of zeta_(p^a-1)^a along iota_{l, p^a-1}, a = level(l).

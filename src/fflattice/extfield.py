@@ -1,17 +1,18 @@
 """Explicit extension fields GF(p^n) = GF(p)[X]/(f) and their elements.
 
-Fields cache the matrix of the Frobenius x -> x^p in the power basis for the
-tensor-algebra operators and field-level Frobenius powers.
-They also cache the reduction matrix of their modulus (fppoly's reduction
-kernel), so a product of elements is one convolve plus one mat-vec, and the
-matrix of multiplication by an element is one matrix product
-(fppoly.mul_matrix).  The Frobenius matrix is the Krylov matrix
-(linalg.krylov, O(log n) products in its float64 tier) of multiplication by
-X^p.  Also provides minimal polynomials (Berlekamp-Massey on the constant
-coordinates of 1, x, ..., x^(2n-1), O(n^2) beyond that Krylov matrix),
-primitivity, Pohlig-Hellman discrete logarithms (baby-step giant-step in the
-subgroup of each prime order q dividing p^n - 1, on tables cached per field
-and base) and deterministic l-th root extraction.
+A field keeps two n x n matrices: the reduction matrix of its modulus
+(fppoly's reduction kernel), so a product of elements is one convolve plus
+one mat-vec and the matrix of multiplication by an element is one matrix
+product (fppoly.mul_matrix), and the matrix F of the Frobenius x -> x^p in
+the power basis, the Krylov matrix (linalg.krylov, O(log n) products in its
+float64 tier) of multiplication by X^p.  sigma^k is applied on demand as k
+mod n products with F (frobenius_coords), for field elements and for the
+tensor-algebra operators alike; no power of F is stored.  Also provides
+minimal polynomials (Berlekamp-Massey on the constant coordinates of 1, x,
+..., x^(2n-1), O(n^2) beyond that Krylov matrix), primitivity,
+Pohlig-Hellman discrete logarithms (baby-step giant-step in the subgroup of
+each prime order q dividing p^n - 1, on tables cached per field and base)
+and deterministic l-th root extraction.
 
 Irreducibility over GF(2) is Ben-Or's test on f packed into one Python int
 (bit i is the coefficient of X^i): at most floor(n/2) squarings and
@@ -44,12 +45,13 @@ class ExtField:
     """GF(p^n) as GF(p)[X]/(modulus), modulus monic irreducible of degree n.
 
     An n whose dense n x n matrices exceed limits.DENSE_MATRIX_MAX_BYTES is
-    refused before any is built.  Immutable after construction apart from
-    three lazy caches, each filled on first use with values that depend only
-    on the field: the Frobenius powers (frob_power), the factorization of
-    p^n - 1 (_order_factors) and the Pohlig-Hellman tables of each
-    discrete-log base (_dlog_tables).  A fill repeated by concurrent readers
-    stores the same value, so shared concurrent reads stay safe.
+    refused before any is built.  The only n x n matrices held are the
+    reduction matrix and the Frobenius matrix.  Immutable after construction
+    apart from two lazy caches, each filled on first use with values that
+    depend only on the field: the factorization of p^n - 1 (_order_factors)
+    and the Pohlig-Hellman tables of each discrete-log base (_dlog_tables).
+    A fill repeated by concurrent readers stores the same value, so shared
+    concurrent reads stay safe.
     """
 
     def __init__(self, p: int, modulus: list[int], check: bool = True):
@@ -64,16 +66,8 @@ class ExtField:
         self.modulus = modulus
         self.reduction = fppoly.reduction_matrix(modulus, p)   # column i: X^(n+i) mod f
         self.frobenius_matrix = frobenius_matrix(modulus, p, self.reduction)
-        self._frob_powers = {0: linalg.identity(self.n), 1: self.frobenius_matrix}
         self._order_factors = None
         self._dlog_tables = {}
-
-    def frob_power(self, k: int) -> np.ndarray:
-        """Matrix of x -> x^(p^k), k reduced mod n; cached."""
-        k %= self.n
-        if k not in self._frob_powers:
-            self._frob_powers[k] = linalg.matpow_mod(self.frobenius_matrix, k, self.p)
-        return self._frob_powers[k]
 
     # -- element constructors ------------------------------------------------
 
@@ -521,12 +515,24 @@ def _pollard_rho(n: int) -> int:
 # -- field-level operations -----------------------------------------------------
 
 
+def frobenius_coords(f: ExtField, C: np.ndarray, k: int) -> np.ndarray:
+    """sigma^k: x -> x^(p^k) on the coordinate vector C, or on each column of C.
+
+    k mod n products with the field's Frobenius matrix; no power of it is
+    stored, since decoration and embedding apply sigma itself (k = 1) and a
+    cache of F^k would only hold matrices they never read.  C itself is
+    returned when k is a multiple of n.
+    """
+    for _ in range(k % f.n):
+        C = linalg.matmul_mod(f.frobenius_matrix, C, f.p)
+    return C
+
+
 def frobenius(x: FFElem, k: int = 1) -> FFElem:
-    """x^(p^k) via the cached Frobenius matrix; k taken mod n."""
+    """x^(p^k), k taken mod n: frobenius_coords on the coordinates of x."""
     f = x.field
-    M = f.frob_power(k % f.n)
-    vec = linalg.matmul_mod(M, np.array(x.vec, dtype=np.int64), f.p)
-    return FFElem(f, tuple(int(v) for v in vec))
+    vec = frobenius_coords(f, np.array(x.vec, dtype=np.int64), k)
+    return FFElem(f, tuple(vec.tolist()))
 
 
 def minimal_polynomial(x: FFElem) -> list[int]:

@@ -39,10 +39,6 @@ from . import linalg
 MAX_PRIME = 1 << 31
 
 
-class ModulusMismatch(ValueError):
-    pass
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for n < 3.3e24."""
     if n < 2:
@@ -145,9 +141,12 @@ def reduction_matrix(f: list[int], p: int) -> np.ndarray:
     Built by doubling: once columns 0..k-1 are known, column k + j is X^k
     times column j, a shift plus R[:, :k] times its top k entries, so
     log2(n) matrix products (linalg.matmul_mod) fill it.  The dtype is
-    word_dtype(n, p), the one reduce and mulmod compute in.
+    word_dtype(n, p), the one reduce and mulmod compute in.  Any other f
+    raises ValueError: -f[:n] is X^n mod f only when f is monic.
     """
     n = degree(f)
+    if n < 1 or f[-1] != 1:
+        raise ValueError(f"reduction matrix needs a monic polynomial of degree >= 1, got {f}")
     R = np.zeros((n, n), dtype=word_dtype(n, p))
     R[:, 0] = [(-c) % p for c in f[:n]]     # X^n mod f
     k = 1
@@ -191,15 +190,6 @@ def mul_matrix(a, R: np.ndarray, p: int) -> np.ndarray:
     # column j of T is n zeros after column j - 1's copy of a: W's rows end to end
     T = W.reshape(-1)[:n * (2 * n - 1)].reshape(n, 2 * n - 1).T
     return reduce(T, R, p).astype(np.int64, copy=False)
-
-
-def _reduce_lazy(c, m, p, R):
-    """(c mod m, R) for at most 2 deg m residues, R = reduction_matrix(m, p) built on first need."""
-    if len(c) < len(m):
-        return c, R
-    if R is None:
-        R = reduction_matrix(m, p)
-    return reduce(c, R, p), R
 
 
 def divrem(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -271,7 +261,8 @@ def powmod(a: list[int], e: int, m: list[int], p: int,
     """a^e mod m, left to right over the bits of e; e is an arbitrary-precision integer >= 0.
 
     Every product goes through the reduction kernel: R = reduction_matrix(m, p)
-    when given, else built once a product first reaches degree deg m.  A base
+    when given, else built up front from m made monic, which changes no
+    remainder (one mod m is one mod c m for a unit c).  A base
     of degree <= 1 multiplies the unreduced square (degree <= 2n - 1, within
     R's last column), so each bit of e costs one reduction.  For the base X
     the leading bits of e, as long as they read k < 2n, give X^k directly:
@@ -282,9 +273,10 @@ def powmod(a: list[int], e: int, m: list[int], p: int,
     """
     if e < 0:
         raise ValueError("negative exponent")
+    if R is None:
+        m = monic(trim(list(m)), p)
+        R = reduction_matrix(m, p)
     n = degree(m)
-    if n < 1:
-        raise ValueError("modulus must have degree >= 1")
     a = mod(a, m, p) if len(a) > n else a
     if not a:
         return [] if e else [1]
@@ -303,8 +295,6 @@ def powmod(a: list[int], e: int, m: list[int], p: int,
             acc = np.zeros(k + 1, dtype=base.dtype)
             acc[k] = 1
         else:
-            if R is None:
-                R = reduction_matrix(m, p)
             acc = R[:, k - n]
             for bit in bits:    # k >= n: X^b times the square, reduced by R's columns
                 c = np.convolve(acc, acc) % p
@@ -317,9 +307,9 @@ def powmod(a: list[int], e: int, m: list[int], p: int,
         c = np.convolve(acc, acc) % p
         if bit == "1":
             if len(a) > 2:
-                c, R = _reduce_lazy(c, m, p, R)
+                c = reduce(c, R, p)
             c = np.convolve(c, base) % p
-        acc, R = _reduce_lazy(c, m, p, R)
+        acc = reduce(c, R, p)
     return trim(acc.tolist())
 
 
@@ -327,17 +317,19 @@ def compose_mod(f: list[int], g: list[int], m: list[int], p: int,
                 R: np.ndarray | None = None) -> list[int]:
     """f(g) mod m by Horner, g reduced mod m: deg f products through the reduction kernel.
 
-    R = reduction_matrix(m, p) when given, else built on first need as in powmod.
+    R = reduction_matrix(m, p) when given, else built up front from m made
+    monic, as in powmod.
     """
     if not f:
         return []
     if not g:
         return constant(f[0], p)
-    dtype = word_dtype(degree(m), p)
-    x = np.array(g, dtype=dtype)
-    acc = np.array(f[-1:], dtype=dtype)
+    if R is None:
+        R = reduction_matrix(monic(trim(list(m)), p), p)
+    x = np.array(g, dtype=R.dtype)
+    acc = np.array(f[-1:], dtype=R.dtype)
     for c in reversed(f[:-1]):
-        acc, R = _reduce_lazy(np.convolve(acc, x) % p, m, p, R)
+        acc = reduce(np.convolve(acc, x) % p, R, p)
         acc[0] = (acc[0] + c) % p
     return trim(acc.tolist())
 

@@ -250,17 +250,15 @@ def kalg_mul(u: KummerElem, v: KummerElem) -> KummerElem:
 
 
 def frob_left(u: KummerElem, k: int = 1) -> KummerElem:
-    """(sigma^k (x) 1): Frobenius on the left field, columnwise."""
+    """(sigma^k (x) 1): Frobenius on the left field, columnwise (extfield.frobenius_coords)."""
     alg = u.algebra
-    M = alg.left.frob_power(k % alg.ell)
-    return KummerElem(alg, linalg.matmul_mod(M, u.coeffs, alg.p))
+    return KummerElem(alg, extfield.frobenius_coords(alg.left, u.coeffs, k))
 
 
 def frob_right(u: KummerElem, k: int = 1) -> KummerElem:
-    """(1 (x) sigma^k): Frobenius on the scalar field, rowwise."""
+    """(1 (x) sigma^k): Frobenius on the scalar field, rowwise (extfield.frobenius_coords)."""
     alg = u.algebra
-    M = alg.scalar.frob_power(k % alg.a)
-    return KummerElem(alg, linalg.matmul_mod(u.coeffs, M.T, alg.p))
+    return KummerElem(alg, extfield.frobenius_coords(alg.scalar, u.coeffs.T, k).T)
 
 
 def solve_h90(alg: KummerAlg) -> KummerElem:
@@ -268,11 +266,13 @@ def solve_h90(alg: KummerAlg) -> KummerElem:
 
     alpha is the Lagrange resolvent sum_i sigma^i(X^j) (x) zeta^(-i) for the
     first j that makes it nonzero.  Each j tried costs l Frobenius mat-vecs
-    (the Krylov matrix of X^j) and one l x l by l x a product; j = 0 gives
-    zero for l > 1 and j = 1 usually suffices (the resolvent map is
-    GF(p)-linear and nonzero).  The solutions form a line over the scalar field
-    GF(p)(zeta); the returned representative is normalized so that its first
-    nonzero left-coordinate scalar equals 1, making the output deterministic.
+    (the Krylov matrix of X^j) and one l x l by l x a product.  For l > 1 the
+    search starts at j = 1: X^0 is fixed by sigma, so its resolvent is
+    1 (x) sum_i zeta^(-i), and the l-th roots of unity sum to zero.  j = 1
+    usually suffices (the resolvent map is GF(p)-linear and nonzero).  The
+    solutions form a line over the scalar field GF(p)(zeta); the returned
+    representative is normalized so that its first nonzero left-coordinate
+    scalar equals 1, making the output deterministic.
     Raises ArithmeticError when the result fails the equation, which means
     zeta is not a primitive l-th root of unity (corrupted inputs).
     """
@@ -280,7 +280,9 @@ def solve_h90(alg: KummerAlg) -> KummerElem:
     F, Z = alg.left.frobenius_matrix, alg._zeta_mul
     zeta_powers = linalg.krylov(Z, [1] + [0] * (a - 1), ell, p)   # a x l
     W = zeta_powers[:, [(-i) % ell for i in range(ell)]].T        # row i: zeta^(-i)
-    for x in linalg.identity(ell):                                # x = X^0, X^1, ...
+    for j in range(ell > 1, ell):
+        x = np.zeros(ell, dtype=np.int64)                         # X^j
+        x[j] = 1
         C = linalg.matmul_mod(linalg.krylov(F, x, ell, p), W, p)
         if C.any():
             break
@@ -310,6 +312,8 @@ def kummer_constant(alpha: KummerElem) -> FFElem:
 def scalar_norm(gamma: KummerElem, b: int, a: int) -> KummerElem:
     """Product of the (1 (x) sigma^(ja)) conjugates for 0 <= j < b/a.
 
+    Each conjugate is the one before it under 1 (x) sigma^a (frob_right),
+    so the b/a - 1 conjugates beyond gamma cost b - a Frobenius products.
     Requires a | b | level and gamma invariant under 1 (x) sigma^b; the
     result is invariant under 1 (x) sigma^a (asserted).
     """
@@ -318,9 +322,10 @@ def scalar_norm(gamma: KummerElem, b: int, a: int) -> KummerElem:
         raise ValueError(f"need a | b | level, got a={a}, b={b}, level={alg.a}")
     if frob_right(gamma, b) != gamma:
         raise ValueError("element is not invariant under 1 (x) sigma^b")
-    out = alg.one()
-    for j in range(b // a):
-        out = out * frob_right(gamma, j * a)
+    out = conj = gamma
+    for _ in range(b // a - 1):
+        conj = frob_right(conj, a)
+        out = out * conj
     if frob_right(out, a) != out:
         raise AssertionError("scalar norm image is not invariant under 1 (x) sigma^a")
     return out

@@ -67,21 +67,6 @@ def float_mod(C: np.ndarray, p: int) -> np.ndarray:
     return np.subtract(C, q, out=q)
 
 
-def matpow_mod(A: np.ndarray, e: int, p: int) -> np.ndarray:
-    if e < 0:
-        raise ValueError("negative matrix power")
-    n = A.shape[0]
-    result = np.eye(n, dtype=np.int64)
-    base = A % p
-    while e:
-        if e & 1:
-            result = matmul_mod(result, base, p)
-        e >>= 1
-        if e:
-            base = matmul_mod(base, base, p)
-    return result
-
-
 def krylov(M: np.ndarray, v, k: int, p: int) -> np.ndarray:
     """The n x k int64 matrix with columns v, Mv, ..., M^(k-1) v, M an n x n residue matrix.
 

@@ -55,6 +55,30 @@ def test_embedding_is_homomorphism():
         assert L.embed(ell, m, x + y) == L.embed(ell, m, x) + L.embed(ell, m, y)
 
 
+def embed_oracle(L, ell, m, x):
+    """sum_i c_i eta^i in field arithmetic, c the zeta_l-power coordinates of x, eta = zeta_m^(m/l)."""
+    dst = L.entry(m)
+    eta = dst.zeta ** (m // ell)
+    out, cur = dst.K.zero(), dst.K.one()
+    for c in L.to_power_basis(ell, x):
+        out = out + cur * int(c)
+        cur = cur * eta
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 257, 65521])
+def test_embedding_matches_field_arithmetic_oracle(p):
+    L = default_lattice(p)
+    degrees = GOLDEN_DEGREES[p]
+    rng = random.Random(p)
+    for ell in degrees:
+        for m in (m for m in degrees if m % ell == 0):
+            x = L.entry(ell).K.random_element(rng)
+            y = L.embed(ell, m, x)
+            assert y == embed_oracle(L, ell, m, x), (ell, m)
+            assert all(type(c) is int for c in y.vec)
+
+
 def test_embedding_transitivity():
     L = default_lattice(2)
     z3 = L.entry(3).zeta

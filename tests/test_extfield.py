@@ -45,6 +45,33 @@ def test_frobenius_matches_powering():
                 assert extfield.frobenius(x, k) == x ** (p ** k)
 
 
+def square_matrices(F):
+    """The number of distinct n x n arrays a field holds, inside its dicts, lists and tuples too."""
+    found, todo = set(), list(vars(F).values())
+    while todo:
+        v = todo.pop()
+        if isinstance(v, np.ndarray):
+            if v.shape == (F.n, F.n):
+                found.add(id(v))
+        elif isinstance(v, dict):
+            todo += v.values()
+        elif isinstance(v, (list, tuple)):
+            todo += v
+    return len(found)
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for p in (2, 3, 65521) for n in (1, 5, 48)]
+                         + [(2 ** 31 - 1, 1), (2 ** 31 - 1, 5)])
+def test_frobenius_keeps_two_square_matrices(p, n):
+    # the reduction and Frobenius matrices; sigma^k stores no power of F
+    F = ExtField(p, extfield.random_irreducible(p, n), check=False)
+    assert square_matrices(F) == 2
+    x = F.random_element(random.Random(n))
+    for k in (0, 1, 2, n - 1, n, n + 1):
+        assert extfield.frobenius(x, k) == x ** (p ** (k % n))
+        assert square_matrices(F) == 2
+
+
 def test_minimal_polynomial():
     F = ExtField(2, [1, 1, 0, 0, 1])  # GF(16), x^4+x+1
     g = F.gen()

@@ -172,6 +172,36 @@ def test_powmod_of_constants_matches_multiplied_out_products(p):
                 assert fppoly.powmod(fppoly.add(fppoly.trim([c]), m, p), e, m, p) == want
 
 
+@pytest.mark.parametrize("p", [3, 5, 65521, 2 ** 31 - 1])
+def test_non_monic_modulus_matches_divrem_oracle(p):
+    # a remainder mod c m is one mod m for a unit c, so powmod and compose_mod
+    # without R agree with divrem for a scaled modulus
+    assert fppoly.powmod([1, 1], 4, [1, 1, 2], 3) == fppoly.mod(
+        schoolbook_mul([1, 2, 1], [1, 2, 1], 3), [1, 1, 2], 3) == [1]
+    assert fppoly.compose_mod([0, 0, 0, 1], [0, 1], [1, 0, 2], 3) == [0, 1]
+    rng = random.Random(6200 + p % 1000)
+    for n in (1, 2, 5, 12):
+        monic_m = [rng.randrange(p) for _ in range(n)] + [1]
+        for c in sorted({2, p - 1}):
+            m = fppoly.scale(monic_m, c, p)
+            for a in ([0, 1], rand_poly(rng, p, 2 * n)):
+                for e in (0, 1, 2, n, 2 * n + 1, p + 3):
+                    want = oracle_powmod(fppoly.mod(a, m, p), e, m, p)
+                    assert fppoly.powmod(a, e, m, p) == want, (m, a, e)
+            g = fppoly.mod(rand_poly(rng, p, 2 * n), m, p)
+            f = rand_poly(rng, p, 6)
+            want = []
+            for coeff in reversed(f):
+                want = fppoly.mod(fppoly.add(schoolbook_mul(want, g, p), [coeff], p), m, p)
+            assert fppoly.compose_mod(f, g, m, p) == want, (m, f, g)
+
+
+@pytest.mark.parametrize("f", [[1, 1, 2], [3, 4], [1], []])
+def test_reduction_matrix_refuses_a_non_monic_or_constant_modulus(f):
+    with pytest.raises(ValueError, match="monic"):
+        fppoly.reduction_matrix(f, 5)
+
+
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_field_products_match_divrem_oracle(p):
     from fflattice.extfield import ExtField

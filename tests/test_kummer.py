@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fflattice import fppoly, extfield, kummer, linalg, standardize
+from fflattice.extfield import FFElem
 from fflattice.kummer import KummerAlg, solve_h90, kummer_constant, recover_alpha
 from fflattice.lattice import StdLattice, default_lattice
+from test_extfield import square_matrices
 from test_golden import DEGREES as GOLDEN_DEGREES
 
 
@@ -346,6 +348,44 @@ def test_resolvent_matches_kernel_oracle(p, ell):
     alg = KummerAlg(default_lattice(p), ell)
     alpha = solve_h90(alg)
     assert np.array_equal(alpha.coeffs, kernel_h90(alg).coeffs)
+
+
+def left_sigma(u):
+    """sigma (x) 1 by powering: each column, a left-field element, to the p-th power."""
+    alg = u.algebra
+    return alg.element(np.array([(u.column(j) ** alg.p).vec for j in range(alg.a)]).T)
+
+
+def right_sigma(u):
+    """1 (x) sigma by powering: each row, a scalar-field element, to the p-th power."""
+    alg = u.algebra
+    return alg.element([(FFElem(alg.scalar, tuple(row.tolist())) ** alg.p).vec
+                        for row in u.coeffs])
+
+
+@pytest.mark.parametrize("p, ell", [(2, 15), (2, 7), (3, 8), (3, 13), (5, 12), (5, 1),
+                                    (257, 3), (257, 6)])
+def test_frobenius_powers_are_single_applications(p, ell):
+    alg = KummerAlg(default_lattice(p), ell)
+    u = random_element(alg, random.Random(p * ell))
+    for frob, sigma, d in ((kummer.frob_left, left_sigma, alg.ell),
+                           (kummer.frob_right, right_sigma, alg.a)):
+        want, k = u, 0
+        for target in sorted({0, 1, 2, d - 1, d, d + 1}):
+            while k < target:
+                want, k = sigma(want), k + 1
+            assert frob(u, k) == want, (frob.__name__, k)
+
+
+@pytest.mark.parametrize("p, ell", [(p, ell) for p in (2, 3, 65521) for ell in (1, 5, 48)
+                                    if ell % p] + [(2 ** 31 - 1, 1), (2 ** 31 - 1, 3)])
+def test_frobenius_keeps_two_square_matrices_per_field(p, ell):
+    alg = KummerAlg(default_lattice(p), ell)
+    u = random_element(alg, random.Random(ell))
+    for frob, d in ((kummer.frob_left, alg.ell), (kummer.frob_right, alg.a)):
+        for k in (0, 1, 2, d - 1, d, d + 1):
+            frob(u, k)
+            assert square_matrices(alg.left) == square_matrices(alg.scalar) == 2
 
 
 def test_solve_h90_rejects_wrong_root_of_unity(monkeypatch):
