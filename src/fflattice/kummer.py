@@ -334,23 +334,21 @@ def scalar_norm(gamma: KummerElem, b: int, a: int) -> KummerElem:
 def project_first(beta: KummerElem, ell_sub: int) -> FFElem:
     """First coefficient y_0 of beta = sum y_i (x) eta^i, eta = zeta^(l/l_sub).
 
-    Each row of beta is solved against the power basis 1, eta, ..., eta^(d-1)
-    of GF(p)(eta), d the level of l_sub: one linear solve of the a x d basis
-    against all l rows at once.  Raises ValueError when beta lies outside
-    GF(p^l) (x) GF(p)(eta).
+    The eta-coordinates of beta's l rows are one product X = W+ beta^T, with
+    W the a x d power basis 1, eta, ..., eta^(d-1) of GF(p)(eta), d the
+    level of l_sub, and W+ its left inverse, both cached per (l_sub, l) by
+    CycloLattice.eta_entry; the check W X = beta^T is one more product.
+    Raises ValueError when beta lies outside GF(p^l) (x) GF(p)(eta).
     """
     alg = beta.algebra
     p, ell = alg.p, alg.ell
     if ell % ell_sub:
         raise ValueError(f"{ell_sub} does not divide the algebra root order {ell}")
-    d = alg.lattice.level(ell_sub)
-    S = alg.scalar
-    eta = S.gen() ** (ell // ell_sub)
-    W = S.powers(eta, d)
-    try:
-        X = linalg.solve(W, beta.coeffs.T, p)
-    except linalg.InconsistentSystem:
-        raise ValueError("element lies outside the requested subalgebra") from None
+    e = alg.lattice.eta_entry(ell_sub, ell)
+    Y = beta.coeffs.T
+    X = linalg.matmul_mod(e.section, Y, p)
+    if (linalg.matmul_mod(e.basis, X, p) != Y).any():
+        raise ValueError("element lies outside the requested subalgebra")
     return FFElem(alg.left, tuple(X[0].tolist()))
 
 

@@ -29,7 +29,9 @@ class DecoratedField:
     """A finite field GF(p^l) with its standard generator and polynomial.
 
     Only (f, s, P) are stored, so storage is linear in l; the standard
-    Hilbert-90 solution alpha is rebuilt from its first coordinate s on demand.
+    Hilbert-90 solution alpha is rebuilt from its first coordinate s on the
+    first demand (a - 1 Frobenius mat-vecs) and kept as a cache of l a
+    coefficients, so every embedding into this field reuses it.
     """
 
     ell: int
@@ -38,9 +40,13 @@ class DecoratedField:
     P: list
     level: int
     algebra: KummerAlg
+    _alpha: KummerElem | None = dataclasses.field(default=None, init=False, compare=False,
+                                                  repr=False)
 
     def alpha(self) -> KummerElem:
-        return kummer.recover_alpha(self.algebra, self.s)
+        if self._alpha is None:     # racing threads store equal values
+            self._alpha = kummer.recover_alpha(self.algebra, self.s)
+        return self._alpha
 
 
 @dataclass(frozen=True)
@@ -96,23 +102,10 @@ def standard_polynomial(ell: int, lattice: CycloLattice, seed: int = 0) -> list[
 
 
 def kappa_constant(ell: int, m: int, lattice: CycloLattice) -> FFElem:
-    """The closed-form embedding constant kappa_{l,m}, an element of K_m.
-
-    kappa is the cyclotomic pullback of zeta_(p^b-1) raised to
-    -q = -((b-a) p^(b+a) - b p^b + a p^a) / ((p^a - 1) l), where a, b are
-    the levels of l, m.  K_m and K_(p^b-1) are the same Conway field and
-    zeta_(p^b-1) is its generator X, so kappa = X^(-q).  The division is
-    exact in arbitrary-precision integers and must happen before reduction
-    mod p^b - 1.
-    """
-    if m % ell:
-        raise ValueError(f"{ell} does not divide {m}")
-    p = lattice.p
-    a = lattice.level(ell)
-    b = lattice.level(m)
-    E = (b - a) * p ** (b + a) - b * p ** b + a * p ** a
-    q = exact_div(E, (p ** a - 1) * ell)
-    return lattice.conway_field(b).gen() ** ((-q) % (p ** b - 1))
+    """The closed-form embedding constant kappa_{l,m} in K_m, computed afresh
+    by CycloLattice.kappa_constant; standard_embed reads the copy that
+    lattice.eta_entry(l, m) keeps."""
+    return lattice.kappa_constant(ell, m)
 
 
 def standard_embed(src: DecoratedField, dst: DecoratedField,
@@ -120,18 +113,22 @@ def standard_embed(src: DecoratedField, dst: DecoratedField,
     """Image of the standard generator s_l inside the decorated GF(p^m).
 
     Returns t = [ (1 (x) kappa_{l,m}) alpha_m^(m/l) ]_(zeta_m^(m/l)) with
-    the powers 1, t, ..., t^(l-1).  P_l(t) = 0 is asserted on the Krylov
-    matrix 1, t, ..., t^l; P_l is irreducible of degree l (decorate asserts
-    the degree), so that is the same test as minimal polynomial of t = P_l.
+    the powers 1, t, ..., t^(l-1).  kappa_{l,m} and the eta-basis section
+    that projects come from lattice.eta_entry(l, m), built once per pair
+    and shared by every StdLattice on the lattice, so the embedding takes
+    products only: the power of alpha_m, the rescaling, two products in
+    project_first and the Krylov matrix below; alpha_m is recovered once
+    per target field and cached on it (DecoratedField.alpha).  P_l(t) = 0 is
+    asserted on the Krylov matrix 1, t, ..., t^l; P_l is irreducible of
+    degree l (decorate asserts the degree), so that is the same test as
+    minimal polynomial of t = P_l.
     """
     ell, m = src.ell, dst.ell
     if m % ell:
         raise ValueError(f"{ell} does not divide {m}")
     if src.algebra.lattice is not lattice or dst.algebra.lattice is not lattice:
         raise ValueError("decorations come from a different cyclotomic lattice")
-    alpha_m = dst.alpha()
-    kappa = kappa_constant(ell, m, lattice)
-    beta = (alpha_m ** (m // ell)).scalar_mul(kappa)
+    beta = (dst.alpha() ** (m // ell)).scalar_mul(lattice.eta_entry(ell, m).kappa)
     t = kummer.project_first(beta, ell)
     T = dst.field.powers(t, ell + 1)
     if linalg.matmul_mod(T, np.array(src.P, dtype=np.int64), lattice.p).any():
