@@ -7,16 +7,8 @@ zeta_l to zeta_m^(m/l); they are evaluated by linear algebra in the
 zeta-power bases.  iota_{l,m} is the identity when l and m have the same
 level, so the standard Kummer constant abar_l is X^a.
 
-Two append-only caches sit behind one lock; an entry becomes visible only
-once complete, and both depend on the Conway table alone, so every
-StdLattice built on this lattice shares them:
-- per root order l, a CycloEntry: zeta_l, its minimal polynomial and the
-  zeta-power basis with its inverse (one a x a solve);
-- per pair l | m, an EtaEntry: the power basis W of eta = zeta_m^(m/l) in
-  GF(p)(zeta_m), a left inverse of W (one solve) and the embedding constant
-  kappa_{l,m} (one power in K_m): two int64 matrices of 8 a d bytes each
-  and a coordinates, for the levels d of l and a of m.  A standard
-  embedding then projects and rescales with products only.
+The per-l cache is append-only behind a lock; entries become visible only
+once complete.
 """
 
 from __future__ import annotations
@@ -51,22 +43,6 @@ class CycloEntry:
     power_inverse: np.ndarray     # a x a, power_matrix^(-1)
 
 
-@dataclass(frozen=True)
-class EtaEntry:
-    """Cached data for one pair l | m: GF(p)(zeta_l) inside GF(p)(zeta_m).
-
-    eta = zeta_m^(m/l) spans the subfield of degree d = level(l) of the
-    scalar field GF(p)(zeta_m) of degree a = level(m).  basis is W, the
-    a x d matrix of 1, eta, ..., eta^(d-1); section is a left inverse of it,
-    solved once, so eta-coordinates cost one product and the membership test
-    W X = Y one more (kummer.project_first).
-    """
-
-    basis: np.ndarray             # a x d, column i = coordinates of eta^i
-    section: np.ndarray           # d x a, section @ basis = identity
-    kappa: FFElem                 # kappa_{l,m} in K_m (CycloLattice.kappa_constant)
-
-
 class CycloLattice:
     """System of compatibly embedded cyclotomic fields over one prime."""
 
@@ -74,7 +50,6 @@ class CycloLattice:
         self.p = table.p
         self.table = table
         self._cache: dict[int, CycloEntry] = {}
-        self._eta: dict[tuple[int, int], EtaEntry] = {}
         self._fields: dict[int, ExtField] = {}
         self._lock = threading.Lock()
 
@@ -116,22 +91,6 @@ class CycloLattice:
         with self._lock:
             self._cache.setdefault(ell, e)
             return self._cache[ell]
-
-    def eta_entry(self, ell: int, m: int) -> EtaEntry:
-        """The cached EtaEntry of l | m; the first call for a pair builds it."""
-        if m % ell:
-            raise ValueError(f"{ell} does not divide {m}")
-        with self._lock:
-            if (ell, m) in self._eta:
-                return self._eta[(ell, m)]
-        d = self.level(ell)
-        S = self.entry(m).scalar_field
-        W = S.powers(S.gen() ** (m // ell), d)
-        section = linalg.solve(W.T, linalg.identity(d), self.p).T
-        e = EtaEntry(W, section, self.kappa_constant(ell, m))
-        with self._lock:
-            self._eta.setdefault((ell, m), e)
-            return self._eta[(ell, m)]
 
     # -- coordinates in the zeta-power basis -----------------------------------
 
@@ -175,23 +134,3 @@ class CycloLattice:
         """
         a = self.level(ell)
         return self.conway_field(a).gen() ** a
-
-    def kappa_constant(self, ell: int, m: int) -> FFElem:
-        """The closed-form embedding constant kappa_{l,m}, an element of K_m.
-
-        kappa is the cyclotomic pullback of zeta_(p^b-1) raised to
-        -q = -((b-a) p^(b+a) - b p^b + a p^a) / ((p^a - 1) l), where a, b are
-        the levels of l, m.  K_m and K_(p^b-1) are the same Conway field and
-        zeta_(p^b-1) is its generator X, so kappa = X^(-q).  The division is
-        exact in arbitrary-precision integers and must happen before
-        reduction mod p^b - 1.  Computed afresh on every call; eta_entry
-        keeps the result per pair.
-        """
-        if m % ell:
-            raise ValueError(f"{ell} does not divide {m}")
-        p = self.p
-        a = self.level(ell)
-        b = self.level(m)
-        E = (b - a) * p ** (b + a) - b * p ** b + a * p ** a
-        q = fppoly.exact_div(E, (p ** a - 1) * ell)
-        return self.conway_field(b).gen() ** ((-q) % (p ** b - 1))

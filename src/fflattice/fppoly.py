@@ -9,10 +9,7 @@ n x n matrix R whose column i is X^(n+i) mod f.  A coefficient array c of at
 most 2n residues reduces as c[:n] + R c[n:] mod p (reduce), so a product
 modulo f is one np.convolve plus one mat-vec (mulmod), and the matrix of
 multiplication by a is one matrix product, the Toeplitz matrix of a reduced
-the same way (mul_matrix); there R c[n:] comes reduced from
-linalg.matmul_mod, so the sum needs one conditional subtraction of p
-(add_residues), not a full % p, and so does each doubling step of
-reduction_matrix.  powmod runs left to right: R's last column,
+the same way (mul_matrix).  powmod runs left to right: R's last column,
 X^(2n-1), lets a multiplication by a base of degree <= 1 ride on the
 squaring's reduction.  compose_mod, ExtField products and the
 Kummer-algebra product reduce this way too; divrem remains for gcd, xgcd
@@ -157,7 +154,7 @@ def reduction_matrix(f: list[int], p: int) -> np.ndarray:
         m = min(k, n - k)
         V = R[:, :m]
         R[k:, k:k + m] = V[:n - k]
-        R[:, k:k + m] = add_residues(R[:, k:k + m], linalg.matmul_mod(R[:, :k], V[n - k:], p), p)
+        R[:, k:k + m] = (R[:, k:k + m] + linalg.matmul_mod(R[:, :k], V[n - k:], p)) % p
         k += m
     return R
 
@@ -165,39 +162,14 @@ def reduction_matrix(f: list[int], p: int) -> np.ndarray:
 def reduce(c: np.ndarray, R: np.ndarray, p: int) -> np.ndarray:
     """c mod f along axis 0, for at most 2n rows of residues; R = reduction_matrix(f, p).
 
-    A vector takes one mat-vec in R's dtype and a full % p; a matrix, one
-    linalg.matmul_mod, whose reduced product add_residues adds to c[:n].
+    A vector takes one mat-vec in R's dtype; a matrix, one linalg.matmul_mod.
     """
     n = R.shape[0]
     if len(c) <= n:
         return c
     if c.ndim == 1:
         return (c[:n] + R[:, :len(c) - n] @ c[n:]) % p
-    return add_residues(c[:n], linalg.matmul_mod(R[:, :len(c) - n], c[n:], p), p)
-
-
-# From this many entries an int64 sum of residues reduces faster by a
-# conditional subtraction than by % p: they tie at 512-768 entries, at 1024
-# the subtraction is 1.7-2x faster and at 48 x 48 2.3x, but below 384 it
-# costs 1-3 us more in numpy calls (one thread of a 2-vCPU x86-64 host,
-# p = 2, 3, 5, 65521).
-ADD_RESIDUES_MIN_ENTRIES = 1024
-
-
-def add_residues(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """(A + B) mod p for arrays of residues A and B.
-
-    The sum S is below 2p.  From ADD_RESIDUES_MIN_ENTRIES int64 entries up,
-    one conditional subtraction of p: S - p wraps past S in uint64 exactly
-    when S < p, so the unsigned minimum of S and S - p is the residue, two
-    passes against the division of a full % p.  Smaller and object sums
-    take % p.
-    """
-    S = A + B
-    if S.dtype != np.int64 or S.size < ADD_RESIDUES_MIN_ENTRIES:
-        return S % p
-    U = S.view(np.uint64)
-    return np.minimum(U, U - np.uint64(p), out=U).view(np.int64)
+    return (c[:n] + linalg.matmul_mod(R[:, :len(c) - n], c[n:], p)) % p
 
 
 def mulmod(a: np.ndarray, b: np.ndarray, R: np.ndarray, p: int) -> np.ndarray:

@@ -230,10 +230,12 @@ def kalg_mul(u: KummerElem, v: KummerElem) -> KummerElem:
     l a products of residues, so the dtype is fppoly.blas_dtype(l a, p):
     exact in float64 while l a (p-1)^2 < 2^53.  The convolution does about
     4 l^2 a^2 multiply-adds, (2a-1)^2 / a^2 times those of the unpadded
-    product.  The product is reduced mod p
-    in that dtype, then one reduction-kernel product with the left field's
-    matrix reduces the rows (X^l, ..., X^(2l-2)) and one with the scalar
-    field's the columns.
+    product.  The product is reduced mod p in int64: a float64 product holds
+    integers below 2^53 and is cast first (numpy's % is about 3x slower on
+    float64 than on int64, one thread of a 2-vCPU x86-64 host), an object
+    one is reduced before the cast.  Then one reduction-kernel product with
+    the left field's matrix reduces the rows (X^l, ..., X^(2l-2)) and one
+    with the scalar field's the columns.
     """
     alg = u.algebra
     p, ell, a = alg.p, alg.ell, alg.a
@@ -244,7 +246,11 @@ def kalg_mul(u: KummerElem, v: KummerElem) -> KummerElem:
     A[:, :a] = u.coeffs
     B[:, :a] = v.coeffs
     C = np.convolve(A.reshape(-1), B.reshape(-1))[:(2 * ell - 1) * w].reshape(2 * ell - 1, w)
-    C = fppoly.reduce((C % p).astype(np.int64), alg.left.reduction, p)
+    if dtype is np.float64:
+        C = C.astype(np.int64) % p
+    else:
+        C = (C % p).astype(np.int64)
+    C = fppoly.reduce(C, alg.left.reduction, p)
     C = fppoly.reduce(C.T, alg.scalar.reduction, p).T
     return KummerElem(alg, C.astype(np.int64))
 
@@ -334,21 +340,23 @@ def scalar_norm(gamma: KummerElem, b: int, a: int) -> KummerElem:
 def project_first(beta: KummerElem, ell_sub: int) -> FFElem:
     """First coefficient y_0 of beta = sum y_i (x) eta^i, eta = zeta^(l/l_sub).
 
-    The eta-coordinates of beta's l rows are one product X = W+ beta^T, with
-    W the a x d power basis 1, eta, ..., eta^(d-1) of GF(p)(eta), d the
-    level of l_sub, and W+ its left inverse, both cached per (l_sub, l) by
-    CycloLattice.eta_entry; the check W X = beta^T is one more product.
-    Raises ValueError when beta lies outside GF(p^l) (x) GF(p)(eta).
+    Each row of beta is solved against the power basis 1, eta, ..., eta^(d-1)
+    of GF(p)(eta), d the level of l_sub: one linear solve of the a x d basis
+    against all l rows at once.  Raises ValueError when beta lies outside
+    GF(p^l) (x) GF(p)(eta).
     """
     alg = beta.algebra
     p, ell = alg.p, alg.ell
     if ell % ell_sub:
         raise ValueError(f"{ell_sub} does not divide the algebra root order {ell}")
-    e = alg.lattice.eta_entry(ell_sub, ell)
-    Y = beta.coeffs.T
-    X = linalg.matmul_mod(e.section, Y, p)
-    if (linalg.matmul_mod(e.basis, X, p) != Y).any():
-        raise ValueError("element lies outside the requested subalgebra")
+    d = alg.lattice.level(ell_sub)
+    S = alg.scalar
+    eta = S.gen() ** (ell // ell_sub)
+    W = S.powers(eta, d)
+    try:
+        X = linalg.solve(W, beta.coeffs.T, p)
+    except linalg.InconsistentSystem:
+        raise ValueError("element lies outside the requested subalgebra") from None
     return FFElem(alg.left, tuple(X[0].tolist()))
 
 

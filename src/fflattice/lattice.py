@@ -7,12 +7,12 @@ Adding a field never touches existing entries; per-field persistent storage
 (f, s, P) is linear in the degree.  An embedding matrix is the image powers
 1, t, ..., t^(l-1) that standard_embed returns times B_l^(-1), the inverse
 of the power basis 1, s_l, ..., s_l^(l-1), cached once per source degree
-(one l x l solve, 8 l^2 bytes).  A pair then costs products only: each
-target field keeps its standard Hilbert-90 solution alpha_m after the
-first embedding into it (DecoratedField.alpha, 8 m a bytes for the level a
-of m), and the projection's eta-basis section and kappa_{l,m} are cached
-per pair on the CycloLattice, so a second StdLattice on the same one
-solves nothing and powers nothing for them.
+(one l x l solve, 8 l^2 bytes).  Each target field keeps its standard
+Hilbert-90 solution alpha_m after the first embedding into it that needs
+it (DecoratedField.alpha, 8 m a bytes for the level a of m), so a pair
+recovers no alpha_m of its own; an embedding from GF(p) needs none, as
+alpha_m^m is the standard Kummer constant.  The projection's solve and
+kappa_{l,m} stay per pair: a StdLattice builds each pair once.
 
 Evaluation is quadratic: embed_eval is one m x l mat-vec by that matrix, and
 section_eval builds the l x m left inverse once per pair, then costs two
@@ -277,6 +277,6 @@ class StdLattice:
 
         Caches are not counted: the embedding matrices and their sections,
         the basis inverses B_l^(-1), each field's Hilbert-90 solution alpha,
-        and the CycloLattice's entries and eta entries.
+        and the CycloLattice's entries.
         """
         return sum(len(d.field.modulus) + len(d.s.vec) + len(d.P) for d in self.fields.values())

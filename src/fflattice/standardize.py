@@ -102,10 +102,23 @@ def standard_polynomial(ell: int, lattice: CycloLattice, seed: int = 0) -> list[
 
 
 def kappa_constant(ell: int, m: int, lattice: CycloLattice) -> FFElem:
-    """The closed-form embedding constant kappa_{l,m} in K_m, computed afresh
-    by CycloLattice.kappa_constant; standard_embed reads the copy that
-    lattice.eta_entry(l, m) keeps."""
-    return lattice.kappa_constant(ell, m)
+    """The closed-form embedding constant kappa_{l,m}, an element of K_m.
+
+    kappa is the cyclotomic pullback of zeta_(p^b-1) raised to
+    -q = -((b-a) p^(b+a) - b p^b + a p^a) / ((p^a - 1) l), where a, b are
+    the levels of l, m.  K_m and K_(p^b-1) are the same Conway field and
+    zeta_(p^b-1) is its generator X, so kappa = X^(-q).  The division is
+    exact in arbitrary-precision integers and must happen before reduction
+    mod p^b - 1.
+    """
+    if m % ell:
+        raise ValueError(f"{ell} does not divide {m}")
+    p = lattice.p
+    a = lattice.level(ell)
+    b = lattice.level(m)
+    E = (b - a) * p ** (b + a) - b * p ** b + a * p ** a
+    q = exact_div(E, (p ** a - 1) * ell)
+    return lattice.conway_field(b).gen() ** ((-q) % (p ** b - 1))
 
 
 def standard_embed(src: DecoratedField, dst: DecoratedField,
@@ -113,22 +126,24 @@ def standard_embed(src: DecoratedField, dst: DecoratedField,
     """Image of the standard generator s_l inside the decorated GF(p^m).
 
     Returns t = [ (1 (x) kappa_{l,m}) alpha_m^(m/l) ]_(zeta_m^(m/l)) with
-    the powers 1, t, ..., t^(l-1).  kappa_{l,m} and the eta-basis section
-    that projects come from lattice.eta_entry(l, m), built once per pair
-    and shared by every StdLattice on the lattice, so the embedding takes
-    products only: the power of alpha_m, the rescaling, two products in
-    project_first and the Krylov matrix below; alpha_m is recovered once
-    per target field and cached on it (DecoratedField.alpha).  P_l(t) = 0 is
-    asserted on the Krylov matrix 1, t, ..., t^l; P_l is irreducible of
-    degree l (decorate asserts the degree), so that is the same test as
-    minimal polynomial of t = P_l.
+    the powers 1, t, ..., t^(l-1).  alpha_m is recovered once per target
+    field (DecoratedField.alpha).  For l = 1 the power alpha_m^m is the
+    standard Kummer constant 1 (x) abar_m, which decorate fixed, so it is
+    taken from the cyclotomic lattice in closed form instead of recomputed.
+    P_l(t) = 0 is asserted on the Krylov matrix 1, t, ..., t^l; P_l is
+    irreducible of degree l (decorate asserts the degree), so that is the
+    same test as minimal polynomial of t = P_l.
     """
     ell, m = src.ell, dst.ell
     if m % ell:
         raise ValueError(f"{ell} does not divide {m}")
     if src.algebra.lattice is not lattice or dst.algebra.lattice is not lattice:
         raise ValueError("decorations come from a different cyclotomic lattice")
-    beta = (dst.alpha() ** (m // ell)).scalar_mul(lattice.eta_entry(ell, m).kappa)
+    if ell == 1:
+        power = dst.algebra.from_scalar(lattice.standard_constant(m))
+    else:
+        power = dst.alpha() ** (m // ell)
+    beta = power.scalar_mul(kappa_constant(ell, m, lattice))
     t = kummer.project_first(beta, ell)
     T = dst.field.powers(t, ell + 1)
     if linalg.matmul_mod(T, np.array(src.P, dtype=np.int64), lattice.p).any():

@@ -127,26 +127,6 @@ def test_constants_match_pullback():
                 assert standardize.kappa_constant(ell, m, L) == expected, (p, ell, m)
 
 
-def test_eta_entry_is_a_cached_left_inverse():
-    # W = 1, eta, ..., eta^(d-1) in the scalar field of m, its left inverse,
-    # built once per pair; eta_entry refuses a non-divisor as kappa does
-    for p, degrees in GOLDEN_DEGREES.items():
-        L = default_lattice(p)
-        for m in degrees:
-            S = L.entry(m).scalar_field
-            for ell in degrees:
-                if m % ell:
-                    continue
-                e = L.eta_entry(ell, m)
-                d = L.level(ell)
-                assert np.array_equal(e.basis, S.powers(S.gen() ** (m // ell), d)), (p, ell, m)
-                assert np.array_equal(linalg.matmul_mod(e.section, e.basis, p),
-                                      linalg.identity(d)), (p, ell, m)
-                assert L.eta_entry(ell, m) is e
-    with pytest.raises(ValueError, match="does not divide"):
-        default_lattice(2).eta_entry(3, 5)
-
-
 def test_power_basis_round_trip():
     # every entry with l <= 60 whose level the Conway table covers
     for p in (2, 3, 5):

@@ -229,32 +229,6 @@ def test_compose_mod_matches_horner_oracle(p):
         assert fppoly.compose_mod(f, g, m, p) == want
 
 
-@pytest.mark.parametrize("p", KERNEL_PRIMES)
-@pytest.mark.parametrize("dtype", [np.int64, object])
-@pytest.mark.parametrize("shape", [(9, 13), (48, 48)])
-def test_add_residues_matches_full_reduction(p, dtype, shape):
-    # one conditional subtraction of p equals % p on sums of two residues,
-    # the extremes 0 and p - 1 included, on contiguous and strided operands;
-    # 9 x 13 takes % p, 48 x 48 and its 48 x 24 halves the subtraction
-    assert 9 * 13 < fppoly.ADD_RESIDUES_MIN_ENTRIES <= 48 * 24
-    rng = np.random.default_rng(p % 1000)
-    A = rng.integers(0, p, shape, dtype=np.int64)
-    B = rng.integers(0, p, shape, dtype=np.int64)
-    A[0], B[0] = p - 1, p - 1
-    A[1], B[1] = 0, 0
-    A[2], B[2] = p - 1, 1
-    even = shape[1] // 2 * 2
-    for X, Y in [(A, B), (A.T, B.T), (A[:, :even:2], B[:, 1::2])]:
-        X, Y = X.astype(dtype), Y.astype(dtype)
-        got = fppoly.add_residues(X, Y, p)
-        want = (X + Y) % p
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want), (p, dtype)
-    # the object tier mixes with int64 matmul_mod results in reduction_matrix
-    got = fppoly.add_residues(A.astype(object), B, p)
-    assert got.dtype == object and np.array_equal(got, (A + B) % p)
-
-
 def test_word_dtype_boundary():
     # one policy, three tiers: matrix products in float64 BLAS while terms (p-1)^2 < 2^53,
     # int64 while terms (p-1)^2 < 2^62, Python integers beyond

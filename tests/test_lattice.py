@@ -8,9 +8,8 @@ import threading
 import numpy as np
 import pytest
 
-from fflattice import extfield, fppoly, kummer, linalg
-from fflattice.cyclotomic import CycloLattice
-from fflattice.lattice import StdLattice, default_lattice
+from fflattice import extfield, kummer, linalg
+from fflattice.lattice import StdLattice
 from fflattice.linalg import InconsistentSystem
 
 
@@ -69,72 +68,35 @@ def test_basis_inverse_cached_per_source_degree():
     assert L.get_embedding(3, 45).powers is None   # the entry keeps E, not 1, t, ..., t^(l-1)
 
 
-SHARED_DEGREES = {2: [1, 3, 5, 15, 45], 3: [1, 2, 4, 8, 20, 40], 5: [1, 2, 4, 12, 52]}
+PAIR_DEGREES = {2: [1, 3, 5, 15, 45], 3: [1, 2, 4, 8, 20, 40], 5: [1, 2, 4, 12, 52]}
 
 
 def divisor_pairs(degrees):
     return [(ell, m) for ell in degrees for m in degrees if ell < m and m % ell == 0]
 
 
-def counting(monkeypatch, calls, owner, name):
-    fn = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append((name, args))
-        return fn(*args, **kwargs)
-    monkeypatch.setattr(owner, name, wrapper)
-
-
-@pytest.mark.parametrize("p", sorted(SHARED_DEGREES))
+@pytest.mark.parametrize("p", sorted(PAIR_DEGREES))
 def test_alpha_recovered_once_per_target_degree(monkeypatch, p):
-    degrees = SHARED_DEGREES[p]
-    L = build(p, degrees)
-    calls = []
-    counting(monkeypatch, calls, kummer, "recover_alpha")
-    for ell, m in divisor_pairs(degrees):
-        L.get_embedding(ell, m)
-    targets = sorted({m for _, m in divisor_pairs(degrees)})
-    assert sorted(args[0].ell for _, args in calls) == targets
-
-
-@pytest.mark.parametrize("p", sorted(SHARED_DEGREES))
-def test_second_lattice_shares_the_cyclotomic_caches(monkeypatch, p):
-    # a StdLattice on a warm CycloLattice solves only its own basis inverses
-    # B_l^(-1): no projection solve and no power for kappa; its embeddings
-    # equal those made from scratch on a fresh CycloLattice
-    degrees = SHARED_DEGREES[p]
+    # every target with a source l > 1 recovers alpha_m once, on its first
+    # embedding; l = 1 takes alpha_m^m = 1 (x) abar_m and recovers nothing
+    degrees = PAIR_DEGREES[p]
     pairs = divisor_pairs(degrees)
-    fresh = build(p, degrees)
-    for ell, m in pairs:
-        fresh.get_embedding(ell, m)
-    cyclo = default_lattice(p)
-    first = StdLattice(p, cyclo)
-    for ell in degrees:
-        first.add_field(ell)
-    for ell, m in pairs:
-        first.get_embedding(ell, m)
-    second = StdLattice(p, cyclo)
-    for ell in degrees:
-        second.add_field(ell)
+    L = build(p, degrees)
+    recover = kummer.recover_alpha
     calls = []
-    counting(monkeypatch, calls, linalg, "solve")
-    counting(monkeypatch, calls, fppoly, "powmod")
-    counting(monkeypatch, calls, CycloLattice, "kappa_constant")
+    monkeypatch.setattr(kummer, "recover_alpha",
+                        lambda alg, x0: calls.append(alg.ell) or recover(alg, x0))
     for ell, m in pairs:
-        assert second.get_embedding(ell, m) == fresh.get_embedding(ell, m), (ell, m)
-        assert np.array_equal(second.embeddings[(ell, m)].matrix,
-                              fresh.embeddings[(ell, m)].matrix), (ell, m)
-    sources = sorted({ell for ell, _ in pairs})
-    assert [name for name, _ in calls] == ["solve"] * len(sources)
-    assert sorted(args[0].shape for _, args in calls) == [(ell, ell) for ell in sources]
+        L.get_embedding(ell, m)
+    assert sorted(calls) == sorted({m for ell, m in pairs if ell > 1})
 
 
 def test_threads_share_one_lattice():
     # four threads (more than the cores CI has) embedding every pair on one
-    # lattice, cold cyclotomic caches and alpha included, with a short switch
-    # interval: every pair and eta entry lands once, with the matrices of
-    # one thread on a fresh lattice
-    p, degrees = 3, SHARED_DEGREES[3]
+    # lattice, alpha and the basis inverses cold, with a short switch
+    # interval: every pair lands once, with the matrices of one thread on a
+    # fresh lattice
+    p, degrees = 3, PAIR_DEGREES[3]
     pairs = divisor_pairs(degrees)
     alone = build(p, degrees)
     for ell, m in pairs:
@@ -163,7 +125,6 @@ def test_threads_share_one_lattice():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert sorted(L.lattice._eta) == sorted(pairs)
     assert sorted(L.embeddings) == sorted(pairs)
     for pair in pairs:
         assert L.get_embedding(*pair) == alone.get_embedding(*pair)

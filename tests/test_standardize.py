@@ -121,6 +121,28 @@ def test_standard_embed_rejects_a_wrong_image(monkeypatch):
         standardize.standard_embed(src, dst, L)
 
 
+@pytest.mark.parametrize("p, degrees", [(2, (3, 9, 15)), (3, (4, 13, 20)), (5, (6, 21))])
+def test_prime_field_embedding_takes_the_kummer_constant(monkeypatch, p, degrees):
+    # for l = 1, alpha_m^m = 1 (x) abar_m: standard_embed recovers no alpha
+    # and powers nothing in the algebra, and its image is the one the power
+    # gives, s_1 as a constant of GF(p^m)
+    L = default_lattice(p)
+    src = standardize.decorate(1, L)
+    for m in degrees:
+        ref = standardize.decorate(m, L)
+        beta = (ref.alpha() ** m).scalar_mul(standardize.kappa_constant(1, m, L))
+        want = kummer.project_first(beta, 1)
+        dst = standardize.decorate(m, L)
+        calls = []
+        monkeypatch.setattr(kummer, "recover_alpha", lambda *args: calls.append(args))
+        monkeypatch.setattr(kummer.KummerElem, "__pow__", lambda *args: calls.append(args))
+        desc = standardize.standard_embed(src, dst, L)
+        monkeypatch.undo()
+        assert not calls, m
+        assert desc.s_image == want, m
+        assert desc.s_image.vec == src.s.vec + (0,) * (m - 1), m
+
+
 def test_standard_embed_returns_image_powers():
     L = default_lattice(3)
     src = standardize.decorate(4, L)
