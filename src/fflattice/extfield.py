@@ -105,7 +105,18 @@ class ExtField:
         return fppoly.mul_matrix(x.vec, self.reduction, self.p)
 
     def powers(self, x: "FFElem", k: int) -> np.ndarray:
-        """n x k matrix whose columns are the coordinates of 1, x, ..., x^(k-1)."""
+        """n x k matrix whose columns are the coordinates of 1, x, ..., x^(k-1).
+
+        For k <= 2 the columns are 1 and x themselves, with no multiplication
+        matrix; otherwise the Krylov matrix of multiplication by x.
+        """
+        if k <= 2:
+            cols = np.zeros((self.n, k), dtype=np.int64)
+            if k:
+                cols[0, 0] = 1
+            if k == 2:
+                cols[:, 1] = np.array(x.vec, dtype=np.int64) % self.p
+            return cols
         return linalg.krylov(self.mul_matrix(x), self.one().vec, k, self.p)
 
     def __eq__(self, other):
@@ -139,7 +150,7 @@ class FFElem:
             return self.field.element(int(other))
         if not isinstance(other, FFElem):
             raise TypeError(f"cannot combine field element with {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch("elements belong to different fields")
         return other
 
@@ -187,7 +198,8 @@ class FFElem:
     def __eq__(self, other):
         if isinstance(other, (int, np.integer)):
             other = self.field.element(int(other))
-        return isinstance(other, FFElem) and self.field == other.field and self.vec == other.vec
+        return (isinstance(other, FFElem) and self.vec == other.vec
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
         return hash(self.vec)

@@ -15,9 +15,13 @@ alpha_m^m is the standard Kummer constant.  The projection's solve and
 kappa_{l,m} stay per pair: a StdLattice builds each pair once.
 
 Evaluation is quadratic: embed_eval is one m x l mat-vec by that matrix, and
-section_eval builds the l x m left inverse once per pair, then costs two
-mat-vecs per call.  Both build their result from the reduced product as it
-is, with no second validation through ExtField.element.
+section_eval is one (l + m) x l mat-vec on l coordinates of y.  Its matrix
+is built once per pair, from one row reduction of [E^T | I_l]: l independent
+rows I of E (the pivot columns of E^T), A = E_I^(-1) and Q = [A; E A], 8 l
+(l + m) bytes.  Any y = E x' has y_I = E_I x', so A y_I is the preimage and
+y lies in the image exactly when E A y_I = y.  Both build their result from
+the reduced product as it is, with no second validation through
+ExtField.element.
 
 Serialization is a portable text format: a header line `p`, then one line
 per field `l f_coeffs s_coeffs P_coeffs`, then one line per cached embedding
@@ -31,6 +35,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,13 +58,32 @@ def default_lattice(p: int, work_bound: int = 2_000_000) -> CycloLattice:
     return CycloLattice(table)
 
 
+class _Section(NamedTuple):
+    """What section_eval needs of a pair: Q = [A; E A] with A = E_I^(-1), and I."""
+
+    matrix: np.ndarray       # (l + m) x l matrix Q
+    rows: list[int]          # I: l independent rows of E
+    take: Callable           # y.vec -> the tuple y_I
+
+
+def _section(E: np.ndarray, p: int) -> _Section:
+    """One rref of [E^T | I_l]: its pivots are I and its last l columns are A^T."""
+    m, ell = E.shape
+    R, rows = linalg.rref(np.hstack([E.T, linalg.identity(ell)]), p)
+    A = R[:, m:].T
+    Q = np.vstack([A, linalg.matmul_mod(E, A, p)])
+    # itemgetter of one index returns the entry itself, of a slice a tuple
+    take = itemgetter(*rows) if ell > 1 else itemgetter(slice(rows[0], rows[0] + 1))
+    return _Section(Q, rows, take)
+
+
 @dataclass
 class _EmbeddingEntry:
     desc: EmbeddingDesc
     matrix: np.ndarray       # m x l matrix E of the embedding on GF(p)-coordinates
     source: ExtField         # GF(p^l)
     target: ExtField         # GF(p^m)
-    section: np.ndarray | None = None   # l x m left inverse of E, built on first section_eval
+    section: _Section | None = None   # built on first section_eval
 
 
 @dataclass
@@ -126,8 +151,8 @@ class StdLattice:
         return self._embedding_entry(ell, m).desc
 
     def _embedding_entry(self, ell: int, m: int) -> _EmbeddingEntry:
-        with self._lock:
-            cached = self.embeddings.get((ell, m))
+        # no lock to read: an entry is stored whole, by one setdefault
+        cached = self.embeddings.get((ell, m))
         if cached is not None:
             return cached
         src = self.field(ell)
@@ -160,30 +185,31 @@ class StdLattice:
         it directly, with no second reduction.
         """
         entry = self._embedding_entry(ell, m)
-        if x.field != entry.source:
+        if x.field is not entry.source and x.field != entry.source:
             raise extfield.FieldMismatch("element does not live in the source field")
         vec = linalg.matmul_mod(entry.matrix, np.array(x.vec, dtype=np.int64), self.p)
         return FFElem(entry.target, tuple(vec.tolist()))
 
     def section_eval(self, ell: int, m: int, y: FFElem) -> FFElem | None:
-        """The preimage x = section y of y, or None when E x != y (y is outside the subfield).
+        """The preimage x of y under E, or None when y is outside the subfield.
 
-        The l x m left inverse of E is solved once, on the first call for the
-        pair; every call is then two mat-vecs, x = section y and the
-        membership test E x = y.  Like embed_eval, the result is built from
-        the reduced product directly.
+        The first call for a pair builds its _Section; every call is then one
+        mat-vec, r = Q y_I, whose last m entries are compared with y as a
+        tuple.  Like embed_eval, the result is built from the reduced product
+        directly.
         """
         entry = self._embedding_entry(ell, m)
-        if y.field != entry.target:
+        if y.field is not entry.target and y.field != entry.target:
             raise extfield.FieldMismatch("element does not live in the target field")
-        if entry.section is None:
-            # section @ E = identity; racing threads compute the same matrix
-            entry.section = linalg.solve(entry.matrix.T, linalg.identity(ell), self.p).T
-        y_vec = np.array(y.vec, dtype=np.int64)
-        x = linalg.matmul_mod(entry.section, y_vec, self.p)
-        if (linalg.matmul_mod(entry.matrix, x, self.p) != y_vec).any():
+        section = entry.section
+        if section is None:
+            # racing threads build the same section
+            section = entry.section = _section(entry.matrix, self.p)
+        r = linalg.matmul_mod(section.matrix, np.array(section.take(y.vec), dtype=np.int64),
+                              self.p).tolist()
+        if tuple(r[ell:]) != y.vec:
             return None
-        return FFElem(entry.source, tuple(x.tolist()))
+        return FFElem(entry.source, tuple(r[:ell]))
 
     # -- verification ----------------------------------------------------------------
 

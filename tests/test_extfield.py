@@ -1,6 +1,7 @@
 """Extension fields GF(p^n): field axioms, Frobenius vs direct powering,
 minimal polynomials, orders and discrete logarithms."""
 
+import copy
 import functools
 import math
 import random
@@ -70,6 +71,45 @@ def test_frobenius_keeps_two_square_matrices(p, n):
     for k in (0, 1, 2, n - 1, n, n + 1):
         assert extfield.frobenius(x, k) == x ** (p ** (k % n))
         assert square_matrices(F) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2 ** 31 - 1])
+def test_powers_match_krylov(p):
+    # k <= 2 takes the columns 1 and x as they are; the result is the Krylov
+    # matrix of multiplication by x to the bit, dtype and layout included
+    rng = random.Random(p % 1000 + 2)
+    for n in (1, 2, 7):
+        F = ExtField(p, extfield.random_irreducible(p, n), check=False)
+        for x in [F.zero(), F.one(), F.gen(), F.random_element(rng)]:
+            for k in (0, 1, 2, 3):
+                got = F.powers(x, k)
+                want = linalg.krylov(F.mul_matrix(x), F.one().vec, k, p)
+                assert got.dtype == want.dtype == np.int64 and got.shape == (n, k)
+                assert got.flags.c_contiguous and np.array_equal(got, want), (n, x, k)
+
+
+def test_elements_of_equal_fields_combine():
+    # the identity check comes first; an equal field that is another object
+    # still combines and compares equal, and another modulus still raises
+    F = ExtField(5, [2, 0, 1])
+    twin = copy.deepcopy(F)
+    assert twin is not F and twin == F
+    rng = random.Random(52)
+    a, b = F.random_element(rng), F.random_element(rng)
+    b2 = twin.element(list(b.vec))
+    assert a * b2 == a * b and a + b2 == a + b and a - b2 == a - b
+    assert b2 == b and b == b2 and a / b2 == a / b
+    other = ExtField(5, [3, 0, 1])
+    with pytest.raises(extfield.FieldMismatch):
+        a * other.element(list(b.vec))
+    assert a != other.element(list(a.vec))
+
+
+def test_elements_of_one_field_skip_field_equality(monkeypatch):
+    F = ExtField(3, [1, 0, 1])
+    a, b = F.gen(), F.one()
+    monkeypatch.setattr(ExtField, "__eq__", lambda self, other: pytest.fail("compared fields"))
+    assert a * b == a and a + b != a and (a - b) + b == a
 
 
 def test_minimal_polynomial():
