@@ -27,9 +27,9 @@ from .extfield import ExtField, FFElem
 class CycloEntry:
     """Cached data for one root order l.
 
-    power_inverse, the inverse of power_matrix, is solved once when
-    CycloLattice.entry builds the entry, so a change to the zeta-power basis
-    (to_power_basis) is one mat-vec.
+    power_inverse, the inverse of power_matrix (linalg.left_inverse), is
+    computed once when CycloLattice.entry builds the entry, so a change to
+    the zeta-power basis (to_power_basis) is one mat-vec.
     """
 
     ell: int
@@ -86,8 +86,7 @@ class CycloLattice:
         b_coeffs = [(-c) % self.p for c in h[:a]]
         Z = K.powers(zeta, a)
         scalar = K if h == K.modulus else ExtField(self.p, h, check=False)
-        e = CycloEntry(ell, a, K, zeta, h, b_coeffs, Z, scalar,
-                       linalg.solve(Z, linalg.identity(a), self.p))
+        e = CycloEntry(ell, a, K, zeta, h, b_coeffs, Z, scalar, linalg.left_inverse(Z, self.p)[1])
         with self._lock:
             self._cache.setdefault(ell, e)
             return self._cache[ell]

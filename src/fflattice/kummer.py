@@ -95,24 +95,28 @@ class KummerAlg:
         C[0, 0] = 1
         return KummerElem(self, C)
 
+    def _scalar_coords(self, s) -> np.ndarray:
+        """The zeta-power coordinates of s, as from_scalar and scalar_mul take it."""
+        if isinstance(s, FFElem):
+            if s.field == self.scalar:
+                return np.array(s.vec, dtype=np.int64)
+            if s.field == self.entry.K:
+                return self.lattice.to_power_basis(self.ell, s)
+            raise AlgebraMismatch("scalar lives in neither the scalar field nor K_l")
+        if isinstance(s, (int, np.integer)):
+            svec = np.zeros(self.a, dtype=np.int64)
+            svec[0] = int(s) % self.p
+            return svec
+        svec = self._residues(s)
+        if svec.shape != (self.a,):
+            raise ValueError(f"scalar coordinate vector must have length {self.a}")
+        return svec
+
     def from_scalar(self, s) -> "KummerElem":
         """1 (x) s, where s is a scalar-field element, an element of K_l, an
         integer (the scalar s * 1) or a coordinate vector of length a."""
         C = np.zeros((self.ell, self.a), dtype=np.int64)
-        if isinstance(s, FFElem):
-            if s.field == self.scalar:
-                C[0] = s.vec
-            elif s.field == self.entry.K:
-                C[0] = self.lattice.to_power_basis(self.ell, s)
-            else:
-                raise AlgebraMismatch("scalar lives in neither the scalar field nor K_l")
-        elif isinstance(s, (int, np.integer)):
-            C[0, 0] = int(s) % self.p
-        else:
-            svec = self._residues(s)
-            if svec.shape != (self.a,):
-                raise ValueError(f"scalar coordinate vector must have length {self.a}")
-            C[0] = svec
+        C[0] = self._scalar_coords(s)
         return KummerElem(self, C)
 
     def __repr__(self):
@@ -199,8 +203,7 @@ class KummerElem:
     def scalar_mul(self, s) -> "KummerElem":
         """Multiplication by 1 (x) s."""
         alg = self.algebra
-        e = FFElem(alg.scalar, tuple(alg.from_scalar(s).coeffs[0].tolist()))
-        M = alg.scalar.mul_matrix(e)
+        M = fppoly.mul_matrix(alg._scalar_coords(s), alg.scalar.reduction, alg.p)
         return KummerElem(alg, linalg.matmul_mod(self.coeffs, M.T, alg.p))
 
     def column(self, j: int) -> FFElem:
@@ -340,10 +343,12 @@ def scalar_norm(gamma: KummerElem, b: int, a: int) -> KummerElem:
 def project_first(beta: KummerElem, ell_sub: int) -> FFElem:
     """First coefficient y_0 of beta = sum y_i (x) eta^i, eta = zeta^(l/l_sub).
 
-    Each row of beta is solved against the power basis 1, eta, ..., eta^(d-1)
-    of GF(p)(eta), d the level of l_sub: one linear solve of the a x d basis
-    against all l rows at once.  Raises ValueError when beta lies outside
-    GF(p^l) (x) GF(p)(eta).
+    W is the a x d power basis 1, eta, ..., eta^(d-1) of GF(p)(eta), d the
+    level of l_sub, and (I, A) its linalg.left_inverse: one d x (a + d) row
+    reduction, whatever l.  The rows y_i are X = A beta_I, for the l rows of
+    beta at once, and beta lies in GF(p^l) (x) GF(p)(eta) exactly when
+    W X = beta, which holds by itself when d = a.  Raises ValueError
+    otherwise.
     """
     alg = beta.algebra
     p, ell = alg.p, alg.ell
@@ -351,12 +356,12 @@ def project_first(beta: KummerElem, ell_sub: int) -> FFElem:
         raise ValueError(f"{ell_sub} does not divide the algebra root order {ell}")
     d = alg.lattice.level(ell_sub)
     S = alg.scalar
-    eta = S.gen() ** (ell // ell_sub)
-    W = S.powers(eta, d)
-    try:
-        X = linalg.solve(W, beta.coeffs.T, p)
-    except linalg.InconsistentSystem:
-        raise ValueError("element lies outside the requested subalgebra") from None
+    W = S.powers(S.gen() ** (ell // ell_sub), d)
+    rows, A = linalg.left_inverse(W, p)
+    B = beta.coeffs.T
+    X = linalg.matmul_mod(A, B[rows], p)
+    if d < alg.a and not np.array_equal(linalg.matmul_mod(W, X, p), B):
+        raise ValueError("element lies outside the requested subalgebra")
     return FFElem(alg.left, tuple(X[0].tolist()))
 
 

@@ -4,24 +4,22 @@ StdLattice decorates fields on demand, caches standard embeddings with their
 evaluation matrices, evaluates embeddings and their sections, and can verify
 the triangle (composition) identity over every registered divisibility chain.
 Adding a field never touches existing entries; per-field persistent storage
-(f, s, P) is linear in the degree.  An embedding matrix is the image powers
-1, t, ..., t^(l-1) that standard_embed returns times B_l^(-1), the inverse
-of the power basis 1, s_l, ..., s_l^(l-1), cached once per source degree
-(one l x l solve, 8 l^2 bytes).  Each target field keeps its standard
-Hilbert-90 solution alpha_m after the first embedding into it that needs
-it (DecoratedField.alpha, 8 m a bytes for the level a of m), so a pair
-recovers no alpha_m of its own; an embedding from GF(p) needs none, as
-alpha_m^m is the standard Kummer constant.  The projection's solve and
-kappa_{l,m} stay per pair: a StdLattice builds each pair once.
+(f, s, P) is linear in the degree.  Each pair keeps the embedding matrix E
+that standard_embed returns with its description.  The per-degree caches it
+uses live on the decorated fields: B_l^(-1) on the source
+(DecoratedField.basis_inverse, 8 l^2 bytes) and the standard Hilbert-90
+solution alpha_m on the target (DecoratedField.alpha, 8 m a bytes for the
+level a of m); an embedding from GF(p) needs no alpha_m, as alpha_m^m is
+the standard Kummer constant.  The projection and kappa_{l,m} stay per
+pair: a StdLattice builds each pair once.
 
-Evaluation is quadratic: embed_eval is one m x l mat-vec by that matrix, and
+Evaluation is quadratic: embed_eval is one m x l mat-vec by E, and
 section_eval is one (l + m) x l mat-vec on l coordinates of y.  Its matrix
-is built once per pair, from one row reduction of [E^T | I_l]: l independent
-rows I of E (the pivot columns of E^T), A = E_I^(-1) and Q = [A; E A], 8 l
-(l + m) bytes.  Any y = E x' has y_I = E_I x', so A y_I is the preimage and
-y lies in the image exactly when E A y_I = y.  Both build their result from
-the reduced product as it is, with no second validation through
-ExtField.element.
+is built once per pair from linalg.left_inverse of E: l independent rows I
+of E, A = E_I^(-1) and Q = [A; E A], 8 l (l + m) bytes.  Any y = E x' has
+y_I = E_I x', so A y_I is the preimage and y lies in the image exactly when
+E A y_I = y.  Both build their result from the reduced product as it is,
+with no second validation through ExtField.element.
 
 Serialization is a portable text format: a header line `p`, then one line
 per field `l f_coeffs s_coeffs P_coeffs`, then one line per cached embedding
@@ -34,7 +32,7 @@ degree l not registered yet (`1 4 t_coeffs` also has 3 * 1 + 3 tokens).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -67,10 +65,8 @@ class _Section(NamedTuple):
 
 
 def _section(E: np.ndarray, p: int) -> _Section:
-    """One rref of [E^T | I_l]: its pivots are I and its last l columns are A^T."""
-    m, ell = E.shape
-    R, rows = linalg.rref(np.hstack([E.T, linalg.identity(ell)]), p)
-    A = R[:, m:].T
+    ell = E.shape[1]
+    rows, A = linalg.left_inverse(E, p)
     Q = np.vstack([A, linalg.matmul_mod(E, A, p)])
     # itemgetter of one index returns the entry itself, of a slice a tuple
     take = itemgetter(*rows) if ell > 1 else itemgetter(slice(rows[0], rows[0] + 1))
@@ -79,10 +75,8 @@ def _section(E: np.ndarray, p: int) -> _Section:
 
 @dataclass
 class _EmbeddingEntry:
-    desc: EmbeddingDesc
-    matrix: np.ndarray       # m x l matrix E of the embedding on GF(p)-coordinates
+    desc: EmbeddingDesc      # s_image in GF(p^m) and the embedding matrix E
     source: ExtField         # GF(p^l)
-    target: ExtField         # GF(p^m)
     section: _Section | None = None   # built on first section_eval
 
 
@@ -108,9 +102,7 @@ class StdLattice:
         self.p = p
         self.fields: dict[int, DecoratedField] = {}
         self.embeddings: dict[tuple[int, int], _EmbeddingEntry] = {}
-        self._basis_inverses: dict[int, np.ndarray] = {}   # l -> B_l^(-1), a cache
         self._lock = threading.Lock()
-        self.embedding_computations = 0  # instrumentation for cache tests
 
     # -- registration -----------------------------------------------------------
 
@@ -159,23 +151,9 @@ class StdLattice:
         dst = self.field(m)
         if m % ell:
             raise ValueError(f"{ell} does not divide {m}")
-        desc = standardize.standard_embed(src, dst, self.lattice)
-        matrix = linalg.matmul_mod(desc.powers, self._basis_inverse(src), self.p)
-        entry = _EmbeddingEntry(replace(desc, powers=None), matrix, src.field, dst.field)
+        entry = _EmbeddingEntry(standardize.standard_embed(src, dst, self.lattice), src.field)
         with self._lock:
-            self.embedding_computations += 1
             return self.embeddings.setdefault((ell, m), entry)
-
-    def _basis_inverse(self, src: DecoratedField) -> np.ndarray:
-        """Inverse of the l x l matrix with columns 1, s_l, ..., s_l^(l-1); cached per degree."""
-        with self._lock:
-            inv = self._basis_inverses.get(src.ell)
-        if inv is None:
-            B = src.field.powers(src.s, src.ell)
-            inv = linalg.solve(B, linalg.identity(src.ell), self.p)
-            with self._lock:
-                inv = self._basis_inverses.setdefault(src.ell, inv)
-        return inv
 
     def embed_eval(self, ell: int, m: int, x: FFElem) -> FFElem:
         """phi(x) for the standard embedding GF(p^l) -> GF(p^m).
@@ -187,8 +165,9 @@ class StdLattice:
         entry = self._embedding_entry(ell, m)
         if x.field is not entry.source and x.field != entry.source:
             raise extfield.FieldMismatch("element does not live in the source field")
-        vec = linalg.matmul_mod(entry.matrix, np.array(x.vec, dtype=np.int64), self.p)
-        return FFElem(entry.target, tuple(vec.tolist()))
+        desc = entry.desc
+        vec = linalg.matmul_mod(desc.matrix, np.array(x.vec, dtype=np.int64), self.p)
+        return FFElem(desc.s_image.field, tuple(vec.tolist()))
 
     def section_eval(self, ell: int, m: int, y: FFElem) -> FFElem | None:
         """The preimage x of y under E, or None when y is outside the subfield.
@@ -199,12 +178,13 @@ class StdLattice:
         directly.
         """
         entry = self._embedding_entry(ell, m)
-        if y.field is not entry.target and y.field != entry.target:
+        target = entry.desc.s_image.field
+        if y.field is not target and y.field != target:
             raise extfield.FieldMismatch("element does not live in the target field")
         section = entry.section
         if section is None:
             # racing threads build the same section
-            section = entry.section = _section(entry.matrix, self.p)
+            section = entry.section = _section(entry.desc.matrix, self.p)
         r = linalg.matmul_mod(section.matrix, np.array(section.take(y.vec), dtype=np.int64),
                               self.p).tolist()
         if tuple(r[ell:]) != y.vec:
@@ -302,7 +282,7 @@ class StdLattice:
         """Number of persistently stored GF(p) coefficients (storage-linearity check).
 
         Caches are not counted: the embedding matrices and their sections,
-        the basis inverses B_l^(-1), each field's Hilbert-90 solution alpha,
+        each field's basis inverse B_l^(-1) and Hilbert-90 solution alpha,
         and the CycloLattice's entries.
         """
         return sum(len(d.field.modulus) + len(d.s.vec) + len(d.P) for d in self.fields.values())

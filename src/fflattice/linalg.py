@@ -10,6 +10,11 @@ exact, which makes a large product cost about what a numpy call costs.
 krylov uses that to build k Krylov columns from O(log k) matrix products
 instead of k - 1 mat-vecs, and reduces the squarings it needs in float64
 (float_mod).
+
+Every change of basis goes through left_inverse, one rref of [W^T | I_d]
+for a basis W of full column rank: the zeta-power bases of the cyclotomic
+entries, the power bases B_l of the standard generators, the subalgebra
+basis of a projection and the section of an embedding matrix.
 """
 
 from __future__ import annotations
@@ -17,10 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import fppoly
-
-
-class InconsistentSystem(ValueError):
-    """Raised when a linear system has no solution."""
 
 
 # Matrix products with fewer multiply-adds than this are faster in int64 than
@@ -126,28 +127,17 @@ def rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return R, pivots
 
 
-def solve(M: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """One solution of Mx = b with free variables set to 0.
+def left_inverse(W: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """(I, A): d independent rows I of the m x d matrix W and A = W_I^(-1).
 
-    b may be a vector or a matrix of stacked right-hand-side columns.
-    Raises InconsistentSystem when no solution exists.
+    One rref of [W^T | I_d].  Its row operations, an invertible d x d T,
+    give [T W^T | T]; when W has rank d the d pivots are columns of W^T,
+    the rows I of W, and T W_I^T = I_d, so T = A^T.  A square W has
+    I = 0, ..., d - 1 and A = W^(-1).  Any y = W x has y_I = W_I x, so
+    A y_I = x.  A pivot in the I_d block means dependent columns: ValueError.
     """
-    M = np.asarray(M, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    single = b.ndim == 1
-    B = b.reshape(-1, 1) if single else b
-    if B.shape[0] != M.shape[0]:
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    aug = np.hstack([M, B])
-    R, pivots = rref(aug, p)
-    n = M.shape[1]
-    if any(c >= n for c in pivots):
-        raise InconsistentSystem("linear system has no solution")
-    X = np.zeros((n, B.shape[1]), dtype=np.int64)
-    for r, c in enumerate(pivots):
-        X[c] = R[r, n:]
-    return X[:, 0] if single else X
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
+    m, d = W.shape
+    R, rows = rref(np.hstack([W.T, np.eye(d, dtype=np.int64)]), p)
+    if rows and rows[-1] >= m:
+        raise ValueError(f"the {m} x {d} matrix has dependent columns")
+    return rows, R[:, m:].T.copy()

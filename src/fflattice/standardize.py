@@ -4,10 +4,11 @@ decorate() normalizes an arbitrary Hilbert-90 solution to the standard one
 (whose Kummer constant is the canonical cyclotomic pullback), yielding the
 standard generator s_l and the standard defining polynomial P_l.
 standard_embed() then computes the image t of s_l in a larger decorated
-field through the closed-form constant kappa_{l,m}, and checks it by
-P_l(t) = 0 on the Krylov matrix 1, t, ..., t^l, whose first l columns it
-returns for the embedding matrix; the resulting embeddings compose
-compatibly across the whole divisibility lattice.
+field through the closed-form constant kappa_{l,m}, checks it by
+P_l(t) = 0 on the Krylov matrix 1, t, ..., t^l, and returns with t the
+embedding matrix, the first l columns of that matrix times B_l^(-1); the
+resulting embeddings compose compatibly across the whole divisibility
+lattice.
 """
 
 from __future__ import annotations
@@ -28,10 +29,14 @@ from .kummer import KummerAlg, KummerElem
 class DecoratedField:
     """A finite field GF(p^l) with its standard generator and polynomial.
 
-    Only (f, s, P) are stored, so storage is linear in l; the standard
-    Hilbert-90 solution alpha is rebuilt from its first coordinate s on the
-    first demand (a - 1 Frobenius mat-vecs) and kept as a cache of l a
-    coefficients, so every embedding into this field reuses it.
+    Only (f, s, P) are stored, so storage is linear in l.  Two caches are
+    built on first demand (racing threads store equal values) and reused by
+    every embedding that needs them.  alpha() is the standard Hilbert-90
+    solution, rebuilt from its first coordinate s by a - 1 Frobenius
+    mat-vecs (l a coefficients), for the embeddings into this field.
+    basis_inverse() is B_l^(-1) for the power basis B_l = 1, s, ...,
+    s^(l-1), one l x l linalg.left_inverse (l^2 coefficients), for the
+    embeddings out of it.
     """
 
     ell: int
@@ -42,27 +47,34 @@ class DecoratedField:
     algebra: KummerAlg
     _alpha: KummerElem | None = dataclasses.field(default=None, init=False, compare=False,
                                                   repr=False)
+    _basis_inverse: np.ndarray | None = dataclasses.field(default=None, init=False,
+                                                          compare=False, repr=False)
 
     def alpha(self) -> KummerElem:
-        if self._alpha is None:     # racing threads store equal values
+        if self._alpha is None:
             self._alpha = kummer.recover_alpha(self.algebra, self.s)
         return self._alpha
+
+    def basis_inverse(self) -> np.ndarray:
+        if self._basis_inverse is None:
+            B = self.field.powers(self.s, self.ell)
+            self._basis_inverse = linalg.left_inverse(B, self.field.p)[1]
+        return self._basis_inverse
 
 
 @dataclass(frozen=True)
 class EmbeddingDesc:
     """Description of a standard embedding: s_l maps to s_image in GF(p^m).
 
-    standard_embed also sets powers, the m x l matrix of 1, t, ..., t^(l-1),
-    t = s_image, in the power basis of GF(p^m).  It is derived from s_image
-    and not compared; StdLattice keeps the embedding matrix made from it
-    and drops it.
+    standard_embed also sets matrix, the m x l matrix E of the embedding on
+    GF(p)-coordinates: E = [1, t, ..., t^(l-1)] B_l^(-1), t = s_image.  It
+    is derived from s_image and not compared.
     """
 
     source_degree: int
     target_degree: int
     s_image: FFElem
-    powers: np.ndarray | None = dataclasses.field(default=None, compare=False, repr=False)
+    matrix: np.ndarray | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
 def decorate(ell: int, lattice: CycloLattice, defining_poly: list[int] | None = None,
@@ -126,10 +138,12 @@ def standard_embed(src: DecoratedField, dst: DecoratedField,
     """Image of the standard generator s_l inside the decorated GF(p^m).
 
     Returns t = [ (1 (x) kappa_{l,m}) alpha_m^(m/l) ]_(zeta_m^(m/l)) with
-    the powers 1, t, ..., t^(l-1).  alpha_m is recovered once per target
-    field (DecoratedField.alpha).  For l = 1 the power alpha_m^m is the
-    standard Kummer constant 1 (x) abar_m, which decorate fixed, so it is
-    taken from the cyclotomic lattice in closed form instead of recomputed.
+    the embedding matrix [1, t, ..., t^(l-1)] B_l^(-1).  alpha_m is
+    recovered once per target field (DecoratedField.alpha) and B_l^(-1)
+    once per source field (DecoratedField.basis_inverse).  For l = 1 the
+    power alpha_m^m is the standard Kummer constant 1 (x) abar_m, which
+    decorate fixed, so it is taken from the cyclotomic lattice in closed
+    form instead of recomputed.
     P_l(t) = 0 is asserted on the Krylov matrix 1, t, ..., t^l; P_l is
     irreducible of degree l (decorate asserts the degree), so that is the
     same test as minimal polynomial of t = P_l.
@@ -145,11 +159,12 @@ def standard_embed(src: DecoratedField, dst: DecoratedField,
         power = dst.alpha() ** (m // ell)
     beta = power.scalar_mul(kappa_constant(ell, m, lattice))
     t = kummer.project_first(beta, ell)
+    p = lattice.p
     T = dst.field.powers(t, ell + 1)
-    if linalg.matmul_mod(T, np.array(src.P, dtype=np.int64), lattice.p).any():
+    if linalg.matmul_mod(T, np.array(src.P, dtype=np.int64), p).any():
         raise AssertionError("embedding image is not a root of P_l; "
                              "decorations are inconsistent")
-    return EmbeddingDesc(ell, m, t, T[:, :ell])
+    return EmbeddingDesc(ell, m, t, linalg.matmul_mod(T[:, :ell], src.basis_inverse(), p))
 
 
 def baseline_embed(field_l: ExtField, field_m: ExtField,

@@ -186,9 +186,10 @@ def test_scalar_norm_properties():
 
 def test_project_first_matches_oracle():
     # beta = sum_i y_i (x) eta^i from random left-field y_i projects to y_0;
-    # (105, 35) and (45, 1) at p = 2 have l a > 512
+    # (105, 35) and (45, 1) at p = 2 have l a > 512; at p = 257, d = 1 < a = 2
     rng = random.Random(35)
-    cases = {2: [(15, 3), (105, 35), (45, 1)], 3: [(20, 4), (26, 2)], 5: [(56, 8), (31, 1)]}
+    cases = {2: [(15, 3), (105, 35), (45, 1)], 3: [(20, 4), (26, 2)], 5: [(56, 8), (31, 1)],
+             257: [(6, 2), (3, 1)]}
     for p, pairs in cases.items():
         L = default_lattice(p)
         for ell, ell_sub in pairs:
@@ -269,6 +270,24 @@ def test_from_left_from_scalar_commute():
                                               alg.from_scalar(s).coeffs, alg.p))
 
 
+def test_scalar_mul_is_the_product_by_from_scalar():
+    # every form of scalar: a scalar-field element, an element of K_l (not the
+    # scalar field here: zeta_5 is not the Conway generator), an integer and
+    # a coordinate vector; the same errors from both
+    alg = KummerAlg(default_lattice(2), 5)
+    assert alg.scalar != alg.entry.K
+    rng = random.Random(5)
+    x = random_element(alg, rng)
+    for s in (alg.scalar.random_element(rng), alg.entry.K.random_element(rng), 3, np.int64(1),
+              [1, 0, 1, 1]):
+        assert x.scalar_mul(s) == x * alg.from_scalar(s), s
+    for wrong, error in ((default_lattice(2).entry(7).zeta, kummer.AlgebraMismatch),
+                         ([1, 0], ValueError)):
+        for convert in (alg.from_scalar, x.scalar_mul):
+            with pytest.raises(error):
+                convert(wrong)
+
+
 def test_degenerate_level_one():
     # l = 1: the algebra is just GF(p), alpha is a nonzero constant
     L = default_lattice(2)
@@ -332,7 +351,7 @@ def kernel_h90(alg):
     p, ell, a = alg.p, alg.ell, alg.a
     F = alg.left.frobenius_matrix
     Z = alg.scalar.mul_matrix(alg.scalar.gen())
-    M = (np.kron(F, linalg.identity(a)) - np.kron(linalg.identity(ell), Z)) % p
+    M = (np.kron(F, np.eye(a, dtype=np.int64)) - np.kron(np.eye(ell, dtype=np.int64), Z)) % p
     basis = kernel(M, p)
     assert len(basis) == a
     C = basis[0].reshape(ell, a)

@@ -8,9 +8,9 @@ import threading
 import numpy as np
 import pytest
 
-from fflattice import extfield, kummer, linalg
+from fflattice import extfield, kummer, linalg, standardize
 from fflattice.lattice import StdLattice
-from fflattice.linalg import InconsistentSystem
+from oracles import InconsistentSystem, solve
 
 
 def build(p, degrees):
@@ -46,26 +46,35 @@ def test_incrementality():
         assert tuple(L.field(ell).P) == P
 
 
-def test_embedding_cache():
+def test_embedding_cache(monkeypatch):
     L = build(2, [3, 15])
-    L.get_embedding(3, 15)
-    n = L.embedding_computations
-    L.get_embedding(3, 15)
+    embed = standardize.standard_embed
+    calls = []
+    monkeypatch.setattr(standardize, "standard_embed",
+                        lambda *args: calls.append(args) or embed(*args))
+    desc = L.get_embedding(3, 15)
+    assert L.get_embedding(3, 15) is desc
     L.embed_eval(3, 15, L.field(3).s)
-    assert L.embedding_computations == n
+    L.section_eval(3, 15, L.field(15).s)
+    assert len(calls) == 1
 
 
-def test_basis_inverse_cached_per_source_degree():
+def test_basis_inverse_cached_per_source_degree(monkeypatch):
     L = build(2, [3, 9, 15, 45])
     stored = L.stored_coefficients()
+    left_inverse = linalg.left_inverse
+    calls = []
+    monkeypatch.setattr(linalg, "left_inverse",
+                        lambda W, p: calls.append(W.shape) or left_inverse(W, p))
     for ell, m in [(3, 9), (3, 15), (3, 45), (9, 45)]:
         L.get_embedding(ell, m)
-    assert sorted(L._basis_inverses) == [3, 9]
+    # B_3 and B_9 once each; each projection adds its a x d basis, d < a here
+    assert sorted(shape for shape in calls if shape[0] == shape[1]) == [(3, 3), (9, 9)]
+    assert len(calls) == 2 + 4
     src = L.field(3)
     B = src.field.powers(src.s, 3)
-    assert np.array_equal(linalg.matmul_mod(B, L._basis_inverses[3], 2), linalg.identity(3))
+    assert linalg.matmul_mod(B, src.basis_inverse(), 2).tolist() == np.eye(3).tolist()
     assert L.stored_coefficients() == stored   # a cache, not stored state
-    assert L.get_embedding(3, 45).powers is None   # the entry keeps E, not 1, t, ..., t^(l-1)
 
 
 PAIR_DEGREES = {2: [1, 3, 5, 15, 45], 3: [1, 2, 4, 8, 20, 40], 5: [1, 2, 4, 12, 52]}
@@ -132,7 +141,8 @@ def test_threads_share_one_lattice():
     assert sorted(L.embeddings) == sorted(pairs)
     for pair in pairs:
         assert L.get_embedding(*pair) == alone.get_embedding(*pair)
-        assert np.array_equal(L.embeddings[pair].matrix, alone.embeddings[pair].matrix), pair
+        E, want_E = L.get_embedding(*pair).matrix, alone.get_embedding(*pair).matrix
+        assert np.array_equal(E, want_E), pair
         section, want = L.embeddings[pair].section, alone.embeddings[pair].section
         assert np.array_equal(section.matrix, want.matrix) and section.rows == want.rows, pair
 
@@ -171,14 +181,14 @@ def test_section_matches_linear_solve():
     L = build(3, [1, 2, 4, 8])
     rng = random.Random(248)
     for ell, m in [(1, 4), (1, 8), (2, 8), (4, 8), (8, 8)]:
-        E = L._embedding_entry(ell, m).matrix
+        E = L.get_embedding(ell, m).matrix
         F = L.field(m).field
         ys = [F.random_element(rng) for _ in range(20)]
         ys += [L.embed_eval(ell, m, L.field(ell).field.random_element(rng)) for _ in range(5)]
         for y in ys:
             got = L.section_eval(ell, m, y)
             try:
-                x = linalg.solve(E, np.array(y.vec, dtype=np.int64), L.p)
+                x = solve(E, np.array(y.vec, dtype=np.int64), L.p)
             except InconsistentSystem:
                 assert got is None, (ell, m, y)
             else:
@@ -197,10 +207,10 @@ def test_section_built_on_first_use():
     assert L.section_eval(2, 4, L.embed_eval(2, 4, x)) == x
     entry = L._embedding_entry(2, 4)
     section = entry.section
-    E, Q, rows = entry.matrix, section.matrix, section.rows
+    E, Q, rows = entry.desc.matrix, section.matrix, section.rows
     assert Q.shape == (2 + 4, 2) and len(rows) == 2
     A = Q[:2]
-    assert linalg.matmul_mod(A, E[rows], L.p).tolist() == linalg.identity(2).tolist()
+    assert linalg.matmul_mod(A, E[rows], L.p).tolist() == np.eye(2).tolist()
     assert Q[2:].tolist() == linalg.matmul_mod(E, A, L.p).tolist()
     assert section.take(tuple(range(10, 14))) == tuple(10 + i for i in rows)
     assert L.section_eval(2, 4, L.field(4).field.gen()) is None
@@ -210,7 +220,7 @@ def test_section_built_on_first_use():
 
 def solve_oracle_section(E, y, p):
     # the left inverse S of E from one solve, S y, and the test E S y = y
-    S = linalg.solve(E.T, linalg.identity(E.shape[1]), p).T
+    S = solve(E.T, np.eye(E.shape[1], dtype=np.int64), p).T
     x = linalg.matmul_mod(S, np.array(y.vec, dtype=np.int64), p)
     if (linalg.matmul_mod(E, x, p) != np.array(y.vec, dtype=np.int64)).any():
         return None
@@ -235,7 +245,7 @@ def test_section_matches_solve_oracle(p):
     L = build(p, degrees)
     rng = random.Random(p % 1000 + 19)
     for ell, m in [(ell, m) for ell in degrees for m in degrees if m % ell == 0]:
-        E = L._embedding_entry(ell, m).matrix
+        E = L.get_embedding(ell, m).matrix
         S, T = L.field(ell).field, L.field(m).field
         ys = [L.embed_eval(ell, m, S.random_element(rng)) for _ in range(4)]
         ys += [T.random_element(rng) for _ in range(4)] + [T.gen(), T.zero(), T.one()]
@@ -273,7 +283,7 @@ def test_eval_results_are_residue_tuples(p):
     for ell, m in [(ell, m) for ell in degrees for m in degrees if m % ell == 0]:
         src = L.field(ell)
         S, T = src.field, L.field(m).field
-        E = L._embedding_entry(ell, m).matrix
+        E = L.get_embedding(ell, m).matrix
         B = S.powers(src.s, ell)
         t = L.get_embedding(ell, m).s_image
         xs = [S.zero(), S.one(), S.element([p - 1] * ell)]
@@ -284,7 +294,7 @@ def test_eval_results_are_residue_tuples(p):
             want = T.element(list(linalg.matmul_mod(E, np.array(x.vec, dtype=np.int64), p)))
             assert y == want and hash(y) == hash(want), (ell, m, x)
             # independently: x = sum c_i s^i by a fresh solve, phi(x) = sum c_i t^i
-            c = linalg.solve(B, np.array(x.vec, dtype=np.int64), p).tolist()
+            c = solve(B, np.array(x.vec, dtype=np.int64), p).tolist()
             assert y == sum((t ** i * ci for i, ci in enumerate(c)), T.zero()), (ell, m, x)
             back = L.section_eval(ell, m, y)
             assert_residue_tuple(back, S)
@@ -292,7 +302,7 @@ def test_eval_results_are_residue_tuples(p):
         for z in [T.random_element(rng) for _ in range(4)]:
             got = L.section_eval(ell, m, z)
             try:
-                sol = linalg.solve(E, np.array(z.vec, dtype=np.int64), p)
+                sol = solve(E, np.array(z.vec, dtype=np.int64), p)
             except InconsistentSystem:
                 assert got is None, (ell, m, z)
                 continue
@@ -306,7 +316,7 @@ def test_eval_results_are_residue_tuples(p):
 @pytest.mark.parametrize("p, ell, m", [(3, 2, 8), (65521, 4, 12), (2 ** 31 - 1, 3, 9)])
 def test_warm_eval_call_counts(monkeypatch, p, ell, m):
     # once the pair is warm, embed_eval and section_eval are one mat-vec
-    # each, with no solve, no rref and no ExtField.element re-validation
+    # each, with no left inverse, no rref and no ExtField.element re-validation
     L = build(p, [ell, m])
     x = L.field(ell).field.random_element(random.Random(p))
     y = L.embed_eval(ell, m, x)
@@ -321,7 +331,7 @@ def test_warm_eval_call_counts(monkeypatch, p, ell, m):
         return wrapper
 
     monkeypatch.setattr(linalg, "matmul_mod", counted("matmul_mod", linalg.matmul_mod))
-    monkeypatch.setattr(linalg, "solve", counted("solve", linalg.solve))
+    monkeypatch.setattr(linalg, "left_inverse", counted("left_inverse", linalg.left_inverse))
     monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
     monkeypatch.setattr(extfield.ExtField, "element", counted("element", extfield.ExtField.element))
     assert L.embed_eval(ell, m, x) == y

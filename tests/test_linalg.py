@@ -1,5 +1,6 @@
 """Exact linear algebra mod p, cross-checked against an independent
-pure-Python Gaussian elimination oracle and object-dtype products."""
+pure-Python Gaussian elimination oracle, the solve oracle and object-dtype
+products."""
 
 import math
 import random
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from fflattice import fppoly, linalg
+from oracles import InconsistentSystem, solve
 
 PRIMES = [2, 3, 5, 97]
 
@@ -58,15 +60,54 @@ def test_solve_round_trip(p):
         M = rand_matrix(rng, n, n, p)
         x = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
         b = linalg.matmul_mod(M, x, p)
-        y = linalg.solve(M, b, p)
+        y = solve(M, b, p)
         assert (linalg.matmul_mod(M, y, p) == b % p).all()
 
 
 def test_solve_inconsistent():
     M = np.array([[1, 0], [0, 0]], dtype=np.int64)
     b = np.array([0, 1], dtype=np.int64)
-    with pytest.raises(linalg.InconsistentSystem):
-        linalg.solve(M, b, 5)
+    with pytest.raises(InconsistentSystem):
+        solve(M, b, 5)
+
+
+def full_rank_matrix(rng, m, d, p, zero_rows=0):
+    """A random m x d matrix of rank d, with zero_rows of its rows zero."""
+    while True:
+        W = rand_matrix(rng, m, d, p)
+        W[rng.sample(range(m), zero_rows)] = 0
+        if len(linalg.rref(W, p)[1]) == d:
+            return W
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2 ** 31 - 1])
+def test_left_inverse_matches_solve_oracle(p):
+    # square, tall, d = 1 and with zero rows: A W_I = I, A is the oracle's
+    # W_I^(-1), and A y_I is the oracle's solution of W x = y for y = W x
+    rng = random.Random(p % 1000 + 7)
+    shapes = [(1, 1), (5, 5), (8, 8), (6, 2), (9, 4), (4, 1), (7, 1)]
+    for m, d, zero_rows in [(m, d, 0) for m, d in shapes] + [(6, 3, 3), (5, 1, 4)]:
+        W = full_rank_matrix(rng, m, d, p, zero_rows)
+        rows, A = linalg.left_inverse(W, p)
+        assert len(rows) == d and rows == sorted(set(rows)) and rows[-1] < m
+        assert linalg.matmul_mod(A, W[rows], p).tolist() == np.eye(d).tolist(), (m, d)
+        assert A.tolist() == solve(W[rows], np.eye(d, dtype=np.int64), p).tolist()
+        if m == d:
+            assert rows == list(range(d))
+        x = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
+        y = linalg.matmul_mod(W, x, p)
+        assert linalg.matmul_mod(A, y[rows], p).tolist() == x.tolist() == solve(W, y, p).tolist()
+
+
+@pytest.mark.parametrize("p", [2, 5, 2 ** 31 - 1])
+def test_left_inverse_rejects_dependent_columns(p):
+    rng = random.Random(p % 1000 + 8)
+    W = rand_matrix(rng, 6, 3, p)
+    W[:, 2] = (2 * W[:, 0] + W[:, 1]) % p
+    for dependent in (W, np.zeros((4, 2), dtype=np.int64), np.zeros((0, 2), dtype=np.int64),
+                      rand_matrix(rng, 2, 3, p)):
+        with pytest.raises(ValueError, match="dependent columns"):
+            linalg.left_inverse(dependent, p)
 
 
 def test_determinism():
@@ -84,7 +125,7 @@ def test_krylov_columns_are_matrix_powers(p):
     v = rand_matrix(rng, 6, 1, p)[:, 0]
     K = linalg.krylov(M, v, 8, p)
     assert K.shape == (6, 8)
-    P = linalg.identity(6)          # M^i, by iterated products
+    P = np.eye(6, dtype=np.int64)   # M^i, by iterated products
     for i in range(8):
         assert (K[:, i] == linalg.matmul_mod(P, v, p)).all()
         P = linalg.matmul_mod(P, M, p)

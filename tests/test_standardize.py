@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from fflattice import fppoly, extfield, kummer, standardize
+from fflattice import fppoly, extfield, kummer, linalg, standardize
 from fflattice.extfield import ExtField
 from fflattice.lattice import default_lattice
 
@@ -143,13 +143,19 @@ def test_prime_field_embedding_takes_the_kummer_constant(monkeypatch, p, degrees
         assert desc.s_image.vec == src.s.vec + (0,) * (m - 1), m
 
 
-def test_standard_embed_returns_image_powers():
+def test_standard_embed_returns_embedding_matrix():
+    # E = [1, t, ..., t^(l-1)] B_l^(-1): E B_l is the image powers, E s_l = t
     L = default_lattice(3)
     src = standardize.decorate(4, L)
     dst = standardize.decorate(20, L)
     desc = standardize.standard_embed(src, dst, L)
-    assert desc.powers.shape == (20, 4)
-    assert np.array_equal(desc.powers, dst.field.powers(desc.s_image, 4))
+    E, t = desc.matrix, desc.s_image
+    assert E.shape == (20, 4)
+    B = src.field.powers(src.s, 4)
+    assert np.array_equal(linalg.matmul_mod(E, B, 3), dst.field.powers(t, 4))
+    assert linalg.matmul_mod(E, np.array(src.s.vec), 3).tolist() == list(t.vec)
+    assert src.basis_inverse() is src.basis_inverse()
+    assert desc == standardize.EmbeddingDesc(4, 20, t)   # E is not compared
 
 
 def test_embed_exponent_divisibility():
