@@ -4,12 +4,14 @@ A field keeps two n x n matrices: the reduction matrix of its modulus
 (fppoly's reduction kernel), so a product of elements is one convolve plus
 one mat-vec and the matrix of multiplication by an element is one matrix
 product (fppoly.mul_matrix), and the matrix F of the Frobenius x -> x^p in
-the power basis, the Krylov matrix (linalg.krylov, O(log n) products in its
-float64 tier) of multiplication by X^p.  sigma^k is applied on demand as k
-mod n products with F (frobenius_coords), for field elements and for the
+the power basis (frobenius_matrix): read off the reduction matrix, which is
+the matrix of multiplication by X^n, in p - 2 products for n >= p (p - 1),
+else the Krylov matrix (linalg.krylov, O(log n) products in its float64
+tier) of multiplication by X^p.  sigma^k is applied on demand as k mod n
+products with F (frobenius_coords), for field elements and for the
 tensor-algebra operators alike; no power of F is stored.  Also provides
 minimal polynomials (Berlekamp-Massey on the constant coordinates of 1, x,
-..., x^(2n-1), O(n^2) beyond that Krylov matrix), primitivity,
+..., x^(2n-1), O(n^2) beyond their Krylov matrix), primitivity,
 Pohlig-Hellman discrete logarithms (baby-step giant-step in the subgroup of
 each prime order q dividing p^n - 1, on tables cached per field and base)
 and deterministic l-th root extraction.
@@ -17,13 +19,16 @@ and deterministic l-th root extraction.
 Irreducibility over GF(2) is Ben-Or's test on f packed into one Python int
 (bit i is the coefficient of X^i): at most floor(n/2) squarings and
 shift-XOR gcds, stopping at the first nonconstant gcd, with no matrix.  At
-odd p (is_irreducible) three screens run before Rabin's test, cheapest
-first: for p <= ROOT_SCREEN_MAX_P, a root in GF(p), found by one p x (n+1)
-product with a per-prime table of powers; Ben-Or's gcds with X^q - X for
-q = p^k <= n, each on f folded mod X^q - X in O(n); then X^(p^n) and the
-X^(p^(n/q)) from floor(log2 n) squarings of the Frobenius matrix and a few
-mat-vecs.  random_irreducible draws its candidates in blocks of Mersenne
-Twister words, the values randrange(p) would give (_candidates).
+odd p <= ROOT_SCREEN_MAX_P (is_irreducible) a screen first divides f by
+every monic irreducible of degree <= K, as one float64 product of about
+p^K (n + 1) multiply-adds with a per-prime table of the powers X^i mod g;
+K is the largest degree whose table fits ROOT_TABLE_MAX_ENTRIES (1 MB) at
+n + 1 columns, and for n <= 2K + 1 the screen alone is complete.  Its other
+survivors, and every candidate at larger p, go through Rabin's test: X^(p^n)
+and the X^(p^(n/q)) from floor(log2 n) squarings of the Frobenius matrix and
+a few mat-vecs.  random_irreducible builds the table before its first draw
+and draws its candidates in blocks of Mersenne Twister words, the values
+randrange(p) would give (_candidates).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,37 +217,92 @@ class FFElem:
 # -- polynomial-level predicates ----------------------------------------------
 
 
+# F from R takes p - 2 products, n^3 (p-1)(p-2)/(2p) multiply-adds in all;
+# Krylov takes X^p, one product for its matrix and about 2 log2 n doubling
+# products, (log2 n + 2) n^3 multiply-adds.  Time from R over Krylov, one
+# thread of a 2-vCPU x86-64 host, median of three moduli: p = 2, n = 3-400:
+# 0.01-0.63; p = 3, n = 6-400: 0.06-0.78; p = 5: 0.86 at n = 16, 0.56 at 20,
+# 0.25 at 400; p = 7: 1.02 at 32, 0.83 at 42; p = 11: 0.95 at 90, 0.80 at
+# 110; p = 13: 0.88 at 169; p = 17: 1.15 at 200, 0.95 at 400; p = 31: 2.1
+# at 400.  So frobenius_matrix takes F from R from n = p (p - 1) on.
 def frobenius_matrix(f: list[int], p: int, R: np.ndarray | None = None) -> np.ndarray:
     """n x n matrix of y -> y^p on GF(p)[X]/(f), f monic: columns X^(p i) mod f.
 
-    One powmod for X^p through the reduction matrix R of f (built here if
-    not given), one product for the matrix of multiplication by X^p
-    (fppoly.mul_matrix), then the columns are its Krylov iterates of 1.
+    R is the reduction matrix of f (built here if not given); it is also the
+    matrix of multiplication by X^n, since its column j is X^(n+j) mod f.
+    Two builders, by a rule measured on (p, n) (see above):
+    - From R, for n >= p (p - 1).  With p i = q n + r, 0 <= r < n,
+      column i is R^q e_r: a column of the identity for q = 0, a column of
+      R for q = 1, and the columns of each larger q come out of a Horner
+      scheme, one product with R per q from 2 up to the largest quotient
+      (p (n-1)) // n < p.  At p = 2 that is one gather from [I | R], at
+      p = 3 one n x n by n x n/3 product.
+    - Krylov otherwise: one powmod for X^p through R, one product for the
+      matrix of multiplication by X^p (fppoly.mul_matrix), then the columns
+      are its Krylov iterates of 1 (linalg.krylov, O(log n) products).
     """
     n = fppoly.degree(f)
     if R is None:
         R = fppoly.reduction_matrix(f, p)
-    mul_xp = fppoly.mul_matrix(fppoly.powmod([0, 1], p, f, p, R), R, p)
-    return linalg.krylov(mul_xp, [1] + [0] * (n - 1), n, p)
+    if n < p * (p - 1):
+        mul_xp = fppoly.mul_matrix(fppoly.powmod([0, 1], p, f, p, R), R, p)
+        return linalg.krylov(mul_xp, [1] + [0] * (n - 1), n, p)
+    F = np.zeros((n, n), dtype=np.int64)
+    U, hi = F[:, :0], n
+    for q in range(p * (n - 1) // n, 0, -1):
+        # U holds R^(q'-q) e_r for the columns i of each quotient q' > q, in order;
+        # after this step it holds R^(q'-q+1) e_r for those of each q' >= q
+        lo = -(-q * n // p)                 # the first i with p i >= q n
+        U = np.hstack([R[:, p * np.arange(lo, hi) - q * n], linalg.matmul_mod(R, U, p)])
+        hi = lo
+    F[:, hi:] = U
+    F[p * np.arange(hi), np.arange(hi)] = 1     # p i < n: X^(p i) itself
+    return F
 
 
-# The root screen evaluates f at every a in GF(p) as one product with a table
-# of a^i mod p, p (n + 1) multiply-adds, where a rejected Rabin test costs
-# O(n^3) in O(log n) products.  Expected search cost with the screen against
-# without it, one thread of a 2-vCPU x86-64 host, n = 2-32: 1.4-2.4x lower
-# at p = 1021 and 4093, 1.2-1.4x lower at p = 8191, 1.1-2.4x higher at
-# p = 16381 and 32749.  The table, one per prime, is capped at
-# ROOT_TABLE_MAX_ENTRIES (1 MB in float64), which at p = 65521 would leave
-# n = 1.
+# The screen at odd p divides f by every monic irreducible g of degree k <= K,
+# one product with the stacked k x (n + 1) blocks X^i mod g: sum over k <= K
+# of k I_k rows, about p^K (p/(p-1)); the degree-1 rows are the powers a^i of
+# the roots.  A rejected Rabin test costs O(n^3) in O(log n) products.  Above
+# p = 161 even degree 2 does not fit, so K <= 1 and the screen is a root
+# test; for it, the expected search cost with the screen against without it,
+# one thread of a 2-vCPU x86-64 host, n = 2-32: 1.4-2.4x lower at p = 1021
+# and 4093, 1.2-1.4x lower at p = 8191, 1.1-2.4x higher at p = 16381 and
+# 32749.  Mean time per rejected candidate against the root screen and
+# Ben-Or's folded gcds it replaces, same host: 0.97x at p = 3 and 5, n = 14
+# (K = 7 and 5); 0.62x at p = 3, n = 28; 0.36x at p = 3, n = 56 (K = 6);
+# 0.29x at p = 3, n = 100; 0.40x at p = 5, n = 56 (K = 4); 0.48x at p = 7,
+# n = 48 (K = 3); 0.78x at p = 31, n = 40 (K = 2).  The table, one per
+# prime, is capped at ROOT_TABLE_MAX_ENTRIES (1 MB in float64), which fixes K
+# for each n and at p = 65521 would leave n = 1.
 ROOT_SCREEN_MAX_P = 8192
 ROOT_TABLE_MAX_ENTRIES = 1 << 17
-_root_tables: dict[int, np.ndarray] = {}
+
+
+class _ScreenTable(NamedTuple):
+    """The blocks of the monic irreducibles of degree 1..K over GF(p), stacked.
+
+    T is float64, with sum over k <= K of k I_k rows: for each degree k in
+    turn and each monic irreducible g of that degree, the k rows of the
+    block whose column i holds the coordinates of X^i mod g.  row_ends[k]
+    and block_ends[k] count the rows and the blocks of degree <= k, and
+    starts holds the first row of every block.  Its entries are residues
+    and the table has at least p rows, so a product with n + 1 <= 2^17 / p
+    residues sums below 2^17 p <= 2^30: exact in float64.
+    """
+    T: np.ndarray
+    row_ends: list[int]
+    block_ends: list[int]
+    starts: np.ndarray
+
+
+_screen_tables: dict[int, _ScreenTable] = {}
 
 
 def is_irreducible(f: list[int], p: int) -> bool:
-    """Ben-Or's test on bit-packed GF(2)[X] at p = 2; at odd p, a root
-    screen and Ben-Or's small-degree gcds, then Rabin's test on the
-    Frobenius iterates of X.
+    """Ben-Or's test on bit-packed GF(2)[X] at p = 2; at odd p, trial
+    division by every irreducible of degree <= K, then, unless that was
+    complete, Rabin's test on the Frobenius iterates of X.
 
     p = 2 (Ben-Or 1981): f is one Python int, bit i the coefficient of X^i.
     For k = 1 .. floor(n/2), X^(2^k) mod f is the square of the previous
@@ -252,29 +313,34 @@ def is_irreducible(f: list[int], p: int) -> bool:
     squarings and gcds of O(n) shift-XOR steps each, no matrix; a random
     reducible f stops at small k (Gao and Panario 2003).
 
-    Odd p.  Root screen: for p <= ROOT_SCREEN_MAX_P and p (n + 1) <=
-    ROOT_TABLE_MAX_ENTRIES, f is evaluated at every a in GF(p) as one
-    float64 product V f, p (n + 1) multiply-adds, with the cached table
-    V[a, i] = a^i mod p (one per prime, grown to n + 1 columns); a root is
-    a linear factor, so f is reducible.  About 1 - 1/e = 63 % of random
-    candidates have one at large p, 70 % at p = 3.  Ben-Or screen: for
-    each q = p^k <= n not covered by the root screen (q >= p^2 when it
-    ran), a nonconstant gcd(X^q - X, f) exposes an irreducible factor of
-    degree dividing k < n, so f is reducible.  Since X^q = X mod X^q - X,
-    f mod (X^q - X) is an O(n) fold of the coefficient of each X^i, i >= q,
-    onto X^(1 + (i-1) mod (q-1)), so the gcd runs on degree < q instead of
-    dividing f by X^q - X in O((n - q) q).  The survivors go through
-    Rabin's test: f is irreducible iff X^(p^n) = X mod f and, for every
-    maximal proper divisor n/q of n, gcd(X^(p^(n/q)) - X, f) is constant.
-    With F the Frobenius matrix (frobenius_matrix, on a reduction matrix of
-    f built once), X^(p^e) = F^e X (_frobenius_orbit): in fppoly.blas_dtype's
-    float64 tier from the floor(log2 n) squarings F^(2^j), then one mat-vec
-    per set bit of e; otherwise (p near 2^31) from the n + 1 Krylov iterates
-    of X, n mat-vecs.  X^(p^n) is checked first, then one gcd per prime
-    factor of n.  A rejected test at p = 65521 thus costs the reduction
-    matrix, X^p (about log2(p/2n) squarings mod f), the Frobenius matrix
-    (O(log n) products) and floor(log2 n) more products.  Rabin's test
-    alone is complete, so no screen changes the verdict.
+    Odd p.  Screen: for p <= ROOT_SCREEN_MAX_P, K = _screen_degree(p, n) is
+    the largest degree <= n/2 whose blocks, with those of every lower
+    degree, fit ROOT_TABLE_MAX_ENTRIES (2^17 entries, 1 MB) at n + 1
+    columns; 0 past either bound.  The block of a monic irreducible g of
+    degree k is the k x (n + 1) matrix of X^i mod g, so block f holds the
+    coordinates of f mod g, and g divides f exactly when it is zero.  The
+    blocks of every degree <= K are stacked in a per-prime table
+    (_screen_table, built once per (p, K) and kept), so the screen is one
+    float64 product of about p^K (n + 1) <= 2^17 multiply-adds and one sum
+    per block, with no Euclid; the degree-1 blocks are the powers of the
+    roots, so a root rejects f at once.  A random reducible f almost always
+    has a factor that small (Gao and Panario 2003).  A reducible f has an
+    irreducible factor of degree <= n/2, so for n <= 2K + 1 the screen is
+    complete and a candidate that passes it is irreducible.  The other
+    survivors go through Rabin's test: f is irreducible iff X^(p^n) = X
+    mod f and, for every maximal proper divisor n/q of n,
+    gcd(X^(p^(n/q)) - X, f) is constant.  With F the Frobenius matrix
+    (frobenius_matrix, on a reduction matrix of f built once),
+    X^(p^e) = F^e X (_frobenius_orbit): in fppoly.blas_dtype's float64 tier
+    from the floor(log2 n) squarings F^(2^j), then one mat-vec per set bit
+    of e; otherwise (p near 2^31) from the n + 1 Krylov iterates of X, n
+    mat-vecs.  X^(p^n) is checked first, then one gcd per prime factor q of
+    n with n/q > K: a factor of degree dividing n/q <= K would have failed
+    the screen.  So when the screen ran, a prime n needs no gcd.  A
+    rejected test at p = 65521 thus costs the reduction matrix, X^p
+    (about log2(p/2n) squarings mod f), the Frobenius matrix (O(log n)
+    products) and floor(log2 n) more products.  Rabin's test alone is
+    complete, so the screen changes no verdict.
 
     A p that is not prime raises ValueError.  The verdict of
     fppoly.check_prime is memoized per prime that passed, so a search pays
@@ -292,21 +358,24 @@ def is_irreducible(f: list[int], p: int) -> bool:
     if p == 2:
         return _is_irreducible_gf2(f)
     f = fppoly.monic(f, p)
-    screened = p <= ROOT_SCREEN_MAX_P and p * (n + 1) <= ROOT_TABLE_MAX_ENTRIES
-    if screened and _has_root(f, p):
-        return False
-    q = p * p if screened else p
-    while q <= n:
-        g = fppoly.gcd(fppoly.sub(fppoly.monomial(q, p), [0, 1], p), _fold(f, q, p), p)
-        if fppoly.degree(g) > 0:
+    K = _screen_degree(p, n)
+    if K:
+        T, row_ends, block_ends, starts = _screen_table(p, K, n + 1)
+        values = linalg.float_mod(T[:row_ends[K], :n + 1] @ np.array(f, dtype=np.float64), p)
+        # some g divides f: a root (the first p rows), or a block of degree >= 2
+        # whose residues sum to 0
+        if not values[:p].all() or not np.add.reduceat(values, starts[p:block_ends[K]]).all():
             return False
-        q *= p
+        if n <= 2 * K + 1:
+            return True
     x_vec = np.zeros(n, dtype=np.int64)
     x_vec[1] = 1
     frob = _frobenius_orbit(frobenius_matrix(f, p, fppoly.reduction_matrix(f, p)), x_vec, p)
     if not np.array_equal(frob(n), x_vec):
         return False
     for q in _prime_factors(n):
+        if n // q <= K:
+            continue    # a factor of degree dividing n/q <= K would have failed the screen
         g = fppoly.trim(((frob(n // q) - x_vec) % p).tolist())
         if not g:
             return False
@@ -315,42 +384,115 @@ def is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
-def _has_root(f: list[int], p: int) -> bool:
-    """Whether f has a root in GF(p): one product with the table V[a, i] = a^i mod p.
+@functools.lru_cache(maxsize=None)
+def _block_rows(p: int, k: int) -> int:
+    """k I_k, the rows of the degree-k blocks: p^k = sum over d | k of d I_d (Gauss)."""
+    return p ** k - sum(_block_rows(p, d) for d in range(1, k) if k % d == 0)
 
-    The table of p is rebuilt with n + 1 columns when a wider one is needed.
+
+def _fitting_degree(p: int, cols: int, most: int) -> int:
+    """The largest K <= most whose blocks, with those of every lower degree,
+    fit ROOT_TABLE_MAX_ENTRIES at cols columns."""
+    K, rows = 0, 0
+    while K < most:
+        rows += _block_rows(p, K + 1)
+        if rows * cols > ROOT_TABLE_MAX_ENTRIES:
+            break
+        K += 1
+    return K
+
+
+@functools.lru_cache(maxsize=4096)
+def _screen_degree(p: int, n: int) -> int:
+    """K, the screen's degree bound for a candidate of degree n: the largest
+    K <= n/2 whose blocks fit ROOT_TABLE_MAX_ENTRIES at n + 1 columns, or 0
+    when p = 2 or p > ROOT_SCREEN_MAX_P.  Depends on (p, n) alone."""
+    if p == 2 or p > ROOT_SCREEN_MAX_P:
+        return 0
+    return _fitting_degree(p, n + 1, n // 2)
+
+
+def _screen_table(p: int, K: int, cols: int) -> _ScreenTable:
+    """The table of p, holding the blocks of every degree <= K with at least cols columns.
+
+    Kept per prime and rebuilt only when too small, to as many degrees as
+    fit at cols columns, up to the largest K any degree n gets (K(2k) = k
+    while the blocks fit 2k + 1 columns), and then to as many columns as
+    fit ROOT_TABLE_MAX_ENTRIES: 3225 x 40 at p = 3, 3865 x 33 at p = 5.
+    K(n) falls as n grows, and each step down a degree frees about p times
+    the columns, so a search at rising n rebuilds only at those steps: at
+    p = 3 and 5, n <= 56, twice.  Callers pass K = _screen_degree(p,
+    cols - 1), which those degrees include.  The blocks already held are
+    copied and extended (_extend_powers); the irreducibles of each new
+    degree k are the monic polynomials of degree k that no block of degree
+    <= k/2 divides (_irreducibles).  A rebuild stores a new table, so a
+    reader never sees a partial one.
     """
-    n = len(f) - 1
-    V = _root_tables.get(p)
-    if V is None or V.shape[1] <= n:
-        V = _root_tables[p] = _power_table(p, n + 1)
-    values = V[:, :n + 1] @ np.array(f, dtype=np.float64)
-    return not (values.astype(np.int64) % p).all()
+    held = _screen_tables.get(p)
+    if held is not None and len(held.row_ends) > K and held.T.shape[1] >= cols:
+        return held
+    top = K
+    while _screen_degree(p, 2 * top + 2) > top:
+        top += 1
+    K = _fitting_degree(p, cols, top)
+    row_ends, block_ends = [0], [0]
+    for k in range(1, K + 1):
+        row_ends.append(row_ends[-1] + _block_rows(p, k))
+        block_ends.append(block_ends[-1] + _block_rows(p, k) // k)
+    C = ROOT_TABLE_MAX_ENTRIES // row_ends[K]
+    T = np.empty((row_ends[K], C))
+    kept = 0 if held is None else min(K, len(held.row_ends) - 1)
+    if kept:
+        c0 = min(C, held.T.shape[1])
+        T[:row_ends[kept], :c0] = held.T[:row_ends[kept], :c0]
+    for k in range(1, K + 1):
+        B = T[row_ends[k - 1]:row_ends[k]].reshape(-1, k, C)
+        if k > kept:
+            B[:, :, :k] = np.eye(k)
+            B[:, :, k] = (-_irreducibles(p, k, T, row_ends)) % p    # X^k mod g
+        _extend_powers(B, k + 1 if k > kept else c0, p)
+    starts = np.concatenate([np.arange(row_ends[k - 1], row_ends[k], k) for k in range(1, K + 1)])
+    table = _screen_tables[p] = _ScreenTable(T, row_ends, block_ends, starts)
+    return table
 
 
-def _power_table(p: int, cols: int) -> np.ndarray:
-    """The p x cols table a^i mod p, by doubling, in float64.
+def _irreducibles(p: int, k: int, T: np.ndarray, row_ends: list[int]) -> np.ndarray:
+    """The monic irreducibles of degree k over GF(p), as rows of their k low coefficients.
 
-    fppoly.blas_dtype(cols, p) is float64 within the root screen's bounds
-    (cols (p-1)^2 < 2^17 p < 2^30), so V f is exact.
+    The candidates are the p^k monic polynomials of degree k, by the base-p
+    code of their coefficients; T's blocks of every degree <= k/2, with at
+    least k + 1 columns, screen them in products of at most
+    ROOT_TABLE_MAX_ENTRIES entries, and those no block divides are kept.
     """
-    a = np.arange(p, dtype=np.float64)
-    V = np.ones((p, cols))
-    k = 1
-    while k < cols:
-        m = min(k, cols - k)
-        ak = linalg.float_mod(V[:, k - 1] * a, p)                     # a^k
-        V[:, k:k + m] = linalg.float_mod(V[:, :m] * ak[:, None], p)   # a^(k+j) = a^j a^k
-        k += m
-    return V
+    low = np.indices((p,) * k).reshape(k, -1)[::-1]     # column j: the base-p digits of j
+    if k == 1:
+        return low.T
+    rows = row_ends[k // 2]
+    step = max(1, ROOT_TABLE_MAX_ENTRIES // rows)
+    kept = []
+    for c in range(0, low.shape[1], step):
+        chunk = low[:, c:c + step]
+        V = linalg.float_mod(T[:rows, :k + 1] @ np.vstack([chunk, np.ones(chunk.shape[1])]), p)
+        coprime = np.ones(chunk.shape[1], dtype=bool)
+        for j in range(1, k // 2 + 1):      # no block of degree j all zero
+            coprime &= V[row_ends[j - 1]:row_ends[j]].reshape(-1, j, V.shape[1]).any(axis=1).all(axis=0)
+        kept.append(chunk[:, coprime])
+    return np.hstack(kept).T
 
 
-def _fold(f: list[int], q: int, p: int) -> list[int]:
-    """f mod (X^q - X): X^i = X^(1 + (i-1) mod (q-1)) for i >= 1, one pass over f."""
-    w = q - 1
-    c = np.zeros(-(-(len(f) - 1) // w) * w, dtype=np.int64)
-    c[:len(f) - 1] = f[1:]
-    return fppoly.trim([f[0]] + (c.reshape(-1, w).sum(axis=0) % p).tolist())
+def _extend_powers(B: np.ndarray, c: int, p: int) -> None:
+    """Fill columns c.. of the blocks B (blocks x k x columns, float64) in place.
+
+    Columns 0..c-1 of each block are X^i mod g, c > k = deg g.  Columns
+    c-k..c-1 are the matrix of multiplication by X^(c-k), so one batched
+    product with columns k..k+m-1 gives columns c..c+m-1, m <= c - k:
+    about log2(columns) products.
+    """
+    k, C = B.shape[1], B.shape[2]
+    while c < C:
+        m = min(c - k, C - c)
+        B[:, :, c:c + m] = linalg.float_mod(B[:, :, c - k:c] @ B[:, :, k:k + m], p)
+        c += m
 
 
 def _frobenius_orbit(F: np.ndarray, x: np.ndarray, p: int):
@@ -421,7 +563,9 @@ def random_irreducible(p: int, n: int, seed: int = 0) -> list[int]:
     c_0 = 0 are skipped, every other one is tested by one call to
     is_irreducible, in draw order, and the first accepted is returned:
     about n (1 - 1/p) tests on average.  At n = 1 the first candidate is
-    returned.
+    returned.  The screen's table for degree n (see is_irreducible) is
+    prepared before the first draw, so its one-time build is not part of
+    any candidate's test.
     """
     fppoly.check_prime(p)
     if n < 1:
@@ -430,6 +574,9 @@ def random_irreducible(p: int, n: int, seed: int = 0) -> list[int]:
     rng = random.Random(f"{p}:{n}:{seed}")
     if n == 1:
         return [rng.randrange(p), 1]
+    K = _screen_degree(p, n)
+    if K:
+        _screen_table(p, K, n + 1)
     for f in _candidates(rng, p, n):
         if f[0] and is_irreducible(f, p):
             return f

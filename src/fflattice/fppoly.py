@@ -182,14 +182,20 @@ def mul_matrix(a, R: np.ndarray, p: int) -> np.ndarray:
 
     R = reduction_matrix(f, p).  Column j of the product before reduction is a shifted by j: the
     (2n-1) x n Toeplitz matrix T of a.  Reduced as T[:n] + R T[n:], it is
-    one matrix product.
+    one matrix product; both terms are residues, so their sum is below 2p
+    and one conditional subtraction of p reduces it.
     """
     n = R.shape[0]
     W = np.zeros((n, 2 * n), dtype=np.int64)
     W[:, :len(a)] = a
     # column j of T is n zeros after column j - 1's copy of a: W's rows end to end
     T = W.reshape(-1)[:n * (2 * n - 1)].reshape(n, 2 * n - 1).T
-    return reduce(T, R, p).astype(np.int64, copy=False)
+    S = T[:n] + linalg.matmul_mod(R[:, :n - 1], T[n:], p).astype(np.int64, copy=False)
+    # S < 2p: as unsigned, S - p wraps above S exactly where S < p, so the
+    # minimum subtracts p where S >= p
+    U = S.view(np.uint64)
+    np.minimum(U, U - p, out=U)
+    return S
 
 
 def divrem(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:

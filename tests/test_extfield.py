@@ -287,7 +287,7 @@ def test_minimal_polynomial_properties_subfields():
             assert extfield.minimal_polynomial(y) == extfield.minimal_polynomial(x)
 
 
-# -- the Ben-Or screen in front of Rabin's test ----------------------------------
+# -- the screens in front of Rabin's test ----------------------------------------
 
 
 def krylov_oracle(M, v, k, p):
@@ -353,13 +353,15 @@ def rabin_oracle(f, p):
 
 # -- the matrix kernels against the oracles above -----------------------------------
 
-MATRIX_PRIMES = [2, 3, 257, 65521, 2 ** 31 - 1]
+MATRIX_PRIMES = [2, 3, 5, 7, 257, 65521, 2 ** 31 - 1]
 MATRIX_DEGREES = [1, 2, 3, 16, 17, 48, 120]
 
 
 @pytest.mark.parametrize("p", MATRIX_PRIMES)
 @pytest.mark.parametrize("n", MATRIX_DEGREES)
 def test_matrix_kernels_match_oracles(p, n):
+    # F is read off the reduction matrix from n = p (p - 1) on, else built by Krylov:
+    # at p = 2, 3, 5 and 7 the degrees here fall on both sides of that rule
     rng = random.Random(9100 + n + p % 1000)
     f = [rng.randrange(p) for _ in range(n)] + [1]
     F = ExtField(p, f, check=False)
@@ -396,6 +398,13 @@ def _verdict(f, p, rabin_calls):
     return extfield.is_irreducible(f, p), len(rabin_calls) > before
 
 
+def _past_screen(p, n, d):
+    """Whether a reducible f of degree n whose least irreducible factor has degree d
+    reaches Rabin's test: at odd p the screen divides by every irreducible of degree
+    <= K = extfield._screen_degree(p, n); p = 2 builds no Frobenius matrix."""
+    return p != 2 and d > extfield._screen_degree(p, n)
+
+
 def _irreducible(p, d, seed):
     g = extfield.random_irreducible(p, d, seed)
     assert rabin_oracle(g, p) and g[0] != 0
@@ -411,7 +420,7 @@ def test_screened_test_matches_rabin_exhaustive(p, max_n):
 
 def test_screened_test_matches_rabin_random():
     # 65521: Rabin's test on float64 squarings of the Frobenius matrix; 2^31 - 1: on the
-    # Krylov iterates in object dtype; 1021: the root screen at a prime above every n
+    # Krylov iterates in object dtype; 1021: a screen of degree-1 blocks only, p above every n
     rng = random.Random(5301)
     for p in (2, 3, 5, 7, 257, 65521, 2 ** 31 - 1, 1021):
         for _ in range(16 if p > 1 << 30 else 40):
@@ -441,10 +450,13 @@ def test_packed_gf2_test_matches_rabin(n, seed, kind):
 
 
 def test_screen_catches_small_factors(rabin_calls):
-    # g irreducible with p^deg g <= n divides X^(p^deg g) - X: the screen rejects g*h
+    # g irreducible of degree d <= K (d <= n/2 at p = 2, where Ben-Or's test runs):
+    # the screen rejects g*h before Rabin's test
     rng = random.Random(5302)
     for p, n, d in [(2, 2, 1), (2, 8, 3), (2, 40, 5), (2, 64, 6), (3, 9, 2), (3, 30, 3),
-                    (5, 25, 2), (5, 60, 2), (7, 7, 1), (7, 49, 2)]:
+                    (3, 30, 7), (3, 56, 6), (5, 25, 2), (5, 60, 2), (5, 56, 4), (7, 7, 1),
+                    (7, 49, 2), (7, 48, 3), (31, 40, 2)]:
+        assert not _past_screen(p, n, d)
         for seed in range(3):
             g = _irreducible(p, d, seed) if d > 1 else [rng.randrange(1, p), 1]
             h = [rng.randrange(p) for _ in range(n - d)] + [1]
@@ -454,41 +466,50 @@ def test_screen_catches_small_factors(rabin_calls):
 
 
 def test_rabin_catches_large_factors(rabin_calls):
-    # every factor has p^deg > n, so the screen passes f on and Rabin's test rejects it;
-    # at p = 2 Ben-Or's test on the packed polynomial rejects it with no Frobenius matrix
-    for p, n, d in [(2, 20, 5), (2, 40, 6), (2, 64, 7), (3, 10, 3), (3, 30, 4),
-                    (5, 8, 2), (7, 6, 2), (257, 10, 3)]:
+    # g*h with deg g = d <= deg h: the screen rejects it when d <= K, else passes it on
+    # and Rabin's test rejects it; at p = 2 Ben-Or's test on the packed polynomial
+    # rejects it with no Frobenius matrix
+    cases = [(2, 20, 5), (2, 40, 6), (2, 64, 7), (3, 10, 3), (3, 30, 4), (3, 40, 8),
+             (3, 56, 7), (5, 8, 2), (5, 56, 5), (7, 6, 2), (7, 48, 4), (31, 40, 3),
+             (257, 10, 3)]
+    assert {_past_screen(p, n, d) for p, n, d in cases if p != 2} == {False, True}
+    for p, n, d in cases:
         for seed in range(2):
             f = fppoly.mul(_irreducible(p, d, seed), _irreducible(p, n - d, seed), p)
-            assert _verdict(f, p, rabin_calls) == (False, p != 2), (p, f)
+            assert _verdict(f, p, rabin_calls) == (False, _past_screen(p, n, d)), (p, f)
             assert not rabin_oracle(f, p)
 
 
 def test_squares_are_reducible(rabin_calls):
-    for p, d in [(2, 3), (2, 5), (2, 16), (3, 2), (3, 7), (5, 3), (257, 4)]:
+    # past the screen at odd p when d > K; p = 2 builds no Frobenius matrix
+    cases = [(2, 3), (2, 5), (2, 16), (3, 2), (3, 7), (3, 8), (5, 3), (5, 6), (257, 4)]
+    assert {_past_screen(p, 2 * d, d) for p, d in cases if p != 2} == {False, True}
+    for p, d in cases:
         g = _irreducible(p, d, 1)
         f = fppoly.mul(g, g, p)
-        # p^d > 2d: past the screen at odd p; p = 2 builds no Frobenius matrix
-        assert _verdict(f, p, rabin_calls) == (False, p != 2), (p, g)
+        assert _verdict(f, p, rabin_calls) == (False, _past_screen(p, 2 * d, d)), (p, g)
         assert not rabin_oracle(f, p)
 
 
 def test_equal_degree_products_reach_rabin_gcd(rabin_calls):
-    # X^(p^n) = X holds modulo g*h when deg g, deg h divide n: only the gcd
-    # step of Rabin's test can reject these, and the screen passes them on;
-    # at p = 2 Ben-Or's gcd at k = deg g rejects them with no Frobenius matrix
-    for p, degrees in [(2, (4, 4)), (2, (6, 6)), (2, (8, 8)), (3, (3, 3)), (3, (5, 5)),
-                       (5, (2, 2)), (5, (2, 4, 6)), (257, (3, 3))]:
+    # X^(p^n) = X holds modulo g*h when deg g, deg h divide n: past the screen
+    # (least degree > K) only the gcd step of Rabin's test can reject these; at
+    # p = 2 Ben-Or's gcd at k = deg g rejects them with no Frobenius matrix
+    cases = [(2, (4, 4)), (2, (6, 6)), (2, (8, 8)), (3, (3, 3)), (3, (5, 5)), (3, (8, 8)),
+             (5, (2, 2)), (5, (2, 4, 6)), (5, (6, 6)), (7, (5, 5)), (257, (3, 3))]
+    assert {_past_screen(p, sum(ds), min(ds)) for p, ds in cases if p != 2} == {False, True}
+    for p, degrees in cases:
         factors = [_irreducible(p, d, seed) for seed, d in enumerate(degrees)]
         assert len({tuple(g) for g in factors}) == len(factors)
         f = [1]
         for g in factors:
             f = fppoly.mul(f, g, p)
-        assert _verdict(f, p, rabin_calls) == (False, p != 2), (p, degrees)
+        past = _past_screen(p, sum(degrees), min(degrees))
+        assert _verdict(f, p, rabin_calls) == (False, past), (p, degrees)
         assert not rabin_oracle(f, p)
 
 
-# -- the root screen, the folded Ben-Or screen and the block draws ------------------
+# -- the screen's edges, its table and the block draws ---------------------------
 
 
 def _rootless(p, d, seed):
@@ -500,27 +521,98 @@ def _rootless(p, d, seed):
 
 
 def test_one_linear_factor_stops_at_the_root_screen(rabin_calls):
-    # (X - a) times a cofactor with no root: the root screen rejects it before Rabin's
-    # test while p <= ROOT_SCREEN_MAX_P = 8192 and p (n + 1) <= ROOT_TABLE_MAX_ENTRIES
-    # = 2^17, and Rabin's test rejects it just past either bound (every p here
-    # exceeds n, so no Ben-Or gcd runs)
+    # (X - a) times a cofactor with no root: the screen's degree-1 blocks reject it
+    # before Rabin's test while p <= ROOT_SCREEN_MAX_P = 8192 and p (n + 1) <=
+    # ROOT_TABLE_MAX_ENTRIES = 2^17, and Rabin's test rejects it just past either bound
     rng = random.Random(5303)
     for p, n, past_a_bound in [(7, 5, False), (257, 48, False), (1021, 127, False),
                                (1021, 128, True), (8191, 15, False), (8191, 16, True),
                                (8209, 4, True)]:
         a = rng.randrange(1, p)
         f = fppoly.mul([p - a, 1], _rootless(p, n - 1, n), p)
+        assert past_a_bound == _past_screen(p, n, 1)
         assert _verdict(f, p, rabin_calls) == (False, past_a_bound), (p, n)
 
 
 def test_folded_gcd_finds_a_quadratic_factor_without_a_root(rabin_calls):
-    # no root, an irreducible quadratic factor and p^2 <= n: the gcd with X^(p^2) - X
-    # on f folded mod X^(p^2) - X rejects f before Rabin's test
-    for p, n in [(3, 9), (3, 20), (5, 25), (5, 33), (7, 49)]:
+    # no root and an irreducible quadratic factor: the screen's degree-2 blocks reject
+    # f before Rabin's test wherever K >= 2
+    for p, n in [(3, 9), (3, 20), (5, 25), (5, 33), (7, 49), (31, 40)]:
+        assert not _past_screen(p, n, 2)
         for seed in range(2):
             f = fppoly.mul(_irreducible(p, 2, seed), _irreducible(p, n - 2, seed), p)
             assert _verdict(f, p, rabin_calls) == (False, False), (p, n, seed)
             assert not rabin_oracle(f, p)
+
+
+@pytest.mark.parametrize("p, n, gcds", [(3, 52, 1), (3, 56, 2), (5, 31, 0), (5, 36, 2),
+                                        (7, 48, 2), (257, 10, 2), (65521, 12, 2)])
+def test_rabin_runs_the_gcds_the_screen_leaves(monkeypatch, p, n, gcds):
+    # an irreducible f reaches every gcd step of Rabin's test, one per prime q | n
+    # with n/q > K: a factor of degree dividing n/q <= K fails the screen first
+    K = extfield._screen_degree(p, n)
+    assert gcds == sum(n // q > K for q in extfield._prime_factors(n))
+    f = _irreducible(p, n, 0)
+    calls = []
+    gcd = fppoly.gcd
+    monkeypatch.setattr(fppoly, "gcd", lambda a, b, q: calls.append(q) or gcd(a, b, q))
+    assert extfield.is_irreducible(f, p) and len(calls) == gcds
+
+
+@pytest.mark.parametrize("p, n", [(3, 20), (3, 56), (5, 24), (5, 56), (7, 12), (7, 48)])
+def test_factors_on_both_sides_of_the_screen_degree(rabin_calls, p, n):
+    # g*h, deg g <= deg h: the screen rejects it at deg g = K and passes it on to
+    # Rabin's test at deg g = K + 1
+    K = extfield._screen_degree(p, n)
+    assert 0 < K and 2 * K + 2 <= n
+    for d, past in [(K, False), (K + 1, True)]:
+        for seed in range(2):
+            f = fppoly.mul(_irreducible(p, d, seed), _irreducible(p, n - d, seed + 2), p)
+            assert _verdict(f, p, rabin_calls) == (False, past), (p, n, d, seed)
+            assert not rabin_oracle(f, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31, 1021, 8191])
+def test_screen_is_complete_up_to_twice_its_degree_plus_one(rabin_calls, p):
+    # at n = 2K + 1 the screen alone decides every candidate; at n = 2K + 2 its
+    # survivors go through Rabin's test
+    n = max(n for n in range(2, 100) if n <= 2 * extfield._screen_degree(p, n) + 1)
+    K = extfield._screen_degree(p, n)
+    assert n == 2 * K + 1 and extfield._screen_degree(p, n + 1) == K
+    rng = random.Random(5304 + p)
+    for m, rabin in [(n, False), (n + 1, True)]:
+        found = set()
+        for _ in range(60):
+            f = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(m - 1)] + [1]
+            verdict, reached = _verdict(f, p, rabin_calls)
+            assert verdict == rabin_oracle(f, p), (p, f)
+            assert reached <= rabin, (p, f)
+            found.add((verdict, reached))
+        assert (True, rabin) in found, (p, m)
+
+
+@pytest.mark.parametrize("p, n", [(3, 14), (3, 56), (5, 11), (5, 56), (7, 9), (31, 6)])
+def test_screen_table_holds_every_irreducible_of_each_degree(p, n):
+    # degree k holds (1/k) sum over d | k of mu(d) p^(k/d) blocks (Gauss), each the
+    # powers X^i mod g of a distinct monic irreducible g
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1}
+    K = extfield._screen_degree(p, n)
+    T, row_ends, block_ends, starts = extfield._screen_table(p, K, n + 1)
+    assert T.shape[1] >= n + 1 and T.nbytes <= 8 * extfield.ROOT_TABLE_MAX_ENTRIES
+    rng = random.Random(5305)
+    for k in range(1, K + 1):
+        gauss = sum(mobius[d] * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+        blocks = T[row_ends[k - 1]:row_ends[k]].reshape(-1, k, T.shape[1]).astype(np.int64)
+        assert len(blocks) == block_ends[k] - block_ends[k - 1] == gauss, (p, k)
+        assert list(starts[block_ends[k - 1]:block_ends[k]]) == list(range(row_ends[k - 1], row_ends[k], k))
+        moduli = [[(-int(c)) % p for c in B[:, k]] + [1] for B in blocks]   # X^k mod g = -(g - X^k)
+        assert len({tuple(g) for g in moduli}) == gauss
+        for i in rng.sample(range(gauss), min(gauss, 8)):
+            g = moduli[i]
+            assert rabin_oracle(g, p), (p, g)
+            for j in range(n + 1):
+                want = fppoly.mod(fppoly.monomial(j, p), g, p)
+                assert list(blocks[i][:, j]) == want + [0] * (k - len(want)), (p, g, j)
 
 
 def _drawn_by_randrange(p, n, seed, count):
@@ -583,7 +675,19 @@ def _encode(f, p):
     (2, 117, 0, 0x34d216254be8dcf195c82612c5f987),
     (3, 56, 0, 0x237a385f5abd8bad27ee3ec),
     (5, 56, 7, 0x49a70ea7659f95ebf77d8533479208ac3),
-], ids=["2-105-0", "2-117-0", "3-56-0", "5-56-7"])
+    (3, 56, 1, 0x33be7281e15fa94eace60c6),
+    (3, 100, 0, 0x866e9f3e34e8f3440adfad22d361e7849ec644e0),
+    (3, 100, 1, 0x84e53009b616b88c28b59841ac674e78d37a960a),
+    (5, 56, 0, 0x6cd1e549090f04d095e9449c03211b927),
+    (5, 56, 1, 0x4f6572462954635c3d576609cb4e1637a),
+    (5, 96, 0, 0x9127e68dbe460d94f32fb6be5cffd2dab743251d0dff1aa58e969c2f),
+    (5, 96, 1, 0xc7c4ad1a3e20157627323a9d4ed9f39ef3e205a6865efe06ea0bd7f6),
+    (7, 48, 0, 0x790c07b1f722964a4ccba4d6d71e895a26),
+    (7, 48, 1, 0x97d0eee64a1da310c13440fde158014b9d),
+    (31, 40, 0, 0x6ea3d1d30f99f4051ca4997084244244842858f70f86372706),
+    (31, 40, 1, 0x6db3815f195e683d0b80750596a281210e646f95ee69c95c61),
+], ids=["2-105-0", "2-117-0", "3-56-0", "5-56-7", "3-56-1", "3-100-0", "3-100-1", "5-56-0",
+        "5-56-1", "5-96-0", "5-96-1", "7-48-0", "7-48-1", "31-40-0", "31-40-1"])
 def test_random_irreducible_pinned(p, n, seed, code):
     # the screen changes no verdict, so the search accepts the same candidate
     f = extfield.random_irreducible(p, n, seed)
