@@ -178,10 +178,10 @@ class FFElem:
 
     def __mul__(self, other):
         other = self._check(other)
-        R = self.field.reduction
-        prod = fppoly.mulmod(np.array(self.vec, dtype=R.dtype),
-                             np.array(other.vec, dtype=R.dtype), R, self.field.p)
-        return FFElem(self.field, tuple(prod.tolist()))
+        f = self.field
+        prod = fppoly.mulmod(np.array(self.vec, dtype=np.int64),
+                             np.array(other.vec, dtype=np.int64), f.reduction, f.p)
+        return FFElem(f, tuple(prod.tolist()))
 
     __rmul__ = __mul__
 
@@ -286,9 +286,8 @@ class _ScreenTable(NamedTuple):
     turn and each monic irreducible g of that degree, the k rows of the
     block whose column i holds the coordinates of X^i mod g.  row_ends[k]
     and block_ends[k] count the rows and the blocks of degree <= k, and
-    starts holds the first row of every block.  Its entries are residues
-    and the table has at least p rows, so a product with n + 1 <= 2^17 / p
-    residues sums below 2^17 p <= 2^30: exact in float64.
+    starts holds the first row of every block.  Its entries are residues,
+    float64 for linalg.float_matmul_mod.
     """
     T: np.ndarray
     row_ends: list[int]
@@ -331,12 +330,11 @@ def is_irreducible(f: list[int], p: int) -> bool:
     mod f and, for every maximal proper divisor n/q of n,
     gcd(X^(p^(n/q)) - X, f) is constant.  With F the Frobenius matrix
     (frobenius_matrix, on a reduction matrix of f built once),
-    X^(p^e) = F^e X (_frobenius_orbit): in fppoly.blas_dtype's float64 tier
-    from the floor(log2 n) squarings F^(2^j), then one mat-vec per set bit
-    of e; otherwise (p near 2^31) from the n + 1 Krylov iterates of X, n
-    mat-vecs.  X^(p^n) is checked first, then one gcd per prime factor q of
-    n with n/q > K: a factor of degree dividing n/q <= K would have failed
-    the screen.  So when the screen ran, a prime n needs no gcd.  A
+    X^(p^e) = F^e X (linalg.power_orbit: squarings of F where linalg's
+    Overflow policy makes a product one BLAS call, else Krylov iterates).
+    X^(p^n) is checked first, then one gcd per prime factor q of n with
+    n/q > K: a factor of degree dividing n/q <= K would have failed the
+    screen.  So when the screen ran, a prime n needs no gcd.  A
     rejected test at p = 65521 thus costs the reduction matrix, X^p
     (about log2(p/2n) squarings mod f), the Frobenius matrix (O(log n)
     products) and floor(log2 n) more products.  Rabin's test alone is
@@ -361,7 +359,7 @@ def is_irreducible(f: list[int], p: int) -> bool:
     K = _screen_degree(p, n)
     if K:
         T, row_ends, block_ends, starts = _screen_table(p, K, n + 1)
-        values = linalg.float_mod(T[:row_ends[K], :n + 1] @ np.array(f, dtype=np.float64), p)
+        values = linalg.float_matmul_mod(T[:row_ends[K], :n + 1], np.array(f, dtype=float), p)
         # some g divides f: a root (the first p rows), or a block of degree >= 2
         # whose residues sum to 0
         if not values[:p].all() or not np.add.reduceat(values, starts[p:block_ends[K]]).all():
@@ -370,7 +368,7 @@ def is_irreducible(f: list[int], p: int) -> bool:
             return True
     x_vec = np.zeros(n, dtype=np.int64)
     x_vec[1] = 1
-    frob = _frobenius_orbit(frobenius_matrix(f, p, fppoly.reduction_matrix(f, p)), x_vec, p)
+    frob = linalg.power_orbit(frobenius_matrix(f, p, fppoly.reduction_matrix(f, p)), x_vec, p)
     if not np.array_equal(frob(n), x_vec):
         return False
     for q in _prime_factors(n):
@@ -472,7 +470,8 @@ def _irreducibles(p: int, k: int, T: np.ndarray, row_ends: list[int]) -> np.ndar
     kept = []
     for c in range(0, low.shape[1], step):
         chunk = low[:, c:c + step]
-        V = linalg.float_mod(T[:rows, :k + 1] @ np.vstack([chunk, np.ones(chunk.shape[1])]), p)
+        V = linalg.float_matmul_mod(T[:rows, :k + 1],
+                                    np.vstack([chunk, np.ones(chunk.shape[1])]), p)
         coprime = np.ones(chunk.shape[1], dtype=bool)
         for j in range(1, k // 2 + 1):      # no block of degree j all zero
             coprime &= V[row_ends[j - 1]:row_ends[j]].reshape(-1, j, V.shape[1]).any(axis=1).all(axis=0)
@@ -491,34 +490,8 @@ def _extend_powers(B: np.ndarray, c: int, p: int) -> None:
     k, C = B.shape[1], B.shape[2]
     while c < C:
         m = min(c - k, C - c)
-        B[:, :, c:c + m] = linalg.float_mod(B[:, :, c - k:c] @ B[:, :, k:k + m], p)
+        B[:, :, c:c + m] = linalg.float_matmul_mod(B[:, :, c - k:c], B[:, :, k:k + m], p)
         c += m
-
-
-def _frobenius_orbit(F: np.ndarray, x: np.ndarray, p: int):
-    """e -> F^e x for 0 <= e <= n, F the n x n Frobenius matrix.
-
-    In fppoly.blas_dtype's float64 tier: the floor(log2 n) squarings
-    F^(2^j), kept in float64 and reduced by linalg.float_mod, then one
-    mat-vec per set bit of e.  Otherwise the n + 1 Krylov iterates of x
-    (linalg.krylov's mat-vec loop), which cost less than n^3-sized products
-    in int64 or Python integers.
-    """
-    n = len(x)
-    if fppoly.blas_dtype(n, p) is not np.float64:
-        K = linalg.krylov(F, x, n + 1, p)
-        return lambda e: K[:, e]
-    squares = [F.astype(np.float64)]
-    while 1 << len(squares) <= n:
-        squares.append(linalg.float_mod(squares[-1] @ squares[-1], p))
-
-    def power(e: int) -> np.ndarray:
-        v = x.astype(np.float64)
-        for j, S in enumerate(squares):
-            if e >> j & 1:
-                v = linalg.float_mod(S @ v, p)
-        return v.astype(np.int64)
-    return power
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -721,20 +694,19 @@ def _berlekamp_massey(s: np.ndarray, p: int) -> list[int]:
     Massey (1969): C is the connection polynomial, s_k + sum_i C_i s_(k-i) = 0
     for L <= k < len(s), and B the one before the last length change.  L
     stays below h = len(s)/2 + 1, so each discrepancy is one dot product of h
-    terms, in fppoly.word_dtype, against a window of the reversed sequence.
+    terms (linalg.matmul_mod) against a window of the reversed sequence.
     Returns the reversal X^L C(1/X), ascending.
     """
     N = len(s)
     h = N // 2 + 1
-    dtype = fppoly.word_dtype(h, p)
-    r = np.zeros(N + h, dtype=dtype)
+    r = np.zeros(N + h, dtype=np.int64)
     r[:N] = s[::-1]                     # r[N-1-k+i] = s[k-i], 0 for i > k
-    C = np.zeros(N + 1, dtype=dtype)
+    C = np.zeros(N + 1, dtype=np.int64)
     C[0] = 1
     B = C.copy()
     L, LB, m, b_inv = 0, 0, 1, 1
     for k in range(N):
-        d = int(C[:h] @ r[N - 1 - k:N - 1 - k + h]) % p
+        d = int(linalg.matmul_mod(C[:h], r[N - 1 - k:N - 1 - k + h], p))
         if d == 0:
             m += 1
             continue

@@ -5,28 +5,16 @@ with no trailing zeros; [] is the zero polynomial and its degree is -1.
 The modulus p travels as an explicit argument.  All arithmetic is exact.
 
 Reduction kernel.  For f monic of degree n, reduction_matrix(f, p) is the
-n x n matrix R whose column i is X^(n+i) mod f.  A coefficient array c of at
-most 2n residues reduces as c[:n] + R c[n:] mod p (reduce), so a product
-modulo f is one np.convolve plus one mat-vec (mulmod), and the matrix of
-multiplication by a is one matrix product, the Toeplitz matrix of a reduced
-the same way (mul_matrix).  powmod runs left to right: R's last column,
-X^(2n-1), lets a multiplication by a base of degree <= 1 ride on the
-squaring's reduction.  compose_mod, ExtField products and the
+n x n int64 matrix R whose column i is X^(n+i) mod f.  A coefficient array c
+of at most 2n residues reduces as c[:n] + R c[n:] mod p (reduce), so a
+product modulo f is one convolution plus one mat-vec (mulmod), and the
+matrix of multiplication by a is one matrix product, the Toeplitz matrix of
+a reduced the same way (mul_matrix).  powmod runs left to right: R's last
+column, X^(2n-1), lets a multiplication by a base of degree <= 1 ride on
+the squaring's reduction.  compose_mod, ExtField products and the
 Kummer-algebra product reduce this way too; divrem remains for gcd, xgcd
-and invmod.
-
-Overflow policy.  word_dtype(terms, p) is the one rule for exact sums of
-products of residues: int64 when terms (p-1)^2 < 2^62, else object (Python
-integers).  A convolution of two length-k arrays sums k products, R c[n:]
-sums at most n products plus a residue (int64 keeps a 2^62 margin for it), a
-matrix product sums its inner dimension; mul, the reduction kernel and
-linalg.matmul_mod all take their dtype from it.
-blas_dtype(terms, p) adds the one tier below: float64 when
-terms (p-1)^2 < 2^53.  Every partial sum of such a product is then a
-nonnegative integer below 2^53, exactly representable, so no summation
-order a float64 BLAS chooses can change a bit; linalg.matmul_mod and
-linalg.krylov run their matrix products there, and kummer.kalg_mul its
-Kronecker convolution.
+and invmod.  Every product is linalg.convolve_mod or linalg.matmul_mod,
+which keep sums exact at every p (see the Overflow policy in linalg).
 """
 
 from __future__ import annotations
@@ -116,23 +104,12 @@ def scale(a: list[int], c: int, p: int) -> list[int]:
     return trim([x * c % p for x in a])
 
 
-def word_dtype(terms: int, p: int):
-    """int64 when a sum of `terms` products of residues mod p fits 62 bits, else object."""
-    return np.int64 if terms * (p - 1) * (p - 1) < (1 << 62) else object
-
-
-def blas_dtype(terms: int, p: int):
-    """float64 when a sum of `terms` products of residues mod p is below 2^53, else word_dtype."""
-    return np.float64 if terms * (p - 1) * (p - 1) < (1 << 53) else word_dtype(terms, p)
-
-
 def mul(a: list[int], b: list[int], p: int) -> list[int]:
-    """Product of two polynomials; one np.convolve."""
+    """Product of two polynomials; one linalg.convolve_mod."""
     if not a or not b:
         return []
-    dtype = word_dtype(min(len(a), len(b)), p)
-    out = np.convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype)) % p
-    return trim(out.tolist())
+    return trim(linalg.convolve_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+                                    p).tolist())
 
 
 def reduction_matrix(f: list[int], p: int) -> np.ndarray:
@@ -140,14 +117,14 @@ def reduction_matrix(f: list[int], p: int) -> np.ndarray:
 
     Built by doubling: once columns 0..k-1 are known, column k + j is X^k
     times column j, a shift plus R[:, :k] times its top k entries, so
-    log2(n) matrix products (linalg.matmul_mod) fill it.  The dtype is
-    word_dtype(n, p), the one reduce and mulmod compute in.  Any other f
-    raises ValueError: -f[:n] is X^n mod f only when f is monic.
+    log2(n) matrix products (linalg.matmul_mod) fill it.  It is int64 at
+    every p.  Any other f raises ValueError: -f[:n] is X^n mod f only when
+    f is monic.
     """
     n = degree(f)
     if n < 1 or f[-1] != 1:
         raise ValueError(f"reduction matrix needs a monic polynomial of degree >= 1, got {f}")
-    R = np.zeros((n, n), dtype=word_dtype(n, p))
+    R = np.zeros((n, n), dtype=np.int64)
     R[:, 0] = [(-c) % p for c in f[:n]]     # X^n mod f
     k = 1
     while k < n:
@@ -160,21 +137,16 @@ def reduction_matrix(f: list[int], p: int) -> np.ndarray:
 
 
 def reduce(c: np.ndarray, R: np.ndarray, p: int) -> np.ndarray:
-    """c mod f along axis 0, for at most 2n rows of residues; R = reduction_matrix(f, p).
-
-    A vector takes one mat-vec in R's dtype; a matrix, one linalg.matmul_mod.
-    """
+    """c mod f along axis 0, for at most 2n rows of residues; R = reduction_matrix(f, p)."""
     n = R.shape[0]
     if len(c) <= n:
         return c
-    if c.ndim == 1:
-        return (c[:n] + R[:, :len(c) - n] @ c[n:]) % p
     return (c[:n] + linalg.matmul_mod(R[:, :len(c) - n], c[n:], p)) % p
 
 
 def mulmod(a: np.ndarray, b: np.ndarray, R: np.ndarray, p: int) -> np.ndarray:
-    """a b mod f for residue arrays of length <= n in R's dtype: one convolve, one mat-vec."""
-    return reduce(np.convolve(a, b) % p, R, p)
+    """a b mod f for int64 residue arrays of length <= n: one convolution, one mat-vec."""
+    return reduce(linalg.convolve_mod(a, b, p), R, p)
 
 
 def mul_matrix(a, R: np.ndarray, p: int) -> np.ndarray:
@@ -190,7 +162,7 @@ def mul_matrix(a, R: np.ndarray, p: int) -> np.ndarray:
     W[:, :len(a)] = a
     # column j of T is n zeros after column j - 1's copy of a: W's rows end to end
     T = W.reshape(-1)[:n * (2 * n - 1)].reshape(n, 2 * n - 1).T
-    S = T[:n] + linalg.matmul_mod(R[:, :n - 1], T[n:], p).astype(np.int64, copy=False)
+    S = T[:n] + linalg.matmul_mod(R[:, :n - 1], T[n:], p)
     # S < 2p: as unsigned, S - p wraps above S exactly where S < p, so the
     # minimum subtracts p where S >= p
     U = S.view(np.uint64)
@@ -290,7 +262,7 @@ def powmod(a: list[int], e: int, m: list[int], p: int,
         return trim([pow(int(a[0]), e, p)])
     if e == 0:
         return [1]
-    base = np.array(a, dtype=word_dtype(n, p))
+    base = np.array(a, dtype=np.int64)
     bits = bin(e)[3:]           # the bits after the leading one
     acc = base
     if a == [0, 1]:
@@ -303,18 +275,18 @@ def powmod(a: list[int], e: int, m: list[int], p: int,
         else:
             acc = R[:, k - n]
             for bit in bits:    # k >= n: X^b times the square, reduced by R's columns
-                c = np.convolve(acc, acc) % p
+                c = linalg.convolve_mod(acc, acc, p)
                 b = int(bit)
-                acc = R[:, :n - 1 + b] @ c[n - b:]
+                acc = linalg.matmul_mod(R[:, :n - 1 + b], c[n - b:], p)
                 acc[b:] += c[:n - b]
                 acc %= p
             return trim(acc.tolist())
     for bit in bits:
-        c = np.convolve(acc, acc) % p
+        c = linalg.convolve_mod(acc, acc, p)
         if bit == "1":
             if len(a) > 2:
                 c = reduce(c, R, p)
-            c = np.convolve(c, base) % p
+            c = linalg.convolve_mod(c, base, p)
         acc = reduce(c, R, p)
     return trim(acc.tolist())
 
@@ -332,10 +304,10 @@ def compose_mod(f: list[int], g: list[int], m: list[int], p: int,
         return constant(f[0], p)
     if R is None:
         R = reduction_matrix(monic(trim(list(m)), p), p)
-    x = np.array(g, dtype=R.dtype)
-    acc = np.array(f[-1:], dtype=R.dtype)
+    x = np.array(g, dtype=np.int64)
+    acc = np.array(f[-1:], dtype=np.int64)
     for c in reversed(f[:-1]):
-        acc = reduce(np.convolve(acc, x) % p, R, p)
+        acc = reduce(linalg.convolve_mod(acc, x, p), R, p)
         acc[0] = (acc[0] + c) % p
     return trim(acc.tolist())
 

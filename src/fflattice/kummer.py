@@ -17,12 +17,12 @@ the p-th power map is the automorphism sigma (x) sigma: x^e walks the base-p
 digits of e, with floor(log_p e) applications of sigma (x) sigma, each
 O(l^2 a + l a^2), plus one product per nonzero digit beyond the first and
 the binary square-and-multiply of the digit powers x^d, d < p.  Every
-product (kalg_mul) is one np.convolve of length l(2a-1), by Kronecker
+product (kalg_mul) is one convolution of length l(2a-1), by Kronecker
 substitution: about 4 l^2 a^2 multiply-adds (the padding to 2a-1 columns)
-in a single numpy call, exact in float64 while l a (p-1)^2 < 2^53, then two
-reduction-kernel products.  That beats a^2 column convolutions of l^2 each
-while call overhead dominates; at p = 2, a = 10 the two tie at l = 341 and
-the single convolution is about 10 % slower at l = 1023.
+in a single numpy call, then two reduction-kernel products.  That beats a^2
+column convolutions of l^2 each while call overhead dominates; at p = 2,
+a = 10 the two tie at l = 341 and the single convolution is about 10 %
+slower at l = 1023.
 
 Recovering alpha from its first coordinate (recover_alpha) takes a - 1
 Frobenius mat-vecs on the columns of one array.
@@ -226,36 +226,26 @@ def kalg_mul(u: KummerElem, v: KummerElem) -> KummerElem:
 
     Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
     Algebra, 8.4): u and v, padded to l x (2a-1) and flattened row by row,
-    make one np.convolve of length l(2a-1).  Entry (i, j) lands at
+    make one linalg.convolve_mod of length l(2a-1).  Entry (i, j) lands at
     i(2a-1) + j, and every column sum j + k <= 2a-2 stays inside its row, so
     the first (2l-1)(2a-1) entries, reshaped, are the unreduced (2l-1) x
-    (2a-1) product with no carries between rows.  Each entry sums at most
-    l a products of residues, so the dtype is fppoly.blas_dtype(l a, p):
-    exact in float64 while l a (p-1)^2 < 2^53.  The convolution does about
+    (2a-1) product with no carries between rows.  The convolution does about
     4 l^2 a^2 multiply-adds, (2a-1)^2 / a^2 times those of the unpadded
-    product.  The product is reduced mod p in int64: a float64 product holds
-    integers below 2^53 and is cast first (numpy's % is about 3x slower on
-    float64 than on int64, one thread of a 2-vCPU x86-64 host), an object
-    one is reduced before the cast.  Then one reduction-kernel product with
-    the left field's matrix reduces the rows (X^l, ..., X^(2l-2)) and one
-    with the scalar field's the columns.
+    product, in the accumulator linalg's Overflow policy picks.  Then one
+    reduction-kernel product with the left field's matrix reduces the rows
+    (X^l, ..., X^(2l-2)) and one with the scalar field's the columns.
     """
     alg = u.algebra
     p, ell, a = alg.p, alg.ell, alg.a
     w = 2 * a - 1
-    dtype = fppoly.blas_dtype(ell * a, p)
-    A = np.zeros((ell, w), dtype=dtype)
-    B = np.zeros((ell, w), dtype=dtype)
+    A = np.zeros((ell, w), dtype=np.int64)
+    B = np.zeros((ell, w), dtype=np.int64)
     A[:, :a] = u.coeffs
     B[:, :a] = v.coeffs
-    C = np.convolve(A.reshape(-1), B.reshape(-1))[:(2 * ell - 1) * w].reshape(2 * ell - 1, w)
-    if dtype is np.float64:
-        C = C.astype(np.int64) % p
-    else:
-        C = (C % p).astype(np.int64)
-    C = fppoly.reduce(C, alg.left.reduction, p)
+    C = linalg.convolve_mod(A.reshape(-1), B.reshape(-1), p)[:(2 * ell - 1) * w]
+    C = fppoly.reduce(C.reshape(2 * ell - 1, w), alg.left.reduction, p)
     C = fppoly.reduce(C.T, alg.scalar.reduction, p).T
-    return KummerElem(alg, C.astype(np.int64))
+    return KummerElem(alg, C)
 
 
 def frob_left(u: KummerElem, k: int = 1) -> KummerElem:

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import math
 
-# ExtField holds two n x n matrices: the Frobenius matrix in int64 and the
-# reduction matrix in fppoly.word_dtype, which is object once n (p-1)^2 >= 2^62
-# (from n = 2 at p = 2^31 - 1).  8 n^2 bytes counts an object matrix's
-# pointers but not the Python integers they point to.
+# ExtField holds two n x n int64 matrices, the reduction and the Frobenius
+# matrix, at every p: 8 n^2 bytes is the whole of each.
 DENSE_MATRIX_MAX_BYTES = 2 ** 28          # n <= 5792
 # Baby steps of one search over the whole group GF(p^n)^*: level 1 at
 # p = 2^31 - 1 would take 46,341, level 2 about p, so level 2 is refused for

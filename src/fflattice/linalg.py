@@ -1,15 +1,25 @@
-"""Exact linear algebra over GF(p).
+"""Exact linear algebra over GF(p), and the one exact product kernel.
 
 Matrices are numpy int64 arrays with entries reduced mod p.  Gaussian
 elimination is fully deterministic (first nonzero pivot, reduced row
 echelon form) so that downstream canonical choices are reproducible.
 
-Matrix products take their dtype from fppoly.blas_dtype of the inner
-dimension.  In its float64 tier a product goes through BLAS and is still
-exact, which makes a large product cost about what a numpy call costs.
-krylov uses that to build k Krylov columns from O(log k) matrix products
-instead of k - 1 mat-vecs, and reduces the squarings it needs in float64
-(float_mod).
+Overflow policy.  Every residue array at rest is int64, at every p < 2^31,
+and every product of residue arrays in the library is one of three calls:
+matmul_mod (mat-vecs, matrix and batched products), convolve_mod
+(polynomial products) and float_matmul_mod (chains that keep float64
+operands: krylov's doubling, power_orbit's squarings, extfield's screen).
+Each entry sums `terms` products of residues, the inner dimension or the
+shorter convolution factor, and _accumulator picks the dtype that holds
+such sums exactly: float64 when terms (p-1)^2 < 2^53, where every partial
+sum is an integer below 2^53 and no summation order a BLAS chooses can
+change a bit; int64 when terms (p-1)^2 < 2^62, a bit below int64's 2^63;
+else Python integers (object), from terms = 2 on at p = 2^31 - 1.
+matmul_mod and convolve_mod take the float64 tier only for a matrix-matrix
+product or a convolution of at least BLAS_MIN_WORK multiply-adds, where it
+beats int64 despite the conversions.  Results are int64 (float64 for
+float_matmul_mod) whatever the accumulator, so no caller sees the tier, and
+the dtype of an input (int64, or object holding residues) never decides it.
 
 Every change of basis goes through left_inverse, one rref of [W^T | I_d]
 for a basis W of full column rank: the zeta-power bases of the cyclotomic
@@ -19,47 +29,76 @@ basis of a projection and the section of an embedding matrix.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from . import fppoly
-
-
-# Matrix products with fewer multiply-adds than this are faster in int64 than
-# through the float64 conversions BLAS needs: at 16^3 they tie (3.5 vs 3.0 us,
-# one thread of a 2-vCPU x86-64 host, OpenBLAS).
+# Products with fewer multiply-adds than this are faster in int64 than through
+# the float64 conversions BLAS needs: at 16^3 a matrix product ties (3.5 vs
+# 3.0 us), and a convolution at two factors of 64 (5.9 vs 6.0 us), one thread
+# of a 2-vCPU x86-64 host, OpenBLAS.
 BLAS_MIN_WORK = 4096
 
 
+@functools.lru_cache(maxsize=None)
+def _accumulator(terms: int, p: int):
+    """float64, int64 or object: the dtype exact for sums of `terms` products of residues mod p."""
+    bound = terms * (p - 1) * (p - 1)
+    return np.float64 if bound < 1 << 53 else np.int64 if bound < 1 << 62 else object
+
+
 def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Exact modular product of residue arrays, int64 result.
+    """Exact A B mod p of residue arrays: mat-vec, matrix or batched product, int64 result.
 
-    The accumulator is fppoly.blas_dtype of the inner dimension: float64
-    BLAS for a matrix-matrix product of at least BLAS_MIN_WORK multiply-adds,
-    else int64 or, past 2^62, Python integers.
+    The accumulator follows the inner dimension (see Overflow policy).
     """
-    dtype = fppoly.blas_dtype(A.shape[-1], p)
-    if dtype is object:
-        return ((A.astype(object) @ B.astype(object)) % p).astype(np.int64)
-    if dtype is np.float64 and B.ndim == 2 and A.size * B.shape[-1] >= BLAS_MIN_WORK:
-        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
-    return (A @ B) % p
+    acc = _accumulator(A.shape[-1], p)
+    if acc is np.float64:
+        if B.ndim == 2 and A.size * B.shape[-1] >= BLAS_MIN_WORK:
+            return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
+    elif acc is object:
+        return np.asarray((A.astype(object, copy=False) @ B.astype(object)) % p, dtype=np.int64)
+    C = np.remainder(A @ B, p)      # an object dot product gives a Python int
+    return C.astype(np.int64) if C.dtype.hasobject else C
 
 
-# Below this many entries a float64 array reduces faster through int64 % p
-# than by float_mod's four passes: they tie at 1024 entries, and at 4096
-# float_mod is 2x faster (one thread of a 2-vCPU x86-64 host, p = 3, 65521).
+def convolve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact full convolution of two nonempty residue vectors mod p, int64 result.
+
+    An entry sums at most min(len(a), len(b)) products (see Overflow policy).
+    """
+    k, m = len(a), len(b)
+    acc = _accumulator(k if k < m else m, p)
+    if acc is np.float64:
+        if k * m >= BLAS_MIN_WORK:
+            return np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % p
+    elif acc is object:
+        return (np.convolve(a.astype(object), b.astype(object)) % p).astype(np.int64)
+    c = np.convolve(a, b) % p
+    return c.astype(np.int64) if c.dtype.hasobject else c
+
+
+# Below this many entries a float64 product reduces faster through int64 % p
+# than by the four passes of the float64 floor: they tie at 1024 entries, and
+# at 4096 the floor is 2x faster (one thread of a 2-vCPU x86-64 host, p = 3,
+# 65521).
 FLOAT_MOD_MIN_ENTRIES = 1024
 
 
-def float_mod(C: np.ndarray, p: int) -> np.ndarray:
-    """C mod p, exact, for a float64 array C of integers in [0, 2^53); C is not written.
+def float_matmul_mod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
+    """Exact X Y mod p of float64 residue arrays, float64 result, for chains that stay in float64.
 
-    From FLOAT_MOD_MIN_ENTRIES entries up, C - floor(C/p) p in float64 with
-    one IEEE division: a non-integer C/p lies at least 1/p below the next
-    integer and fl(C/p) within half an ulp of it, less than 1/p as
-    C < 2^53, so the floor is exact.  A smaller C goes through int64 % p.
-    Either way the result is float64.
+    Residues are below 2^31, so float64 holds them exactly, and in the
+    float64 tier C = X Y holds integers below 2^53.  From
+    FLOAT_MOD_MIN_ENTRIES entries up, C mod p is C - floor(C/p) p with one
+    IEEE division: a non-integer C/p lies at least 1/p below the next
+    integer and fl(C/p) within half an ulp of it, less than 1/p as C < 2^53,
+    so the floor is exact.  Fewer entries go through int64 % p; past the
+    float64 tier the product is matmul_mod's.
     """
+    if _accumulator(X.shape[-1], p) is not np.float64:
+        return matmul_mod(X.astype(np.int64), Y.astype(np.int64), p).astype(np.float64)
+    C = X @ Y
     if C.size < FLOAT_MOD_MIN_ENTRIES:
         return (C.astype(np.int64) % p).astype(np.float64)
     q = C / p
@@ -71,7 +110,7 @@ def float_mod(C: np.ndarray, p: int) -> np.ndarray:
 def krylov(M: np.ndarray, v, k: int, p: int) -> np.ndarray:
     """The n x k int64 matrix with columns v, Mv, ..., M^(k-1) v, M an n x n residue matrix.
 
-    In fppoly.blas_dtype's float64 tier, for k >= 16 and 2k >= n, by
+    In the float64 tier (see Overflow policy), for k >= 16 and 2k >= n, by
     doubling (Keller-Gehrig 1985): columns j..2j-1 are M^j times columns
     0..j-1 and M^(2j) = (M^j)^2, so about 2 log2(k) BLAS products.
     Otherwise k - 1 mat-vecs, the only way at p near 2^31.  The crossover
@@ -80,24 +119,51 @@ def krylov(M: np.ndarray, v, k: int, p: int) -> np.ndarray:
     """
     cur = np.asarray(v, dtype=np.int64) % p
     n = cur.shape[0]
-    if k >= max(16, n / 2) and fppoly.blas_dtype(n, p) is np.float64:
+    if k >= max(16, n / 2) and _accumulator(n, p) is np.float64:
         K = np.empty((n, k), dtype=np.float64)
         K[:, 0] = cur
         P = M.astype(np.float64)
         j = 1
         while True:
             m = min(j, k - j)
-            K[:, j:j + m] = (P @ K[:, :m]).astype(np.int64) % p
+            K[:, j:j + m] = float_matmul_mod(P, K[:, :m], p)
             j += m
             if j == k:
                 return K.astype(np.int64)
-            P = float_mod(P @ P, p)
+            P = float_matmul_mod(P, P, p)
     K = np.empty((n, k), dtype=np.int64)
+    if _accumulator(n, p) is object:
+        M = M.astype(object)    # cast once, not on every mat-vec
     for i in range(k):
         K[:, i] = cur
         if i + 1 < k:
             cur = matmul_mod(M, cur, p)
     return K
+
+
+def power_orbit(M: np.ndarray, v: np.ndarray, p: int):
+    """e -> M^e v for 0 <= e <= n, M an n x n residue matrix and v a residue vector.
+
+    In the float64 tier (see Overflow policy): floor(log2 n) squarings
+    M^(2^j) in float64, then one mat-vec per set bit of e.  Otherwise the
+    n + 1 Krylov iterates of v (krylov's mat-vec loop), which cost less than
+    n^3-sized products in int64 or Python integers.
+    """
+    n = len(v)
+    if _accumulator(n, p) is not np.float64:
+        K = krylov(M, v, n + 1, p)
+        return lambda e: K[:, e]
+    squares = [M.astype(np.float64)]
+    while 1 << len(squares) <= n:
+        squares.append(float_matmul_mod(squares[-1], squares[-1], p))
+
+    def power(e: int) -> np.ndarray:
+        w = v.astype(np.float64)
+        for j, S in enumerate(squares):
+            if e >> j & 1:
+                w = float_matmul_mod(S, w, p)
+        return w.astype(np.int64)
+    return power
 
 
 def rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

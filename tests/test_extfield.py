@@ -291,8 +291,9 @@ def test_minimal_polynomial_properties_subfields():
 
 
 def krylov_oracle(M, v, k, p):
-    """Columns v, Mv, ..., M^(k-1) v by k - 1 mat-vecs: linalg.krylov as it ran before doubling."""
-    dtype = fppoly.word_dtype(len(v), p)
+    """Columns v, Mv, ..., M^(k-1) v by k - 1 mat-vecs, exact by a bound of its own:
+    int64 while no sum of len(v) products of residues reaches 2^63, else Python integers."""
+    dtype = np.int64 if len(v) * (p - 1) ** 2 < 1 << 63 else object
     M = np.asarray(M).astype(dtype)
     cur = np.asarray(v).astype(dtype) % p
     K = np.empty((len(v), k), dtype=np.int64)

@@ -141,7 +141,7 @@ def test_powmod_matches_divrem_oracle(p):
         n = fppoly.degree(m)
         R = fppoly.reduction_matrix(m, p)
         assert R.shape == (n, n)     # X^n .. X^(2n-1): a square times a linear base
-        assert R.dtype == fppoly.word_dtype(n, p)
+        assert R.dtype == np.int64     # at every p, the object tier included
         for i in range(n):
             assert fppoly.trim([int(c) for c in R[:, i]]) == fppoly.mod(
                 fppoly.monomial(n + i, p), m, p)
@@ -227,24 +227,3 @@ def test_compose_mod_matches_horner_oracle(p):
         for c in reversed(f):
             want = fppoly.mod(fppoly.add(schoolbook_mul(want, g, p), [c], p), m, p)
         assert fppoly.compose_mod(f, g, m, p) == want
-
-
-def test_word_dtype_boundary():
-    # one policy, three tiers: matrix products in float64 BLAS while terms (p-1)^2 < 2^53,
-    # int64 while terms (p-1)^2 < 2^62, Python integers beyond
-    p = 2 ** 31 - 1
-    assert fppoly.word_dtype(1, p) is np.int64
-    assert fppoly.word_dtype(2, p) is object
-    assert fppoly.word_dtype(1 << 62, 2) is object
-    assert fppoly.word_dtype((1 << 62) - 1, 2) is np.int64
-    assert fppoly.blas_dtype((1 << 53) - 1, 2) is np.float64
-    assert fppoly.blas_dtype(1 << 53, 2) is np.int64
-    assert fppoly.blas_dtype((1 << 62) - 1, 2) is np.int64
-    assert fppoly.blas_dtype(1 << 62, 2) is object
-    assert fppoly.blas_dtype(1, p) is np.int64
-    assert fppoly.blas_dtype(2, p) is object
-    q = 65521   # largep: float64 up to an inner dimension of 2^53 // 65520^2 = 2098176
-    assert fppoly.blas_dtype(2098176, q) is np.float64
-    assert fppoly.blas_dtype(2098177, q) is np.int64
-    big = [p - 1, p - 2, p - 3]
-    assert fppoly.mul(big, big, p) == schoolbook_mul(big, big, p)

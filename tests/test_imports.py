@@ -1,8 +1,12 @@
-"""Import hygiene: every module-level import in src/fflattice is used.
+"""Import hygiene and the product kernel's boundary, checked on the source with ast.
 
-Each module is parsed with ast; a name bound by a module-level import must
-be read somewhere in that module.  Re-exports listed in the package's
-__all__ and __future__ imports are exempt.
+Every module-level import in src/fflattice is used: a name bound by a
+module-level import must be read somewhere in that module.  Re-exports
+listed in the package's __all__ and __future__ imports are exempt.
+
+Products of residue arrays live in one module, linalg: outside it no module
+multiplies with @, calls np.convolve, np.dot or np.matmul, or names the
+overflow tier rule, and linalg imports no other module of the package.
 """
 
 import ast
@@ -41,3 +45,51 @@ def test_checker_flags_unused_import():
     tree = ast.parse("import os\nfrom . import a, b\nfrom x import y as z\n"
                      "__all__ = ['b']\nprint(a)\n")
     assert unused_imports(tree) == ["line 1: os", "line 3: z"]
+
+
+KERNEL = "linalg.py"
+PRODUCT_CALLS = {"convolve", "dot", "matmul"}
+TIER_NAMES = {"word_dtype", "blas_dtype", "float_mod", "_accumulator"}
+
+
+def kernel_leaks(tree: ast.Module) -> list[str]:
+    """Products and uses of the tier rule in a module other than the kernel."""
+    leaks = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            leaks.append((node.lineno, node.col_offset, "@"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in PRODUCT_CALLS and isinstance(node.func.value, ast.Name)
+              and node.func.value.id in ("np", "numpy")):
+            leaks.append((node.lineno, node.col_offset, f"np.{node.func.attr}"))
+        elif isinstance(node, ast.Attribute) and node.attr in TIER_NAMES:
+            leaks.append((node.lineno, node.col_offset, node.attr))
+        elif isinstance(node, ast.Name) and node.id in TIER_NAMES:
+            leaks.append((node.lineno, node.col_offset, node.id))
+    return [f"line {line}: {what}" for line, _, what in sorted(leaks)]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != KERNEL),
+                         ids=lambda p: p.name)
+def test_products_only_in_the_kernel(path):
+    assert kernel_leaks(ast.parse(path.read_text())) == []
+
+
+def test_kernel_imports_no_package_module():
+    tree = ast.parse((SRC / KERNEL).read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.level or node.module == "fflattice")]
+
+
+def test_checker_flags_products_outside_the_kernel():
+    tree = ast.parse('"""One np.convolve, then R @ c, in prose."""\n'
+                     "import numpy as np\n"
+                     "c = np.convolve(a, b) % p\n"
+                     "d = (R @ c) % p\n"
+                     "e = np.dot(a, b) + np.matmul(a, b)\n"
+                     "d @= c\n"
+                     "t = fppoly.word_dtype(3, p) or linalg.float_mod(c, p)\n"
+                     "u = np.add(a, b) * a\n")
+    assert kernel_leaks(tree) == ["line 3: np.convolve", "line 4: @", "line 5: np.dot",
+                                  "line 5: np.matmul", "line 6: @", "line 7: word_dtype",
+                                  "line 7: float_mod"]

@@ -448,13 +448,12 @@ def column_convolution_oracle(u, v):
     reference for kalg_mul's single Kronecker convolution."""
     alg = u.algebra
     p, ell, a = alg.p, alg.ell, alg.a
-    dtype = fppoly.word_dtype(ell * a, p)
-    A, B = u.coeffs.astype(dtype), v.coeffs.astype(dtype)
-    C = np.zeros((2 * ell - 1, 2 * a - 1), dtype=dtype)
+    A, B = u.coeffs.astype(object), v.coeffs.astype(object)    # Python integers, whatever p
+    C = np.zeros((2 * ell - 1, 2 * a - 1), dtype=object)
     for j in range(a):
         for k in range(a):
             C[:, j + k] += np.convolve(A[:, j], B[:, k])
-    C = fppoly.reduce(C % p, alg.left.reduction, p)
+    C = fppoly.reduce((C % p).astype(np.int64), alg.left.reduction, p)
     C = fppoly.reduce(C.T, alg.scalar.reduction, p).T
     return C.astype(np.int64)
 

@@ -8,7 +8,8 @@ import random
 import numpy as np
 import pytest
 
-from fflattice import fppoly, linalg
+from fflattice import extfield, fppoly, kummer, linalg
+from fflattice.lattice import default_lattice
 from oracles import InconsistentSystem, solve
 
 PRIMES = [2, 3, 5, 97]
@@ -131,7 +132,95 @@ def test_krylov_columns_are_matrix_powers(p):
         P = linalg.matmul_mod(P, M, p)
 
 
-# -- the float64 BLAS tier at its 2^53 boundary ----------------------------------------
+# -- the overflow policy: tiers and their boundaries ------------------------------------
+
+
+def test_word_dtype_boundary():
+    # one policy, three tiers: sums of products in float64 while terms (p-1)^2 < 2^53,
+    # int64 while terms (p-1)^2 < 2^62, Python integers beyond
+    p = 2 ** 31 - 1
+    tier = linalg._accumulator
+    assert tier(1, p) is np.int64
+    assert tier(2, p) is object
+    assert tier(1 << 62, 2) is object
+    assert tier((1 << 62) - 1, 2) is np.int64
+    assert tier((1 << 53) - 1, 2) is np.float64
+    assert tier(1 << 53, 2) is np.int64
+    q = 65521   # largep: float64 up to an inner dimension of 2^53 // 65520^2 = 2098176
+    assert tier(2098176, q) is np.float64
+    assert tier(2098177, q) is np.int64
+    big = [p - 1, p - 2, p - 3]
+    assert fppoly.mul(big, big, p) == schoolbook(big, big, p)
+
+
+def schoolbook(a, b, p):
+    """The product of two coefficient lists in Python integers, reduced mod p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += int(x) * int(y)
+    return [c % p for c in out]
+
+
+def product_oracle(A, B, p):
+    """A B mod p in Python integers, A 2-D and B 1-D or 2-D."""
+    A = [[int(x) for x in row] for row in A]
+    if B.ndim == 1:
+        return [sum(x * int(y) for x, y in zip(row, B)) % p for row in A]
+    cols = [[int(x) for x in col] for col in B.T]
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in A]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("p", [3, 65521, 268435009, 2 ** 31 - 1])
+def test_kernels_return_int64_residues_at_every_tier(p, dtype):
+    # mat-vecs, small and BLAS-sized products and convolutions, at p whose inner
+    # dimensions 1, 2, 16 and 80 fall in float64, int64 and Python integers
+    rng = random.Random(p % 1000 + 31)
+    for inner in (1, 2, 16, 80):
+        A = rand_matrix(rng, 80, inner, p)
+        for B in (rand_matrix(rng, inner, 1, p)[:, 0], rand_matrix(rng, inner, 3, p),
+                  rand_matrix(rng, inner, 80, p)):
+            got = linalg.matmul_mod(A.astype(dtype), B.astype(dtype), p)
+            assert got.dtype == np.int64 and got.tolist() == product_oracle(A, B, p), inner
+            got = linalg.float_matmul_mod(A.astype(np.float64), B.astype(np.float64), p)
+            assert got.dtype == np.float64 and got.astype(np.int64).tolist() == got.tolist()
+            assert got.tolist() == product_oracle(A, B, p), inner
+        for a, b in [(A[:, 0], A[:inner, -1]), (A[:, 0], A[:, -1])]:
+            got = linalg.convolve_mod(a.astype(dtype), b.astype(dtype), p)
+            assert got.dtype == np.int64 and got.tolist() == schoolbook(a, b, p), inner
+        got = linalg.matmul_mod(A[0].astype(dtype), A[1].astype(dtype), p)     # a dot product
+        assert got.dtype == np.int64 and int(got) == product_oracle(A[:1], A[1], p)[0]
+    # reduce, mulmod and mul_matrix on a reduction matrix, int64 at every p
+    f = extfield.random_irreducible(p, 3, 0)
+    R = fppoly.reduction_matrix(f, p)
+    assert R.dtype == np.int64
+    T = rand_matrix(rng, 3, 3, p)
+    got = linalg.matmul_mod(R[:, :1].astype(dtype), T[2:].astype(dtype), p)
+    assert got.dtype == np.int64 and got.tolist() == product_oracle(R[:, :1], T[2:], p)
+    x, y = T[0].astype(dtype), T[1].astype(dtype)
+    want = fppoly.mod(schoolbook(T[0], T[1], p), f, p)
+    M = fppoly.mul_matrix(T[0], R, p)
+    assert M.dtype == np.int64
+    for got in (fppoly.reduce(np.array(schoolbook(x, y, p)), R, p),
+                fppoly.mulmod(x, y, R, p), linalg.matmul_mod(M, T[1], p)):
+        assert got.dtype == np.int64 and fppoly.trim(got.tolist()) == want
+
+
+def tier_prime(terms, bits=53, step=1):
+    """The largest prime p = 1 mod step with terms (p-1)^2 < 2^bits."""
+    p = math.isqrt(((1 << bits) - 1) // terms) + 1
+    while terms * (p - 1) ** 2 >= 1 << bits or (p - 1) % step or not fppoly.is_prime(p):
+        p -= 1
+    return p
+
+
+def prime_above(terms, bits, step=1):
+    """The smallest prime p = 1 mod step with terms (p-1)^2 >= 2^bits."""
+    p = tier_prime(terms, bits, step) + step
+    while not fppoly.is_prime(p):
+        p += step
+    return p
 
 
 def object_krylov(M, v, k, p):
@@ -144,21 +233,12 @@ def object_krylov(M, v, k, p):
     return np.array(cols, dtype=np.int64).T
 
 
-def tier_prime(terms):
-    """The largest prime p with terms (p-1)^2 < 2^53."""
-    p = math.isqrt(((1 << 53) - 1) // terms) + 1
-    while terms * (p - 1) ** 2 >= 1 << 53 or not fppoly.is_prime(p):
-        p -= 1
-    return p
-
-
-@pytest.mark.parametrize("terms", [16, 64, 100])
-def test_float64_tier_boundary(terms):
-    p = tier_prime(terms)
-    assert terms * (p - 1) ** 2 < 1 << 53 <= (terms + 1) * (p - 1) ** 2
+def check_matmul_boundary(terms, bits):
+    p = tier_prime(terms, bits)
+    assert bits == 53 and terms * (p - 1) ** 2 < 1 << 53 <= (terms + 1) * (p - 1) ** 2
     rng = random.Random(terms)
     for n, tier in [(terms, np.float64), (terms + 1, np.int64)]:
-        assert fppoly.blas_dtype(n, p) is tier
+        assert linalg._accumulator(n, p) is tier
         full = np.full((n, n), p - 1, dtype=np.int64)     # every sum is n (p-1)^2, the largest
         mixed = np.array([[p - 1 - rng.randrange(2) for _ in range(n)] for _ in range(n)],
                          dtype=np.int64)                 # odd sums too
@@ -172,11 +252,62 @@ def test_float64_tier_boundary(terms):
                     (A.astype(np.float64) @ A.astype(np.float64)).astype(np.int64) % p, want)
 
 
+def check_convolution_boundary(terms, bits):
+    # a factor of `terms` entries against one long enough for BLAS_MIN_WORK, so the
+    # float64 tier is taken where it holds, at the primes on either side of the bound
+    long = linalg.BLAS_MIN_WORK // terms + 1
+    for p in (tier_prime(terms, bits), prime_above(terms, bits)):
+        inside = terms * (p - 1) ** 2 < 1 << bits
+        rng = random.Random(p)
+        for a, b in [(np.full(terms, p - 1), np.full(long, p - 1)),
+                     (np.array([p - 1 - rng.randrange(2) for _ in range(terms)]),
+                      np.array([p - 1 - rng.randrange(2) for _ in range(long)]))]:
+            want = schoolbook(a, b, p)
+            assert linalg.convolve_mod(a, b, p).tolist() == want, (p, inside)
+            if bits == 53 and not inside:
+                assert np.convolve(a.astype(np.float64),
+                                   b.astype(np.float64)).astype(np.int64).tolist() != want
+
+
+def check_kalg_mul_boundary(ell, bits):
+    # level 1 (p = 1 mod l): kalg_mul is the product mod f, one convolution of l terms
+    # per entry; f = X^l - c, c a non-square, is irreducible as l is a power of 2
+    for p in (tier_prime(ell, bits, ell), prime_above(ell, bits, ell)):
+        c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        f = [p - c] + [0] * (ell - 1) + [1]
+        alg = kummer.KummerAlg(default_lattice(p), ell, f)
+        assert alg.a == 1
+        rng = random.Random(p)
+        full = [[p - 1]] * ell
+        mixed = [[p - 1 - rng.randrange(2)] for _ in range(ell)]
+        for u, v in [(full, full), (mixed, full), (mixed, mixed)]:
+            got = kummer.kalg_mul(alg.element(u), alg.element(v)).coeffs
+            want = fppoly.mod(schoolbook([x for x, in u], [x for x, in v], p), f, p)
+            assert got.dtype == np.int64 and fppoly.trim(got[:, 0].tolist()) == want, p
+
+
+TIER_CASES = [pytest.param(check_matmul_boundary, t, 53, id=str(t)) for t in (16, 64, 100)] + [
+    pytest.param(check, t, bits, id=f"{name}-{t}-2^{bits}")
+    for check, name, t, bits in [
+        (check_convolution_boundary, "convolve", 16, 53),
+        (check_convolution_boundary, "convolve", 100, 53),
+        (check_convolution_boundary, "convolve", 2, 62),
+        (check_convolution_boundary, "convolve", 100, 62),
+        (check_kalg_mul_boundary, "kalg_mul", 64, 53),
+        (check_kalg_mul_boundary, "kalg_mul", 64, 62)]]
+
+
+@pytest.mark.parametrize("check, terms, bits", TIER_CASES)
+def test_float64_tier_boundary(check, terms, bits):
+    check(terms, bits)
+
+
 @pytest.mark.parametrize("p", [2, 3, 257, 65521, tier_prime(16), tier_prime(100)])
 def test_float_mod_is_exact_below_2_53(p):
     # the largest values of the float64 tier, multiples of p and their neighbours,
     # where a floor of the rounded quotient would be off by one if it could be;
-    # reduced whole (the division) and in pieces below FLOAT_MOD_MIN_ENTRIES (int64 %)
+    # reduced whole (the division) and in pieces below FLOAT_MOD_MIN_ENTRIES (int64 %),
+    # each as the product of a column by 1 through float_matmul_mod
     rng = random.Random(p)
     top = (1 << 53) - 1
     values = [top - k for k in range(300)] + [rng.randrange(1 << 53) for _ in range(600)]
@@ -188,7 +319,8 @@ def test_float_mod_is_exact_below_2_53(p):
     assert C.astype(np.int64).tolist() == values
     pieces = [C] + np.array_split(C, len(values) // 100)
     assert max(len(c) for c in pieces[1:]) < linalg.FLOAT_MOD_MIN_ENTRIES
-    got = [linalg.float_mod(c, p) for c in pieces]
+    one = np.ones((1, 1))
+    got = [linalg.float_matmul_mod(c[:, None], one, p)[:, 0] for c in pieces]
     assert all(r.dtype == np.float64 for r in got) and C.astype(np.int64).tolist() == values
     want = [v % p for v in values]
     assert got[0].astype(np.int64).tolist() == want
