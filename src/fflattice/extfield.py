@@ -24,11 +24,15 @@ every monic irreducible of degree <= K, as one float64 product of about
 p^K (n + 1) multiply-adds with a per-prime table of the powers X^i mod g;
 K is the largest degree whose table fits ROOT_TABLE_MAX_ENTRIES (1 MB) at
 n + 1 columns, and for n <= 2K + 1 the screen alone is complete.  Its other
-survivors, and every candidate at larger p, go through Rabin's test: X^(p^n)
-and the X^(p^(n/q)) from floor(log2 n) squarings of the Frobenius matrix and
-a few mat-vecs.  random_irreducible builds the table before its first draw
-and draws its candidates in blocks of Mersenne Twister words, the values
-randrange(p) would give (_candidates).
+survivors, and every candidate at larger p, go through Rabin's test read off
+traces of powers of the Frobenius matrix F (_rabin): tr(F^k) mod p is the
+sum of the degrees of the distinct irreducible factors of f whose degree
+divides k (Petr 1937; Schwarz 1956), so a nonzero tr(F^k) with k < n
+rejects f as soon as the floor(log2 n) squarings of F reach k (tr(F), a
+root, before any), and at n < p the traces tr(F^(n/q)) replace Rabin's gcds.
+random_irreducible builds the table before its first draw and draws its
+candidates in blocks of Mersenne Twister words, the values randrange(p)
+would give (_candidates).
 """
 
 from __future__ import annotations
@@ -266,6 +270,8 @@ def frobenius_matrix(f: list[int], p: int, R: np.ndarray | None = None) -> np.nd
 # the roots.  A rejected Rabin test costs O(n^3) in O(log n) products.  Above
 # p = 161 even degree 2 does not fit, so K <= 1 and the screen is a root
 # test; for it, the expected search cost with the screen against without it,
+# measured against Rabin's test before its trace exits (a root now rejects
+# there once F exists, with no squaring) and not measured again since,
 # one thread of a 2-vCPU x86-64 host, n = 2-32: 1.4-2.4x lower at p = 1021
 # and 4093, 1.2-1.4x lower at p = 8191, 1.1-2.4x higher at p = 16381 and
 # 32749.  Mean time per rejected candidate against the root screen and
@@ -326,19 +332,9 @@ def is_irreducible(f: list[int], p: int) -> bool:
     has a factor that small (Gao and Panario 2003).  A reducible f has an
     irreducible factor of degree <= n/2, so for n <= 2K + 1 the screen is
     complete and a candidate that passes it is irreducible.  The other
-    survivors go through Rabin's test: f is irreducible iff X^(p^n) = X
-    mod f and, for every maximal proper divisor n/q of n,
-    gcd(X^(p^(n/q)) - X, f) is constant.  With F the Frobenius matrix
-    (frobenius_matrix, on a reduction matrix of f built once),
-    X^(p^e) = F^e X (linalg.power_orbit: squarings of F where linalg's
-    Overflow policy makes a product one BLAS call, else Krylov iterates).
-    X^(p^n) is checked first, then one gcd per prime factor q of n with
-    n/q > K: a factor of degree dividing n/q <= K would have failed the
-    screen.  So when the screen ran, a prime n needs no gcd.  A
-    rejected test at p = 65521 thus costs the reduction matrix, X^p
-    (about log2(p/2n) squarings mod f), the Frobenius matrix (O(log n)
-    products) and floor(log2 n) more products.  Rabin's test alone is
-    complete, so the screen changes no verdict.
+    survivors, and every candidate at larger p (K = 0), go through Rabin's
+    test on the traces of powers of the Frobenius matrix (_rabin), which is
+    complete alone, so the screen changes no verdict.
 
     A p that is not prime raises ValueError.  The verdict of
     fppoly.check_prime is memoized per prime that passed, so a search pays
@@ -366,18 +362,69 @@ def is_irreducible(f: list[int], p: int) -> bool:
             return False
         if n <= 2 * K + 1:
             return True
+    return _rabin(f, p, K)
+
+
+def _rabin(f: list[int], p: int, K: int) -> bool:
+    """Rabin's test at odd p for f monic of degree n >= 2, f(0) != 0, with no
+    irreducible factor of degree <= K: early exits and, at n < p, acceptance
+    read off traces of powers of the Frobenius matrix F.
+
+    Rabin (1980): f is irreducible iff X^(p^n) = X mod f and, for every
+    prime q | n, f has no irreducible factor of degree dividing n/q, which
+    gcd(X^(p^(n/q)) - X, f) = 1 checks.  X^(p^e) = F^e X, with F from
+    frobenius_matrix on a reduction matrix of f built once, and
+    linalg.PowerOrbit gives F^e X and the traces: floor(log2 n) squarings
+    of F where linalg's Overflow policy makes a product one BLAS call, else
+    Krylov iterates.
+
+    The trace criterion (Petr 1937; Schwarz 1956): tr(F^k) = sum of deg g
+    mod p over the distinct monic irreducible g | f with deg g | k.  By the
+    Chinese remainder theorem GF(p)[X]/(f) is the product of the
+    GF(p)[X]/(g^e), and on each the p-th power map takes every power of the
+    radical into the next one, so on each graded piece but the residue
+    field GF(p^d), d = deg g, it and its powers are 0; on GF(p^d) F^k is
+    sigma^k, the identity when d | k and else a permutation of a normal
+    basis with no fixed point, of trace d or 0.  So:
+    - Early exits, at every n: tr(F^k) != 0 for some k < n means a factor
+      of degree dividing k < n, and f is rejected.  k = 1 (a root) is read
+      off F at once, with no squaring; after each square F^(2^j) that the
+      test needs anyway, k = 2^j and 2^j + 2^i, i < j, by one O(n^2) pass
+      each (PowerOrbit.traces).  k <= K is skipped: the screen ruled those
+      factors out.  No k >= n is asked: an irreducible f of degree n has
+      tr(F^n) = n, and n = 4, say, is not 0 mod p > 4.
+    - Acceptance at n < p: a reducible f that passes X^(p^n) = X is
+      squarefree with a factor of degree d | n/q < n for some prime q | n,
+      so the sum is between d and n < p and tr(F^(n/q)) is not 0 mod p; an
+      irreducible f gives 0.  So each gcd is replaced by tr(F^(n/q)) = 0,
+      one pass over squares already held when n/q has at most two set bits,
+      else after a product of the others; for a prime n, tr(F), already
+      read.  The gcds remain where the sum can reach p (n >= p, screen
+      survivors at p = 3, 5, 7) and where only tr(F) is known (outside the
+      float64 tier of the squarings: every n >= 2 at p = 2^31 - 1).
+    A q with n/q <= K needs no step: such a factor would have failed the
+    screen.  A candidate with a root thus costs the reduction matrix, X^p
+    (about log2(p/2n) squarings mod f) and the Frobenius matrix (O(log n)
+    products), and others a few squarings more.
+    """
+    n = fppoly.degree(f)
     x_vec = np.zeros(n, dtype=np.int64)
     x_vec[1] = 1
-    frob = linalg.power_orbit(frobenius_matrix(f, p, fppoly.reduction_matrix(f, p)), x_vec, p)
+    frob = linalg.PowerOrbit(frobenius_matrix(f, p, fppoly.reduction_matrix(f, p)), x_vec, p)
+    if any(t for _, t in frob.traces(K)):
+        return False
     if not np.array_equal(frob(n), x_vec):
         return False
     for q in _prime_factors(n):
         if n // q <= K:
-            continue    # a factor of degree dividing n/q <= K would have failed the screen
+            continue
+        t = frob.trace(n // q) if n < p else None
+        if t is not None:
+            if t:
+                return False
+            continue
         g = fppoly.trim(((frob(n // q) - x_vec) % p).tolist())
-        if not g:
-            return False
-        if fppoly.degree(fppoly.gcd(g, f, p)) > 0:
+        if not g or fppoly.degree(fppoly.gcd(g, f, p)) > 0:
             return False
     return True
 
@@ -746,25 +793,23 @@ def discrete_log(x: FFElem, base: FFElem) -> int:
     """k with base^k = x, 0 <= k < N = p^n - 1, by Pohlig-Hellman (1978).
 
     For each prime power q^e exactly dividing N, h = x^(N/q^e) lies in the
-    subgroup of order q^e generated by g_q = base^(N/q^e); its e base-q
-    digits are found one at a time, each by baby-step giant-step in the
-    subgroup of order q generated by gamma_q = base^(N/q): with
-    m = ceil(sqrt(q)), digit d is j - t m mod q for the first t <= m at which
-    y gamma_q^(t m) is some gamma_q^j, j < m (m^2 >= q, so every residue is
-    reached).  The residues mod q^e are combined by the Chinese remainder
-    theorem.  k is unique mod N, so the answer is that of a search over the
-    whole group.
+    subgroup of order q^e generated by g_q = base^(N/q^e), and its log to g_q,
+    e base-q digits, comes from _subgroup_log; the residues mod q^e are
+    combined by the Chinese remainder theorem.  k is unique mod N, so the
+    answer is that of a search over the whole group.
 
     base must be primitive (order N).  The per-base tables (g_q, the baby
-    steps of gamma_q and its giant step, the CRT coefficients) are built on
-    the first call with that base and cached on the field
+    steps of gamma_q = base^(N/q) and its giant step, the CRT coefficients)
+    are built on the first call with that base and cached on the field
     (ExtField._dlog_tables, keyed by the coordinates of base); the build
     reads primitivity off the gamma_q, since base is primitive iff none is 1.
-    After it, a call costs about sum over q of e log2 N + sqrt(q) products.
-    A field whose full group would need more than limits.BSGS_MAX_STEPS baby
-    steps is still refused before anything is built.  A zero x raises
-    ZeroDivisionError, a base of another field FieldMismatch, and a base that
-    is not primitive ValueError.
+    After it, a call costs about sum over q of log2 N + 3 e log2(e) log2(q)
+    + e sqrt(q) products: 54 per log at p = 257 (N = 2^8) and 163 at
+    p = 65537 (2^16), against 102 and 493 one digit at a time.  A field
+    whose full group would need more than limits.BSGS_MAX_STEPS baby steps
+    is still refused before anything is built.  A zero x raises
+    ZeroDivisionError, a base of another field FieldMismatch, and a base
+    that is not primitive ValueError.
     """
     if x.is_zero():
         raise ZeroDivisionError("discrete log of zero")
@@ -776,23 +821,39 @@ def discrete_log(x: FFElem, base: FFElem) -> int:
     limits.check_discrete_log(f.p, f.n)
     k = 0
     for q, e, qe, g, table, m, giant, crt in _dlog_tables(f, base):
-        h = x ** (N // qe)
-        k_q = 0
-        for i in range(e):
-            # (h g^(-k_q))^(q^(e-1-i)) = gamma_q^(digit i)
-            y = h * g ** (qe - k_q) if k_q else h
-            if i < e - 1:
-                y = y ** q ** (e - 1 - i)
-            for t in range(m + 1):
-                j = table.get(y.vec)
-                if j is not None:
-                    break
-                y = y * giant
-            else:
-                raise AssertionError("discrete log digit not found in a subgroup of prime order")
-            k_q += (j - t * m) % q * q ** i     # y gamma_q^(t m) = gamma_q^j
-        k += k_q * crt
+        k += _subgroup_log(x ** (N // qe), g, q, e, (table, m, giant)) * crt
     return k % N
+
+
+def _subgroup_log(h: FFElem, g: FFElem, q: int, e: int, steps: tuple) -> int:
+    """d < q^e with g^d = h, for g of order q^e and h in its subgroup, by halving the digits.
+
+    With f = floor(e/2), the low f base-q digits of d are the log of
+    h^(q^(e-f)) to g^(q^(e-f)), of order q^f, and the high e - f digits the
+    log of h g^(-low) to g^(q^f), of order q^(e-f).  One digit (e = 1) is
+    baby-step giant-step in the subgroup of order q, generated by
+    gamma = g^(q^(e-1)) at every depth: steps = (the baby steps
+    {gamma^j: j} for j < m = ceil(sqrt(q)), m, the giant step gamma^m), and
+    the digit is j - t m mod q for the first t <= m at which h gamma^(t m) is
+    some gamma^j (m^2 >= q, so every residue is reached).  Each of the
+    ceil(log2 e) levels of the halving raises to powers below q^e, about
+    3 e log2 q products per level, so the e digits cost O(e log e log q)
+    products against O(e^2 log q) one digit at a time.
+    """
+    if e == 1:
+        table, m, giant = steps
+        y = h
+        for t in range(m + 1):
+            j = table.get(y.vec)
+            if j is not None:
+                return (j - t * m) % q
+            y = y * giant
+        raise AssertionError("discrete log digit not found in a subgroup of prime order")
+    f = e // 2
+    low = _subgroup_log(h ** q ** (e - f), g ** q ** (e - f) if f > 1 else None, q, f, steps)
+    high = _subgroup_log(h * g ** (q ** e - low) if low else h,
+                         g ** q ** f if e - f > 1 else None, q, e - f, steps)
+    return low + q ** f * high
 
 
 def _dlog_tables(f: ExtField, base: FFElem) -> list[tuple]:
@@ -843,10 +904,9 @@ def nth_root(c: FFElem, ell: int) -> FFElem:
     field (ExtField._dlog_tables, built on the field's first call).  With
     N = p^n - 1 and g = gcd(ell, N), a root exists iff g | k, the roots are
     X^(j + i N/g) for 0 <= i < g with j = (k/g) (ell/g)^-1 mod N/g, and X^j
-    is returned.  Cost after the build: about sum over q^e || N of
-    e log2 N + sqrt(q) products, plus one power for X^j.  Raises ValueError
-    when no root exists, which signals a broken Kummer constant upstream in
-    this library's main use.
+    is returned.  Cost after the build: that of discrete_log, plus one power
+    for X^j.  Raises ValueError when no root exists, which signals a broken
+    Kummer constant upstream in this library's main use.
     """
     if ell < 1:
         raise ValueError("root order must be >= 1")

@@ -117,7 +117,7 @@ def reduction_matrix(f: list[int], p: int) -> np.ndarray:
 
     Built by doubling: once columns 0..k-1 are known, column k + j is X^k
     times column j, a shift plus R[:, :k] times its top k entries, so
-    log2(n) matrix products (linalg.matmul_mod) fill it.  It is int64 at
+    log2(n) matrix products (linalg.matmul_add_mod) fill it.  It is int64 at
     every p.  Any other f raises ValueError: -f[:n] is X^n mod f only when
     f is monic.
     """
@@ -131,17 +131,20 @@ def reduction_matrix(f: list[int], p: int) -> np.ndarray:
         m = min(k, n - k)
         V = R[:, :m]
         R[k:, k:k + m] = V[:n - k]
-        R[:, k:k + m] = (R[:, k:k + m] + linalg.matmul_mod(R[:, :k], V[n - k:], p)) % p
+        R[:, k:k + m] = linalg.matmul_add_mod(R[:, k:k + m], R[:, :k], V[n - k:], p)
         k += m
     return R
 
 
 def reduce(c: np.ndarray, R: np.ndarray, p: int) -> np.ndarray:
-    """c mod f along axis 0, for at most 2n rows of residues; R = reduction_matrix(f, p)."""
+    """c mod f along axis 0, for at most 2n rows of residues; R = reduction_matrix(f, p).
+
+    c[:n] + R c[n:] in one linalg.matmul_add_mod, so one reduction mod p.
+    """
     n = R.shape[0]
     if len(c) <= n:
         return c
-    return (c[:n] + linalg.matmul_mod(R[:, :len(c) - n], c[n:], p)) % p
+    return linalg.matmul_add_mod(c[:n], R[:, :len(c) - n], c[n:], p)
 
 
 def mulmod(a: np.ndarray, b: np.ndarray, R: np.ndarray, p: int) -> np.ndarray:
@@ -154,20 +157,14 @@ def mul_matrix(a, R: np.ndarray, p: int) -> np.ndarray:
 
     R = reduction_matrix(f, p).  Column j of the product before reduction is a shifted by j: the
     (2n-1) x n Toeplitz matrix T of a.  Reduced as T[:n] + R T[n:], it is
-    one matrix product; both terms are residues, so their sum is below 2p
-    and one conditional subtraction of p reduces it.
+    one linalg.matmul_add_mod.
     """
     n = R.shape[0]
     W = np.zeros((n, 2 * n), dtype=np.int64)
     W[:, :len(a)] = a
     # column j of T is n zeros after column j - 1's copy of a: W's rows end to end
     T = W.reshape(-1)[:n * (2 * n - 1)].reshape(n, 2 * n - 1).T
-    S = T[:n] + linalg.matmul_mod(R[:, :n - 1], T[n:], p)
-    # S < 2p: as unsigned, S - p wraps above S exactly where S < p, so the
-    # minimum subtracts p where S >= p
-    U = S.view(np.uint64)
-    np.minimum(U, U - p, out=U)
-    return S
+    return linalg.matmul_add_mod(T[:n], R[:, :n - 1], T[n:], p)
 
 
 def divrem(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -245,8 +242,8 @@ def powmod(a: list[int], e: int, m: list[int], p: int,
     R's last column), so each bit of e costs one reduction.  For the base X
     the leading bits of e, as long as they read k < 2n, give X^k directly:
     a monomial, or column k - n of R; after them a bit b costs one square s,
-    and X^b s mod m is one mat-vec with R's columns from X^(n-b) on, so the
-    shift by X needs no product of its own.  A constant base c gives c^e
+    and X^b s mod m is one reduction (linalg.matmul_add_mod), so the shift
+    by X needs no product of its own.  A constant base c gives c^e
     mod p by integer powering, with no product mod m.
     """
     if e < 0:
@@ -274,12 +271,14 @@ def powmod(a: list[int], e: int, m: list[int], p: int,
             acc[k] = 1
         else:
             acc = R[:, k - n]
-            for bit in bits:    # k >= n: X^b times the square, reduced by R's columns
+            for bit in bits:    # k >= n: X^b times the square, one reduction
                 c = linalg.convolve_mod(acc, acc, p)
-                b = int(bit)
-                acc = linalg.matmul_mod(R[:, :n - 1 + b], c[n - b:], p)
-                acc[b:] += c[:n - b]
-                acc %= p
+                if bit == "1":  # X c: the low n coefficients of c shifted up by one
+                    low = np.zeros(n, dtype=np.int64)
+                    low[1:] = c[:n - 1]
+                    acc = linalg.matmul_add_mod(low, R, c[n - 1:], p)
+                else:
+                    acc = reduce(c, R, p)
             return trim(acc.tolist())
     for bit in bits:
         c = linalg.convolve_mod(acc, acc, p)

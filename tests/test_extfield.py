@@ -510,6 +510,132 @@ def test_equal_degree_products_reach_rabin_gcd(rabin_calls):
         assert not rabin_oracle(f, p)
 
 
+# -- Rabin's test read off Frobenius traces ---------------------------------------
+
+
+def _distinct_factor_traces(factors, n, p):
+    """tr(F^k) mod p for k = 1 .. 2n by the criterion: the sum of deg g over the
+    distinct irreducible g | f with deg g | k."""
+    degrees = [len(g) - 1 for g in {tuple(g) for g in factors}]
+    return [sum(d for d in degrees if k % d == 0) % p for k in range(1, 2 * n + 1)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.sampled_from([3, 7, 31, 257, 65521]),
+       parts=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(0, 3)),
+                      min_size=1, max_size=3))
+def test_frobenius_traces_count_distinct_factor_degrees(p, parts):
+    # f = prod g_i^(e_i), repeated factors and equal g_i included: tr(F^k) mod p is the
+    # sum of the degrees of the distinct g_i whose degree divides k, for k = 1 .. 2n
+    factors, f = [], [1]
+    for d, e, seed in parts:
+        g = [(seed + 1) % p, 1] if d == 1 else _irreducible(p, d, seed)
+        factors.append(g)
+        for _ in range(e):
+            f = fppoly.mul(f, g, p)
+    n = fppoly.degree(f)
+    want = _distinct_factor_traces(factors, n, p)
+    F = extfield.frobenius_matrix(f, p)
+    P = np.eye(n, dtype=np.int64)
+    for k in range(1, 2 * n + 1):
+        P = (P @ F) % p     # n (p-1)^2 < 2^63 for every f drawn here
+        assert int(np.trace(P)) % p == want[k - 1], (p, f, k)
+    x_vec = np.zeros(n, dtype=np.int64)
+    x_vec[min(1, n - 1)] = 1
+    orbit = linalg.PowerOrbit(F, x_vec, p)
+    for k, t in orbit.traces(0):
+        assert t == want[k - 1], (p, f, k)
+    assert [orbit.trace(k) for k in range(1, n + 1)] == want[:n]
+
+
+@pytest.mark.parametrize("p, n", [(7, 6), (31, 30), (5, 5), (7, 7), (7, 8)])
+def test_trace_verdict_matches_rabin_across_n_equals_p(monkeypatch, p, n):
+    # Rabin's test with no screen (K = 0): below p the traces decide, with no gcd; from
+    # n = p on the gcds remain, behind the same early exits
+    calls = _rabin_gcds(monkeypatch)
+    rng = random.Random(5306 + 100 * p + n)
+    candidates = [[rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - 1)] + [1]
+                  for _ in range(60)]
+    # reducible products that pass X^(p^n) = X: distinct factors of degrees dividing n
+    for degrees in ([1] * (p - 1) if n == p - 1 else [], [n // 2, n - n // 2], [1, n - 1],
+                    [1] * (n % 2) + [2] * (n // 2)):
+        if degrees:
+            seeds = {}
+            f = [1]
+            for d in degrees:
+                seeds[d] = seeds.get(d, 0) + 1
+                g = [p - seeds[d], 1] if d == 1 else _irreducible(p, d, 10 * seeds[d])
+                f = fppoly.mul(f, g, p)
+            candidates.append(f)
+    candidates += [_irreducible(p, n, seed) for seed in range(3)]
+    verdicts, gcds = set(), 0
+    for f in candidates:
+        want = rabin_oracle(f, p)
+        before = len(calls)
+        assert extfield._rabin(fppoly.monic(f, p), p, 0) == want, (p, f)
+        gcds += len(calls) - before
+        verdicts.add(want)
+    assert verdicts == {True, False}
+    assert (gcds > 0) == (n >= p), gcds
+
+
+@pytest.mark.parametrize("p, d", [(3, 2), (3, 3), (5, 2), (7, 2)])
+def test_gcds_catch_what_traces_mod_p_cannot_at_n_ge_p(monkeypatch, p, d):
+    # p distinct irreducibles of degree d: tr(F^k) is p d = 0 mod p for d | k and else
+    # 0, for every k, so only a gcd sees that f, of degree n = p d >= p, is reducible
+    calls = _rabin_gcds(monkeypatch)
+    factors, seed = set(), 0
+    while len(factors) < p:
+        factors.add(tuple(_irreducible(p, d, seed)))
+        seed += 1
+    f = [1]
+    for g in factors:
+        f = fppoly.mul(f, list(g), p)
+    n = fppoly.degree(f)
+    F = extfield.frobenius_matrix(f, p)
+    P = np.eye(n, dtype=np.int64)
+    for k in range(1, n + 1):
+        P = (P @ F) % p
+        assert int(np.trace(P)) % p == 0, k
+    assert not extfield._rabin(f, p, 0) and calls
+    assert not rabin_oracle(f, p)
+
+
+@pytest.mark.parametrize("p, n, d, squares", [(65521, 24, 1, 0), (65521, 24, 2, 1),
+                                              (65521, 24, 3, 1), (65521, 48, 5, 2),
+                                              (257, 24, 2, 1), (257, 24, 3, 1)])
+def test_early_exit_at_the_first_square_that_reaches_a_factor(monkeypatch, p, n, d, squares):
+    # g h with deg g = d the least factor degree: tr(F^k) for the first k > K that d
+    # divides (k = 1, then 2^j and 2^j + 2^i as the squares F^(2^j) arrive) rejects it,
+    # with no square for a root and no square past the one that reaches k
+    held = []
+    square = linalg.PowerOrbit._square
+    monkeypatch.setattr(linalg.PowerOrbit, "_square",
+                        lambda self, j: held.append(j) or square(self, j))
+    K = extfield._screen_degree(p, n)
+    assert K < d
+    for seed in range(2):
+        g = [p - 1 - seed, 1] if d == 1 else _irreducible(p, d, seed)
+        f = fppoly.mul(g, _irreducible(p, n - d, seed + 5), p)
+        held.clear()
+        assert not extfield._rabin(fppoly.monic(f, p), p, K)
+        assert max(held, default=0) == squares, (p, d, held)
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (5, 8), (257, 4), (257, 16), (65521, 4),
+                                  (65521, 32), (65521, 64)])
+def test_irreducible_of_two_power_degree_passes_every_exit(p, n):
+    # every early exit asks k < n; tr(F^n) = n, not 0 mod p > n, would reject it
+    g = _irreducible(p, n, 3)
+    F = extfield.frobenius_matrix(g, p)
+    x_vec = np.zeros(n, dtype=np.int64)
+    x_vec[1] = 1
+    orbit = linalg.PowerOrbit(F, x_vec, p)
+    assert all(k < n and t == 0 for k, t in orbit.traces(0))
+    assert orbit.trace(n) == n % p
+    assert extfield._rabin(g, p, 0)
+
+
 # -- the screen's edges, its table and the block draws ---------------------------
 
 
@@ -546,18 +672,25 @@ def test_folded_gcd_finds_a_quadratic_factor_without_a_root(rabin_calls):
             assert not rabin_oracle(f, p)
 
 
-@pytest.mark.parametrize("p, n, gcds", [(3, 52, 1), (3, 56, 2), (5, 31, 0), (5, 36, 2),
-                                        (7, 48, 2), (257, 10, 2), (65521, 12, 2)])
-def test_rabin_runs_the_gcds_the_screen_leaves(monkeypatch, p, n, gcds):
-    # an irreducible f reaches every gcd step of Rabin's test, one per prime q | n
-    # with n/q > K: a factor of degree dividing n/q <= K fails the screen first
-    K = extfield._screen_degree(p, n)
-    assert gcds == sum(n // q > K for q in extfield._prime_factors(n))
-    f = _irreducible(p, n, 0)
+def _rabin_gcds(monkeypatch):
+    """The moduli of the fppoly.gcd calls made from here on."""
     calls = []
     gcd = fppoly.gcd
     monkeypatch.setattr(fppoly, "gcd", lambda a, b, q: calls.append(q) or gcd(a, b, q))
-    assert extfield.is_irreducible(f, p) and len(calls) == gcds
+    return calls
+
+
+@pytest.mark.parametrize("p, n, steps", [(3, 52, 1), (3, 56, 2), (5, 31, 0), (5, 36, 2),
+                                         (7, 48, 2), (257, 10, 2), (65521, 12, 2)])
+def test_rabin_runs_the_gcds_the_screen_leaves(monkeypatch, p, n, steps):
+    # an irreducible f reaches every step of Rabin's test, one per prime q | n with
+    # n/q > K: a factor of degree dividing n/q <= K fails the screen first.  At n >= p
+    # each step is a gcd; at n < p it is the trace of F^(n/q), and no gcd runs
+    K = extfield._screen_degree(p, n)
+    assert steps == sum(n // q > K for q in extfield._prime_factors(n))
+    f = _irreducible(p, n, 0)
+    calls = _rabin_gcds(monkeypatch)
+    assert extfield.is_irreducible(f, p) and len(calls) == (steps if n >= p else 0)
 
 
 @pytest.mark.parametrize("p, n", [(3, 20), (3, 56), (5, 24), (5, 56), (7, 12), (7, 48)])
@@ -687,10 +820,39 @@ def _encode(f, p):
     (7, 48, 1, 0x97d0eee64a1da310c13440fde158014b9d),
     (31, 40, 0, 0x6ea3d1d30f99f4051ca4997084244244842858f70f86372706),
     (31, 40, 1, 0x6db3815f195e683d0b80750596a281210e646f95ee69c95c61),
+    (257, 43, 0, int("24a3045192b57bdd622037e9704b1a608d5984f784dc205ed3a947f103c3875807684eab"
+                     "2b53bd8245c6aa9", 16)),
+    (257, 43, 1, int("1d58f573395411e8d5b1eace653fe25a740ce7277ef323f7dd6c8244ab868cab386611a1"
+                     "ea66f67b9a3a3a1", 16)),
+    (257, 48, 0, int("261278cccf24359777fd7e2aa57badeecb2133c5c4227510cab6041c2b0bd64b549ba2f1"
+                     "0a8e7395a4645c22ee62f1794", 16)),
+    (257, 48, 1, int("1e696b647ab15fb023ae6385aa84f0492183c5672a0b35532709ee81e8af0ff4c48b3a60"
+                     "b9536fd4376cc18f5c70a95e2", 16)),
+    (65521, 36, 0, int(
+        "11aa8991f470921539b004193367e01657f89deb8e5602c2c4a66ba18a5486f9b73eef88b56c25c912cb"
+        "25d1b3c069e6bc771b0b36749ec7dcef535d48239cffba996d783a439c2b3", 16)),
+    (65521, 36, 1, int(
+        "198f813a7333cf00bb637d45d9f6150e7511b470bf056feb6fe7749220e46f470d2eaa4ba8fc84519870"
+        "335a7e8ef01006d11cfc234d7ade573f9a4b77e121ab340a21cf552beb17c", 16)),
+    (65521, 96, 0, int(
+        "1d35e90f29211839354f9eb9e614c96c8728cda91e628bdf5675838c0b4b3789e58824c9ad393eb6de1a"
+        "64ef1357250fba970517cd78529ac659ba2b6c31f3fbad4ce85fa559be97b67d913c1b53254f762ada51"
+        "572c371a61af9d7b30af1dedaaea44e24e970b4f7adee5caf4dc5de4eab906242a9cbcf6b18ba7be4faf"
+        "32d98336612134e2d46fc3da38efdff4ef9e7c4ead2986871e39b6c2d2f986fb0f1342d168688ac66fc2"
+        "274524ab3f9b9e960af89fe05f0d24f677d50b2dffa98a4bc", 16)),
+    (65521, 96, 1, int(
+        "174abe4ae608f044d67cea4db25c3528144a6711f3a12fcc50907cabd22ca496a9902804a43ac6ac632b"
+        "ceb2fad8656ee42c5595bf88706e8a0005d91253df1a6485e3a636eeffbbd04125c148c2eab8e1156218"
+        "7775012e15b95c6e50613165cd02699d294c515e3091e8cc0faaeeec94c02c6f70234166fcf16eb02167"
+        "37417f2dec4d9b02f322a56379fa01a0993b49cee44d9882503bad427a610ed72f24050f06d99b7a4d39"
+        "1e26d62b1cfaef109ae626e84fcd8817a85369d392449b314", 16)),
 ], ids=["2-105-0", "2-117-0", "3-56-0", "5-56-7", "3-56-1", "3-100-0", "3-100-1", "5-56-0",
-        "5-56-1", "5-96-0", "5-96-1", "7-48-0", "7-48-1", "31-40-0", "31-40-1"])
+        "5-56-1", "5-96-0", "5-96-1", "7-48-0", "7-48-1", "31-40-0", "31-40-1", "257-43-0",
+        "257-43-1", "257-48-0", "257-48-1", "65521-36-0", "65521-36-1", "65521-96-0",
+        "65521-96-1"])
 def test_random_irreducible_pinned(p, n, seed, code):
-    # the screen changes no verdict, so the search accepts the same candidate
+    # neither the screen nor the trace criterion changes a verdict, so the search
+    # accepts the same candidate
     f = extfield.random_irreducible(p, n, seed)
     assert len(f) == n + 1 and _encode(f, p) == code
 
@@ -739,6 +901,43 @@ def bsgs_oracle(x, base):
             return (i * m + j) % N
         gamma = gamma * giant
     raise ValueError("discrete log not found; base is not a generator")
+
+
+def digit_log_oracle(x, base):
+    """discrete_log as it ran one base-q digit at a time: digit i is the log of
+    (h g^(-k))^(q^(e-1-i)) to gamma_q, with h g^(-k) raised afresh for every digit."""
+    f = x.field
+    N = f.order() - 1
+    k = 0
+    for q, e, qe, g, table, m, giant, crt in extfield._dlog_tables(f, base):
+        h = x ** (N // qe)
+        k_q = 0
+        for i in range(e):
+            y = h * g ** (qe - k_q) if k_q else h
+            if i < e - 1:
+                y = y ** q ** (e - 1 - i)
+            for t in range(m + 1):
+                j = table.get(y.vec)
+                if j is not None:
+                    break
+                y = y * giant
+            k_q += (j - t * m) % q * q ** i
+        k += k_q * crt
+    return k % N
+
+
+@pytest.mark.parametrize("p", [257, 65537])
+def test_halved_digits_match_the_digit_oracle(p):
+    # p - 1 = 2^8 and 2^16: one prime power with e = 8 and 16 digits; 3 is primitive
+    F = ExtField(p, [p - 3, 1])
+    X = F.gen()
+    assert X == F.element(3)
+    rng = random.Random(p)
+    xs = list(_nonzero_elements(F)) if p < 1000 else [F.element(rng.randrange(1, p))
+                                                     for _ in range(200)]
+    for x in xs:
+        k = extfield.discrete_log(x, X)
+        assert k == digit_log_oracle(x, X) and X ** k == x, x
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ module-level import must be read somewhere in that module.  Re-exports
 listed in the package's __all__ and __future__ imports are exempt.
 
 Products of residue arrays live in one module, linalg: outside it no module
-multiplies with @, calls np.convolve, np.dot or np.matmul, or names the
+multiplies with @, calls np.convolve, np.correlate, np.dot or np.matmul, or names the
 overflow tier rule, and linalg imports no other module of the package.
 """
 
@@ -48,7 +48,7 @@ def test_checker_flags_unused_import():
 
 
 KERNEL = "linalg.py"
-PRODUCT_CALLS = {"convolve", "dot", "matmul"}
+PRODUCT_CALLS = {"convolve", "correlate", "dot", "matmul"}
 TIER_NAMES = {"word_dtype", "blas_dtype", "float_mod", "_accumulator"}
 
 
@@ -89,7 +89,8 @@ def test_checker_flags_products_outside_the_kernel():
                      "e = np.dot(a, b) + np.matmul(a, b)\n"
                      "d @= c\n"
                      "t = fppoly.word_dtype(3, p) or linalg.float_mod(c, p)\n"
-                     "u = np.add(a, b) * a\n")
+                     "u = np.add(a, b) * a\n"
+                     "w = np.correlate(a, b[::-1], 'full')\n")
     assert kernel_leaks(tree) == ["line 3: np.convolve", "line 4: @", "line 5: np.dot",
                                   "line 5: np.matmul", "line 6: @", "line 7: word_dtype",
-                                  "line 7: float_mod"]
+                                  "line 7: float_mod", "line 9: np.correlate"]

@@ -186,6 +186,11 @@ def test_kernels_return_int64_residues_at_every_tier(p, dtype):
             got = linalg.float_matmul_mod(A.astype(np.float64), B.astype(np.float64), p)
             assert got.dtype == np.float64 and got.astype(np.int64).tolist() == got.tolist()
             assert got.tolist() == product_oracle(A, B, p), inner
+            C0 = rand_matrix(rng, 80, 1 if B.ndim == 1 else B.shape[1], p)
+            C0 = C0[:, 0] if B.ndim == 1 else C0
+            got = linalg.matmul_add_mod(C0.astype(dtype), A.astype(dtype), B.astype(dtype), p)
+            want = (np.array(product_oracle(A, B, p), dtype=object) + C0.astype(object)) % p
+            assert got.dtype == np.int64 and got.tolist() == want.tolist(), inner
         for a, b in [(A[:, 0], A[:inner, -1]), (A[:, 0], A[:, -1])]:
             got = linalg.convolve_mod(a.astype(dtype), b.astype(dtype), p)
             assert got.dtype == np.int64 and got.tolist() == schoolbook(a, b, p), inner
@@ -250,6 +255,13 @@ def check_matmul_boundary(terms, bits):
                 # one term past the tier, float64 rounds: the boundary is where it must be
                 assert not np.array_equal(
                     (A.astype(np.float64) @ A.astype(np.float64)).astype(np.int64) % p, want)
+            # C0 + A B: C0 is one more term, so the tier changes one inner dimension earlier
+            inner = n - 1
+            C0 = A[:, :n]
+            assert linalg._accumulator(inner + 1, p) is tier
+            want = ((C0.astype(object) + A[:, :inner].astype(object) @ A[:inner].astype(object))
+                    % p).astype(np.int64)
+            assert np.array_equal(linalg.matmul_add_mod(C0, A[:, :inner], A[:inner], p), want)
 
 
 def check_convolution_boundary(terms, bits):
@@ -300,6 +312,82 @@ TIER_CASES = [pytest.param(check_matmul_boundary, t, 53, id=str(t)) for t in (16
 @pytest.mark.parametrize("check, terms, bits", TIER_CASES)
 def test_float64_tier_boundary(check, terms, bits):
     check(terms, bits)
+
+
+def trace_oracle(A, B, p):
+    """tr(A B) mod p in Python integers."""
+    n, m = A.shape
+    return sum(int(A[i, j]) * int(B[j, i]) for i in range(n) for j in range(m)) % p
+
+
+@pytest.mark.parametrize("n, m", [(4, 4), (8, 8), (6, 10)])
+def test_traces_mod_on_both_sides_of_each_tier(n, m):
+    # one sum of n m products per trace: float64 while n m (p-1)^2 < 2^53, int64
+    # while < 2^62, Python integers beyond, at the primes just inside and outside
+    # each bound and at p = 2^31 - 1
+    terms = n * m
+    primes = [tier_prime(terms, 53), prime_above(terms, 53), tier_prime(terms, 62),
+              prime_above(terms, 62), 2 ** 31 - 1]
+    assert [linalg._accumulator(terms, p) for p in primes] == [
+        np.float64, np.int64, np.int64, object, object]
+    for p in primes:
+        rng = random.Random(p + terms)
+        stack = np.array([np.full((n, m), p - 1)] + [rand_matrix(rng, n, m, p) for _ in range(2)]
+                         + [[[p - 1 - rng.randrange(2) for _ in range(m)] for _ in range(n)]])
+        for B in (np.full((m, n), p - 1), rand_matrix(rng, m, n, p)):
+            for dtype in (np.int64, np.float64, object):
+                got = linalg.traces_mod(stack.astype(dtype), B.astype(dtype), p)
+                assert got == [trace_oracle(A, B, p) for A in stack], (p, dtype)
+
+
+def matrix_powers_oracle(M, k, p):
+    """M^1, ..., M^k mod p in Python integers."""
+    P, out = M.astype(object), []
+    for _ in range(k):
+        out.append(P)
+        P = (P @ M.astype(object)) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 65521, tier_prime(32), prime_above(32, 53), 2 ** 31 - 1])
+@pytest.mark.parametrize("n", [2, 5, 16, 17, 32])
+def test_power_orbit_matches_oracles(p, n):
+    # M^e v for every e <= n; tr(M^k) for k < n as squaring reaches it (k = 1, then
+    # 2^j and 2^j + 2^i, i < j) and on demand for any k <= n, in the float64 tier of
+    # the squarings; past it the Krylov iterates and tr(M) alone
+    rng = random.Random(7 * n + p % 1000)
+    M = rand_matrix(rng, n, n, p)
+    v = rand_matrix(rng, n, 1, p)[:, 0]
+    powers = matrix_powers_oracle(M, n, p)
+    want = [int(np.trace(P)) % p for P in powers]      # want[k - 1] = tr(M^k)
+    orbit = linalg.PowerOrbit(M, v, p)
+    squaring = linalg._accumulator(n, p) is np.float64
+    for skip in (0, 1, 3):
+        got = list(linalg.PowerOrbit(M, v, p).traces(skip))
+        ks = [k for k in range(skip + 1, n) if k == 1 or squaring and bin(k).count("1") <= 2]
+        assert sorted(k for k, _ in got) == ks, (skip, got)
+        assert all(t == want[k - 1] for k, t in got), skip
+    for k in range(1, n + 1):
+        assert orbit.trace(k) == (want[k - 1] if k == 1 or squaring else None), k
+    cur = v.astype(object)
+    for e in range(n + 1):
+        assert orbit(e).dtype == np.int64 and orbit(e).tolist() == cur.tolist(), e
+        cur = (M.astype(object) @ cur) % p
+
+
+def test_power_orbit_squares_only_as_its_traces_are_read(monkeypatch):
+    # an early exit stops the squaring: tr(M) needs none, 2^j and 2^j + 2^i the j-th
+    p, n = 65521, 40
+    rng = random.Random(41)
+    M = rand_matrix(rng, n, n, p)
+    calls = []
+    square = linalg.float_matmul_mod
+    monkeypatch.setattr(linalg, "float_matmul_mod",
+                        lambda X, Y, q: calls.append(1) or square(X, Y, q))
+    traces = linalg.PowerOrbit(M, rand_matrix(rng, n, 1, p)[:, 0], p).traces(0)
+    assert next(traces)[0] == 1 and not calls
+    for j, ks in [(1, [2, 3]), (2, [4, 5, 6]), (3, [8, 9, 10, 12])]:
+        assert [next(traces)[0] for _ in ks] == ks and len(calls) == j
 
 
 @pytest.mark.parametrize("p", [2, 3, 257, 65521, tier_prime(16), tier_prime(100)])
