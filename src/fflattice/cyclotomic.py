@@ -2,10 +2,24 @@
 
 For each l coprime to p, the field K_l = GF(p)(zeta_l) is the Conway field
 GF(p^a) of level a = level(l) = ord of p mod l, shared by every l of that
-level, and zeta_l = X^((p^a-1)/l).  Embeddings iota_{l,m} : K_l -> K_m send
-zeta_l to zeta_m^(m/l); they are evaluated by linear algebra in the
-zeta-power bases.  iota_{l,m} is the identity when l and m have the same
-level, so the standard Kummer constant abar_l is X^a.
+level, and zeta_l = X^((p^a-1)/l).  K_l has one copy and one basis, the
+Conway basis 1, X, ..., X^(a-1); zeta_l enters only through its own powers.
+The embedding iota_{l,m} : K_l -> K_m is the Conway embedding
+X_a |-> X_b^((p^b-1)/(p^a-1)), b = level(m), which norm compatibility of
+the table makes a field map; it sends zeta_l to zeta_m^(m/l).  iota_{l,m}
+is the identity when l and m have the same level, so the standard Kummer
+constant abar_l is X^a.
+
+Each entry keeps, besides K_l and zeta_l, the a x a recovery matrix of the
+Kummer algebra of order l: a Hilbert-90 solution with coefficient matrix C
+(scalars in the Conway basis) and first coordinate s, the zeta^0
+coordinate of its rows, has C = [s, F s, ..., F^(a-1) s] recovery, F the
+Frobenius matrix of the left field.  With w the row that reads the zeta^0
+coordinate, row 0 of the inverse of the zeta-power matrix, and Z the matrix
+of multiplication by zeta, F C = C Z^T gives F^k s = C (Z^T)^k w.  So
+recovery is the inverse of U = [w, Z^T w, ..., (Z^T)^(a-1) w], which is
+invertible because (x, y) |-> [x y]_(zeta^0) is a nondegenerate form on K_l:
+its row k reads [zeta^k y]_(zeta^0), and these a forms are independent.
 
 The per-l cache is append-only behind a lock; entries become visible only
 once complete.
@@ -18,29 +32,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fppoly, linalg, extfield
+from . import linalg
 from .conway import ConwayTable
-from .extfield import ExtField, FFElem
+from .extfield import ExtField, FFElem, FieldMismatch
 
 
 @dataclass(frozen=True)
 class CycloEntry:
-    """Cached data for one root order l.
-
-    power_inverse, the inverse of power_matrix (linalg.left_inverse), is
-    computed once when CycloLattice.entry builds the entry, so a change to
-    the zeta-power basis (to_power_basis) is one mat-vec.
-    """
+    """Cached data for one root order l (see the module docstring for recovery)."""
 
     ell: int
     level: int                    # a = [GF(p)(zeta_l) : GF(p)]
     K: ExtField                   # the Conway field GF(p^a)
     zeta: FFElem                  # primitive l-th root of unity in K
-    h: list                      # minimal polynomial of zeta, degree a
-    b_coeffs: list               # zeta^a = sum b_i zeta^i
-    power_matrix: np.ndarray      # a x a, column i = coordinates of zeta^i
-    scalar_field: ExtField        # GF(p)[Y]/(h), the abstract GF(p)(zeta)
-    power_inverse: np.ndarray     # a x a, power_matrix^(-1)
+    recovery: np.ndarray          # a x a, alpha's coefficients from its first coordinate's orbit
 
 
 class CycloLattice:
@@ -79,50 +84,31 @@ class CycloLattice:
         with self._lock:
             if ell in self._cache:
                 return self._cache[ell]
+        p = self.p
         K = self.conway_field(a)
-        zeta = K.gen() ** ((self.p ** a - 1) // ell)
-        h = extfield.minimal_polynomial(zeta)
-        assert fppoly.degree(h) == a, "zeta must generate its Conway field"
-        b_coeffs = [(-c) % self.p for c in h[:a]]
-        Z = K.powers(zeta, a)
-        scalar = K if h == K.modulus else ExtField(self.p, h, check=False)
-        e = CycloEntry(ell, a, K, zeta, h, b_coeffs, Z, scalar, linalg.left_inverse(Z, self.p)[1])
+        zeta = K.gen() ** ((p ** a - 1) // ell)
+        w = linalg.left_inverse(K.powers(zeta, a), p)[1][0]   # zeta generates K: a basis
+        U = linalg.krylov(K.mul_matrix(zeta).T, w, a, p)
+        e = CycloEntry(ell, a, K, zeta, linalg.left_inverse(U, p)[1])
         with self._lock:
             self._cache.setdefault(ell, e)
             return self._cache[ell]
 
-    # -- coordinates in the zeta-power basis -----------------------------------
-
-    def to_power_basis(self, ell: int, x: FFElem) -> np.ndarray:
-        """Coordinates of x in the basis 1, zeta_l, ..., zeta_l^(a-1).
-
-        One mat-vec by the entry's cached power_inverse.
-        """
-        e = self.entry(ell)
-        if x.field != e.K:
-            raise extfield.FieldMismatch("element does not live in K_l")
-        return linalg.matmul_mod(e.power_inverse, np.array(x.vec, dtype=np.int64), self.p)
-
-    def from_power_basis(self, ell: int, coords) -> FFElem:
-        e = self.entry(ell)
-        vec = linalg.matmul_mod(e.power_matrix, np.asarray(coords, dtype=np.int64) % self.p, self.p)
-        return FFElem(e.K, tuple(vec.tolist()))
-
-    # -- embeddings -------------------------------------------------------------
-
     def embed(self, ell: int, m: int, x: FFElem) -> FFElem:
-        """iota_{l,m}(x) for l | m: zeta_l |-> zeta_m^(m/l).
+        """iota_{l,m}(x) for l | m: X_a |-> X_b^((p^b-1)/(p^a-1)), zeta_l |-> zeta_m^(m/l).
 
-        One mat-vec: the powers 1, eta, ..., eta^(a-1) of eta = zeta_m^(m/l),
-        a = level(l), times the coordinates of x in the zeta_l-power basis.
+        One mat-vec: the powers 1, g, ..., g^(a-1) of g = X_b^((p^b-1)/(p^a-1)),
+        a = level(l), b = level(m), times the Conway coordinates of x.
         """
         if m % ell:
             raise ValueError(f"{ell} does not divide {m}")
-        dst = self.entry(m)
-        coords = self.to_power_basis(ell, x)
-        eta = dst.zeta ** (m // ell)
-        vec = linalg.matmul_mod(dst.K.powers(eta, len(coords)), coords, self.p)
-        return FFElem(dst.K, tuple(vec.tolist()))
+        a, b = self.level(ell), self.level(m)
+        src, dst = self.conway_field(a), self.conway_field(b)
+        if x.field != src:
+            raise FieldMismatch("element does not live in K_l")
+        g = dst.gen() ** ((self.p ** b - 1) // (self.p ** a - 1))
+        vec = linalg.matmul_mod(dst.powers(g, a), np.array(x.vec, dtype=np.int64), self.p)
+        return FFElem(dst, tuple(vec.tolist()))
 
     def standard_constant(self, ell: int) -> FFElem:
         """The pullback of zeta_(p^a-1)^a along iota_{l, p^a-1}, a = level(l).

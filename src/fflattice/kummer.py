@@ -1,10 +1,12 @@
-"""Kummer algebras A_l = GF(p^l) (x) GF(p)(zeta_l) and their Hilbert-90 theory.
+"""Kummer algebras A_l = GF(p^l) (x) K_l and their Hilbert-90 theory.
 
-Elements are l-by-a coefficient matrices over GF(p): entry (i, j) is the
-coefficient of X^i (x) zeta^j, where X generates the left field GF(p^l) and
-zeta the scalar field.  The two one-sided Frobenius operators, the Hilbert-90
-solver, Kummer constants, scalar norms and first-coefficient projections all
-live here.
+K_l = GF(p)(zeta_l) is the Conway field of level a, the cyclotomic entry's
+K itself.  Elements are l-by-a coefficient matrices over GF(p): entry (i, j)
+is the coefficient of X^i (x) Y^j, where X generates the left field GF(p^l)
+and Y the Conway field, so row i is a scalar in K_l's own coordinates and
+zeta acts by its multiplication matrix Z.  The two one-sided Frobenius
+operators, the Hilbert-90 solver, Kummer constants, scalar norms and
+first-coefficient projections all live here.
 
 Hilbert 90 is solved by a Lagrange resolvent (Allombert 2002; Brieulle, De
 Feo, Doliskani, Flori and Schost 2019): sum_i sigma^i(x) (x) zeta^(-i) solves
@@ -24,8 +26,9 @@ column convolutions of l^2 each while call overhead dominates; at p = 2,
 a = 10 the two tie at l = 341 and the single convolution is about 10 %
 slower at l = 1023.
 
-Recovering alpha from its first coordinate (recover_alpha) takes a - 1
-Frobenius mat-vecs on the columns of one array.
+Recovering alpha from its first coordinate (recover_alpha) is the Krylov
+matrix of that coordinate under the Frobenius (a - 1 mat-vecs) times the
+cyclotomic entry's a x a recovery matrix.
 """
 
 from __future__ import annotations
@@ -46,12 +49,12 @@ class NotScalar(ValueError):
 
 
 class KummerAlg:
-    """The tensor algebra GF(p^l) (x) GF(p)(zeta_l).
+    """The tensor algebra GF(p^l) (x) K_l.
 
     The left factor is GF(p)[X]/(f) for a caller-supplied or generated
-    irreducible f of degree l; the scalar factor is GF(p)[Y]/(h) where h is
-    the minimal polynomial of zeta_l from the cyclotomic lattice.  Immutable
-    after construction.
+    irreducible f of degree l; the scalar factor is K_l, the Conway field of
+    the cyclotomic entry, with zeta_l = entry.zeta.  Immutable after
+    construction.
     """
 
     def __init__(self, lattice: CycloLattice, ell: int, defining_poly: list[int] | None = None,
@@ -66,14 +69,14 @@ class KummerAlg:
         self.lattice = lattice
         self.entry = lattice.entry(ell)
         self.a = self.entry.level
-        self.scalar = self.entry.scalar_field           # GF(p)[Y]/(h), Y = zeta
+        self.scalar = self.entry.K
         if defining_poly is None:   # drawn polynomials were just tested; supplied ones are checked
             self.left = ExtField(p, extfield.random_irreducible(p, ell, seed), check=False)
         else:
             self.left = ExtField(p, defining_poly)
         if self.left.n != ell:
             raise ValueError("defining polynomial degree does not match l")
-        self._zeta_mul = self.scalar.mul_matrix(self.scalar.gen())
+        self._zeta_mul = self.scalar.mul_matrix(self.entry.zeta)
 
     # -- element constructors ------------------------------------------------------
 
@@ -96,13 +99,11 @@ class KummerAlg:
         return KummerElem(self, C)
 
     def _scalar_coords(self, s) -> np.ndarray:
-        """The zeta-power coordinates of s, as from_scalar and scalar_mul take it."""
+        """The coordinates of s in K_l, as from_scalar and scalar_mul take it."""
         if isinstance(s, FFElem):
-            if s.field == self.scalar:
-                return np.array(s.vec, dtype=np.int64)
-            if s.field == self.entry.K:
-                return self.lattice.to_power_basis(self.ell, s)
-            raise AlgebraMismatch("scalar lives in neither the scalar field nor K_l")
+            if s.field != self.scalar:
+                raise AlgebraMismatch("scalar does not live in K_l")
+            return np.array(s.vec, dtype=np.int64)
         if isinstance(s, (int, np.integer)):
             svec = np.zeros(self.a, dtype=np.int64)
             svec[0] = int(s) % self.p
@@ -113,8 +114,8 @@ class KummerAlg:
         return svec
 
     def from_scalar(self, s) -> "KummerElem":
-        """1 (x) s, where s is a scalar-field element, an element of K_l, an
-        integer (the scalar s * 1) or a coordinate vector of length a."""
+        """1 (x) s, where s is an element of K_l, an integer (the scalar
+        s * 1) or a coordinate vector of length a in K_l's basis."""
         C = np.zeros((self.ell, self.a), dtype=np.int64)
         C[0] = self._scalar_coords(s)
         return KummerElem(self, C)
@@ -206,23 +207,18 @@ class KummerElem:
         M = fppoly.mul_matrix(alg._scalar_coords(s), alg.scalar.reduction, alg.p)
         return KummerElem(alg, linalg.matmul_mod(self.coeffs, M.T, alg.p))
 
-    def column(self, j: int) -> FFElem:
-        """The left-field coefficient of zeta^j."""
-        return FFElem(self.algebra.left, tuple(self.coeffs[:, j].tolist()))
-
     def scalar_value(self) -> FFElem:
         """For elements 1 (x) s, the scalar s as an element of K_l."""
         if self.coeffs[1:].any():
             raise NotScalar("element has nonzero coefficients of positive X-degree")
-        alg = self.algebra
-        return alg.lattice.from_power_basis(alg.ell, self.coeffs[0])
+        return FFElem(self.algebra.scalar, tuple(self.coeffs[0].tolist()))
 
     def __repr__(self):
         return f"KummerElem({self.coeffs.tolist()})"
 
 
 def kalg_mul(u: KummerElem, v: KummerElem) -> KummerElem:
-    """Bivariate product, reduced mod f in X and mod h in zeta.
+    """Bivariate product, reduced mod f in X and mod the Conway polynomial in Y.
 
     Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
     Algebra, 8.4): u and v, padded to l x (2a-1) and flattened row by row,
@@ -233,7 +229,7 @@ def kalg_mul(u: KummerElem, v: KummerElem) -> KummerElem:
     4 l^2 a^2 multiply-adds, (2a-1)^2 / a^2 times those of the unpadded
     product, in the accumulator linalg's Overflow policy picks.  Then one
     reduction-kernel product with the left field's matrix reduces the rows
-    (X^l, ..., X^(2l-2)) and one with the scalar field's the columns.
+    (X^l, ..., X^(2l-2)) and one with K_l's the columns.
     """
     alg = u.algebra
     p, ell, a = alg.p, alg.ell, alg.a
@@ -255,7 +251,7 @@ def frob_left(u: KummerElem, k: int = 1) -> KummerElem:
 
 
 def frob_right(u: KummerElem, k: int = 1) -> KummerElem:
-    """(1 (x) sigma^k): Frobenius on the scalar field, rowwise (extfield.frobenius_coords)."""
+    """(1 (x) sigma^k): Frobenius on K_l, rowwise (extfield.frobenius_coords)."""
     alg = u.algebra
     return KummerElem(alg, extfield.frobenius_coords(alg.scalar, u.coeffs.T, k).T)
 
@@ -269,7 +265,7 @@ def solve_h90(alg: KummerAlg) -> KummerElem:
     search starts at j = 1: X^0 is fixed by sigma, so its resolvent is
     1 (x) sum_i zeta^(-i), and the l-th roots of unity sum to zero.  j = 1
     usually suffices (the resolvent map is GF(p)-linear and nonzero).  The
-    solutions form a line over the scalar field GF(p)(zeta); the returned
+    solutions form a line over the scalar field K_l; the returned
     representative is normalized so that its first nonzero left-coordinate
     scalar equals 1, making the output deterministic.
     Raises ArithmeticError when the result fails the equation, which means
@@ -333,20 +329,21 @@ def scalar_norm(gamma: KummerElem, b: int, a: int) -> KummerElem:
 def project_first(beta: KummerElem, ell_sub: int) -> FFElem:
     """First coefficient y_0 of beta = sum y_i (x) eta^i, eta = zeta^(l/l_sub).
 
-    W is the a x d power basis 1, eta, ..., eta^(d-1) of GF(p)(eta), d the
-    level of l_sub, and (I, A) its linalg.left_inverse: one d x (a + d) row
+    W is the a x d power basis 1, eta, ..., eta^(d-1) of GF(p)(eta) in K_l's
+    coordinates, eta from the cyclotomic entry's zeta and d the level of
+    l_sub, and (I, A) its linalg.left_inverse: one d x (a + d) row
     reduction, whatever l.  The rows y_i are X = A beta_I, for the l rows of
     beta at once, and beta lies in GF(p^l) (x) GF(p)(eta) exactly when
     W X = beta, which holds by itself when d = a.  Raises ValueError
-    otherwise.
+    otherwise.  For l_sub = l, y_0 is the zeta^0 coordinate: the first
+    coordinate s of a Hilbert-90 solution, which decorate reads here.
     """
     alg = beta.algebra
     p, ell = alg.p, alg.ell
     if ell % ell_sub:
         raise ValueError(f"{ell_sub} does not divide the algebra root order {ell}")
     d = alg.lattice.level(ell_sub)
-    S = alg.scalar
-    W = S.powers(S.gen() ** (ell // ell_sub), d)
+    W = alg.scalar.powers(alg.entry.zeta ** (ell // ell_sub), d)
     rows, A = linalg.left_inverse(W, p)
     B = beta.coeffs.T
     X = linalg.matmul_mod(A, B[rows], p)
@@ -358,28 +355,18 @@ def project_first(beta: KummerElem, ell_sub: int) -> FFElem:
 def recover_alpha(alg: KummerAlg, x0: FFElem) -> KummerElem:
     """Rebuild a Hilbert-90 solution from its first tensor coordinate.
 
-    Uses the recursion x_{a-1} = F x_0 / b_0, x_i = F x_{i+1} - b_{i+1} x_{a-1},
-    where zeta^a = sum b_i zeta^i and F is the left field's Frobenius matrix:
-    a - 1 mat-vecs fill the l x a coefficient matrix column by column.  The
-    result is verified against the Hilbert-90 equation; failure means x_0
-    was not the first coordinate of a valid solution.
+    The coefficient matrix is krylov(F, x0, a) times the cyclotomic entry's
+    recovery matrix, F the left field's Frobenius matrix: a - 1 mat-vecs and
+    one l x a by a x a product (cyclotomic module docstring).  The result is
+    verified against the Hilbert-90 equation; failure means x_0 was not the
+    first coordinate of a valid solution.
     """
     p, a = alg.p, alg.a
     if x0.field != alg.left:
         raise AlgebraMismatch("first coordinate must live in the left field")
-    b = alg.entry.b_coeffs + [0] * (a - len(alg.entry.b_coeffs))
-    if b[0] == 0:
-        raise ArithmeticError("minimal polynomial of zeta has zero constant term")
-    F = alg.left.frobenius_matrix
-    C = np.empty((alg.ell, a), dtype=np.int64)
-    C[:, 0] = x0.vec
-    if a > 1:
-        top = linalg.matmul_mod(F, C[:, 0], p) * pow(b[0], -1, p) % p
-        C[:, a - 1] = top
-        for i in range(a - 2, 0, -1):
-            C[:, i] = (linalg.matmul_mod(F, C[:, i + 1], p) - b[i + 1] * top) % p
-    alpha = KummerElem(alg, C)
-    if frob_left(alpha, 1) != alpha.scalar_mul(alg.scalar.gen()):
+    orbit = linalg.krylov(alg.left.frobenius_matrix, x0.vec, a, p)
+    alpha = KummerElem(alg, linalg.matmul_mod(orbit, alg.entry.recovery, p))
+    if frob_left(alpha, 1) != alpha.scalar_mul(alg.entry.zeta):
         raise ArithmeticError("recovered element fails the Hilbert-90 equation; "
                               "the given coordinate is not standard")
     return alpha

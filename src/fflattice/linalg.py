@@ -24,9 +24,11 @@ float_matmul_mod) whatever the accumulator, so no caller sees the tier, and
 the dtype of an input (int64, or object holding residues) never decides it.
 
 Every change of basis goes through left_inverse, one rref of [W^T | I_d]
-for a basis W of full column rank: the zeta-power bases of the cyclotomic
-entries, the power bases B_l of the standard generators, the subalgebra
-basis of a projection and the section of an embedding matrix.
+for a basis W of full column rank: the recovery matrix of each cyclotomic
+entry (and the row reading the zeta^0 coordinate it starts from), the
+power bases B_l of the standard generators, the subalgebra basis of a
+projection (decorate's first coordinate is one) and the section of an
+embedding matrix.
 """
 
 from __future__ import annotations

@@ -33,7 +33,8 @@ class DecoratedField:
     built on first demand (racing threads store equal values) and reused by
     every embedding that needs them.  alpha() is the standard Hilbert-90
     solution, rebuilt from its first coordinate s by a - 1 Frobenius
-    mat-vecs (l a coefficients), for the embeddings into this field.
+    mat-vecs and the cyclotomic entry's recovery matrix (l a coefficients),
+    for the embeddings into this field.
     basis_inverse() is B_l^(-1) for the power basis B_l = 1, s, ...,
     s^(l-1), one l x l linalg.left_inverse (l^2 coefficients), for the
     embeddings out of it.
@@ -83,7 +84,8 @@ def decorate(ell: int, lattice: CycloLattice, defining_poly: list[int] | None = 
 
     Steps: solve Hilbert 90 for zeta_l, rescale by an l-th root kappa of
     abar_l / a'_l so the Kummer constant becomes the standard one, project
-    to the first tensor coordinate, and take its minimal polynomial.  The
+    to the first tensor coordinate (kummer.project_first at l_sub = l, the
+    projection standard_embed uses), and take its minimal polynomial.  The
     rescaled solution is checked in K_l, as a'_l kappa^l = abar_l: since
     (alpha' (1 (x) kappa))^l = (1 (x) a'_l)(1 (x) kappa^l), that is the
     statement alpha^l = 1 (x) abar_l without a second power in the algebra.
@@ -101,7 +103,7 @@ def decorate(ell: int, lattice: CycloLattice, defining_poly: list[int] | None = 
     if a_prime * kappa ** ell != abar:
         raise AssertionError("standardized solution does not carry the standard constant")
     alpha = alpha_prime.scalar_mul(kappa)
-    s = alpha.column(0)
+    s = kummer.project_first(alpha, ell)
     P = extfield.minimal_polynomial(s)
     if fppoly.degree(P) != ell:
         raise AssertionError("standard generator does not generate the field")
@@ -189,7 +191,7 @@ def baseline_embed(field_l: ExtField, field_m: ExtField,
     ratio = lattice.embed(ell, m, a_l) * a_m.inverse()
     kappa = extfield.nth_root(ratio, ell)
     beta = (alpha_m ** (m // ell)).scalar_mul(kappa)
-    s = alpha_l.column(0)
+    s = kummer.project_first(alpha_l, ell)
     t = kummer.project_first(beta, ell)
     if extfield.minimal_polynomial(t) != extfield.minimal_polynomial(s):
         raise AssertionError("embedding image has the wrong minimal polynomial")
@@ -214,6 +216,6 @@ def verify_key_identity(a: int, b: int, lattice: CycloLattice) -> bool:
     alpha = kummer.solve_h90(alg)  # every nonzero solution is standard here
     e = exact_div((b - a) * p ** (b + a) - b * p ** b + a * p ** a, (p ** a - 1) ** 2)
     lhs = alpha ** ((p ** b - 1) // (p ** a - 1))
-    zeta_e = alg.scalar.gen() ** e
+    zeta_e = alg.entry.zeta ** e
     rhs = kummer.scalar_norm(alpha, b, a).scalar_mul(zeta_e)
     return lhs == rhs

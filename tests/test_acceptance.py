@@ -76,7 +76,7 @@ def test_criterion_2_standardness_suite():
             d = standardize.decorate(ell, L)
             alpha = d.alpha()
             alg = d.algebra
-            zeta = alg.scalar.gen()
+            zeta = alg.entry.zeta
             h90_ok = kummer.frob_left(alpha) == alpha.scalar_mul(zeta)
             abar = L.standard_constant(ell)
             const_ok = alpha ** ell == alg.from_scalar(abar)

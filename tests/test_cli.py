@@ -1,12 +1,16 @@
 """CLI: golden outputs, exit codes, and machine-format round-trips."""
 
+import contextlib
+import functools
+import io
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fflattice.cli import main
-from fflattice.lattice import StdLattice
+from fflattice.cli import _valid_degrees, main
+from fflattice.lattice import StdLattice, default_lattice
 
 
 def run(capsys, *argv):
@@ -67,15 +71,29 @@ def test_embed_degree_below_one(capsys, l, m):
     assert code == 2 and "degrees must be >= 1" in err
 
 
-def test_embed_machine_round_trips_through_loader(capsys):
-    code, out, _ = run(capsys, "embed", "-p", "2", "-l", "3", "-m", "15",
-                       "--format", "machine")
+@functools.cache
+def reachable_pairs(p):
+    """(l, m), l | m <= 60, both degrees reachable at p (cli._valid_degrees)."""
+    degrees = _valid_degrees(p, 60, default_lattice(p))
+    return [(ell, m) for m in degrees for ell in degrees if m % ell == 0]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(case=st.sampled_from([2, 3, 5, 7, 257]).flatmap(
+    lambda p: st.sampled_from(reachable_pairs(p)).map(lambda lm: (p, *lm))))
+def test_embed_machine_round_trips_through_loader(case):
+    p, ell, m = case
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["embed", "-p", str(p), "-l", str(ell), "-m", str(m), "--format", "machine"])
+    out = out.getvalue()
     assert code == 0
     L = StdLattice.loads(out)
     assert L.dumps() == out
     # the registry uses the standard representation: f = P for both fields
-    assert L.field(3).field.modulus == L.field(3).P
-    assert L.field(15).field.modulus == L.field(15).P
+    for n in (ell, m):
+        assert L.field(n).field.modulus == L.field(n).P
+    assert L.get_embedding(ell, m).s_image.field.modulus == L.field(m).P
 
 
 def test_verify_small(capsys):

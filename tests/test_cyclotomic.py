@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fflattice import fppoly, extfield, linalg, standardize
-from fflattice.lattice import default_lattice
+from fflattice.kummer import recover_alpha
+from fflattice.lattice import StdLattice, default_lattice
 from oracles import InconsistentSystem, solve
 
 # the degree sets of tests/data/golden_dumps.txt
@@ -25,7 +26,7 @@ def test_zeta_order_exact():
     for ell in (1, 3, 5, 7, 9, 15, 21):
         e = L.entry(ell)
         assert extfield.multiplicative_order(e.zeta) == ell
-        assert fppoly.degree(e.h) == e.level
+        assert fppoly.degree(extfield.minimal_polynomial(e.zeta)) == e.level
 
 
 def test_levels():
@@ -42,6 +43,8 @@ def test_embedding_sends_zeta_to_power():
     for (ell, m) in [(3, 15), (5, 15), (1, 7), (3, 9), (7, 21)]:
         img = L.embed(ell, m, L.entry(ell).zeta)
         assert img == L.entry(m).zeta ** (m // ell)
+    with pytest.raises(extfield.FieldMismatch):     # K_1 = GF(2), K_7 = GF(2^3)
+        L.embed(1, 7, L.entry(7).zeta)
 
 
 def test_embedding_is_homomorphism():
@@ -57,11 +60,13 @@ def test_embedding_is_homomorphism():
 
 
 def embed_oracle(L, ell, m, x):
-    """sum_i c_i eta^i in field arithmetic, c the zeta_l-power coordinates of x, eta = zeta_m^(m/l)."""
-    dst = L.entry(m)
+    """sum_i c_i eta^i in field arithmetic, c the zeta_l-power coordinates of x
+    (solved for), eta = zeta_m^(m/l)."""
+    src, dst = L.entry(ell), L.entry(m)
     eta = dst.zeta ** (m // ell)
+    coords = solve(src.K.powers(src.zeta, src.level), np.array(x.vec, dtype=np.int64), L.p)
     out, cur = dst.K.zero(), dst.K.one()
-    for c in L.to_power_basis(ell, x):
+    for c in coords:
         out = out + cur * int(c)
         cur = cur * eta
     return out
@@ -95,7 +100,11 @@ def pullback(L, ell, m, y):
     eta = dst.zeta ** (m // ell)
     W = linalg.krylov(dst.K.mul_matrix(eta), dst.K.one().vec, src.level, L.p)
     coords = solve(W, np.array(y.vec, dtype=np.int64), L.p)
-    return L.from_power_basis(ell, coords)
+    out, cur = src.K.zero(), src.K.one()
+    for c in coords:
+        out = out + cur * int(c)
+        cur = cur * src.zeta
+    return out
 
 
 def test_pullback_oracle():
@@ -128,28 +137,9 @@ def test_constants_match_pullback():
                 assert standardize.kappa_constant(ell, m, L) == expected, (p, ell, m)
 
 
-def test_power_basis_round_trip():
-    # every entry with l <= 60 whose level the Conway table covers
-    for p in (2, 3, 5):
-        L = default_lattice(p)
-        top = max(L.table.degrees())
-        rng = random.Random(55 + p)
-        for ell in range(1, 61):
-            if ell % p == 0 or L.level(ell) > top:
-                continue
-            e = L.entry(ell)
-            assert np.array_equal(linalg.matmul_mod(e.power_matrix, e.power_inverse, p),
-                                  np.eye(e.level))
-            for i in range(e.level):
-                assert L.to_power_basis(ell, e.zeta ** i).tolist() == [int(j == i) for j in range(e.level)]
-            for _ in range(5):
-                x = e.K.random_element(rng)
-                assert L.from_power_basis(ell, L.to_power_basis(ell, x)) == x, (p, ell)
-        with pytest.raises(extfield.FieldMismatch):
-            L.to_power_basis(1, L.entry(7).zeta)
-
-
-def test_power_basis_solves_once_per_entry(monkeypatch):
+def test_recovery_built_once_per_entry(monkeypatch):
+    # recover_alpha reads the entry's recovery matrix and solves nothing itself
+    dec = StdLattice(5).add_field(13)
     calls = []
     left_inverse = linalg.left_inverse
 
@@ -158,12 +148,11 @@ def test_power_basis_solves_once_per_entry(monkeypatch):
         return left_inverse(W, q)
 
     monkeypatch.setattr(linalg, "left_inverse", counted)
-    L = default_lattice(5)
-    rng = random.Random(56)
-    K = L.entry(13).K
     for _ in range(30):
-        L.to_power_basis(13, K.random_element(rng))
-    assert len(calls) <= 1
+        recover_alpha(dec.algebra, dec.s)
+    assert not calls
+    e = dec.algebra.entry
+    assert e.recovery.shape == (e.level, e.level)
 
 
 def test_standard_constant_p3_l2():

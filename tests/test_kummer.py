@@ -18,16 +18,18 @@ from fflattice import fppoly, extfield, kummer, linalg, standardize
 from fflattice.extfield import FFElem
 from fflattice.kummer import KummerAlg, solve_h90, kummer_constant, recover_alpha
 from fflattice.lattice import StdLattice, default_lattice
+from oracles import solve
 from test_extfield import square_matrices
 from test_golden import DEGREES as GOLDEN_DEGREES
 
 
 def oracle_mul(u, v):
-    """Independent product: expand in (X, Y), reduce mod f(X) then mod h(Y)."""
+    """Independent product: expand in (X, Y), reduce mod f(X) then mod h(Y),
+    h the Conway polynomial of K_l."""
     alg = u.algebra
     p = alg.p
     f = alg.left.modulus
-    h = alg.entry.h
+    h = alg.scalar.modulus
     d = {}
     U, V = u.coeffs, v.coeffs
     for i in range(alg.ell):
@@ -107,7 +109,7 @@ def test_h90_property():
             alg = KummerAlg(L, ell)
             alpha = solve_h90(alg)
             assert not alpha.is_zero()
-            zeta = alg.scalar.gen()
+            zeta = alg.entry.zeta
             assert kummer.frob_left(alpha) == alpha.scalar_mul(zeta)
 
 
@@ -128,7 +130,7 @@ def test_powers_of_alpha_property():
     alpha = solve_h90(alg)
     for k in (2, 3):
         beta = alpha ** k
-        assert kummer.frob_left(beta) == beta.scalar_mul(alg.scalar.gen() ** k)
+        assert kummer.frob_left(beta) == beta.scalar_mul(alg.entry.zeta ** k)
 
 
 def test_solution_line_is_one_dimensional():
@@ -194,7 +196,7 @@ def test_project_first_matches_oracle():
         L = default_lattice(p)
         for ell, ell_sub in pairs:
             alg = KummerAlg(L, ell)
-            eta = alg.scalar.gen() ** (ell // ell_sub)
+            eta = alg.entry.zeta ** (ell // ell_sub)
             ys = [alg.left.random_element(rng) for _ in range(L.level(ell_sub))]
             C = sum(np.outer(y.vec, (eta ** i).vec) for i, y in enumerate(ys))
             beta = alg.element(C)
@@ -202,7 +204,7 @@ def test_project_first_matches_oracle():
             if L.level(ell_sub) < alg.a:
                 # zeta generates the whole scalar field, so y (x) zeta is outside GF(p)(eta)
                 y = alg.left.gen()
-                outside = beta + alg.element(np.outer(y.vec, alg.scalar.gen().vec))
+                outside = beta + alg.element(np.outer(y.vec, alg.entry.zeta.vec))
                 with pytest.raises(ValueError):
                     kummer.project_first(outside, ell_sub)
     with pytest.raises(ValueError):
@@ -214,32 +216,44 @@ def test_recover_alpha_round_trip():
         L = default_lattice(p)
         alg = KummerAlg(L, ell)
         alpha = solve_h90(alg)
-        assert recover_alpha(alg, alpha.column(0)) == alpha
+        assert recover_alpha(alg, kummer.project_first(alpha, ell)) == alpha
 
 
 def recover_alpha_oracle(alg, x0):
-    """The recursion x_{a-1} = sigma(x_0)/b_0, x_i = sigma(x_{i+1}) - b_{i+1} x_{a-1}
-    on left-field elements, one Frobenius each: the reference for recover_alpha,
-    which runs it on the columns of an array."""
+    """The reference for recover_alpha, in the zeta-power basis of K_l.
+
+    With h = minimal polynomial of zeta and zeta^a = sum b_i zeta^i, the
+    recursion x_{a-1} = sigma(x_0)/b_0, x_i = sigma(x_{i+1}) - b_{i+1} x_{a-1}
+    on left-field elements, one Frobenius each, gives the coefficients C_zeta
+    of the zeta^j; C_zeta P^T, P the zeta-power matrix, puts the scalars in
+    K_l's Conway basis, where recover_alpha works."""
     p, a = alg.p, alg.a
-    b = alg.entry.b_coeffs + [0] * (a - len(alg.entry.b_coeffs))
+    zeta = alg.entry.zeta
+    h = extfield.minimal_polynomial(zeta)
+    assert fppoly.degree(h) == a
+    b = [(-c) % p for c in h[:a]]
     cols = [x0] + [None] * (a - 1)
     if a > 1:
         x_top = extfield.frobenius(x0, 1) * pow(b[0], -1, p)
         cols[a - 1] = x_top
         for i in range(a - 2, 0, -1):
             cols[i] = extfield.frobenius(cols[i + 1], 1) - x_top * b[i + 1]
-    return np.array([c.vec for c in cols], dtype=np.int64).T % p
+    C_zeta = np.array([c.vec for c in cols], dtype=np.int64).T % p
+    return linalg.matmul_mod(C_zeta, alg.scalar.powers(zeta, a).T, p)
 
 
 @pytest.mark.parametrize("p, degrees", [(2, GOLDEN_DEGREES[2]), (3, GOLDEN_DEGREES[3]),
-                                        (257, (3, 8))])
+                                        (257, (3, 8)), (2, (19, 57, 117))])
 def test_recover_alpha_matches_oracle(p, degrees):
+    # and decorate's s is the zeta^0 coordinate of alpha, solved for here
     L = StdLattice(p)
     for ell in degrees:
         dec = L.add_field(ell)
-        alpha = recover_alpha(dec.algebra, dec.s)
-        assert np.array_equal(alpha.coeffs, recover_alpha_oracle(dec.algebra, dec.s)), (p, ell)
+        alg = dec.algebra
+        alpha = recover_alpha(alg, dec.s)
+        assert np.array_equal(alpha.coeffs, recover_alpha_oracle(alg, dec.s)), (p, ell)
+        P = alg.scalar.powers(alg.entry.zeta, alg.a)
+        assert solve(P, alpha.coeffs.T, p)[0].tolist() == list(dec.s.vec), (p, ell)
 
 
 def test_recover_alpha_rejects_non_standard_coordinates():
@@ -271,15 +285,12 @@ def test_from_left_from_scalar_commute():
 
 
 def test_scalar_mul_is_the_product_by_from_scalar():
-    # every form of scalar: a scalar-field element, an element of K_l (not the
-    # scalar field here: zeta_5 is not the Conway generator), an integer and
-    # a coordinate vector; the same errors from both
+    # every form of scalar: an element of K_l, an integer and a coordinate
+    # vector; the same errors from both
     alg = KummerAlg(default_lattice(2), 5)
-    assert alg.scalar != alg.entry.K
     rng = random.Random(5)
     x = random_element(alg, rng)
-    for s in (alg.scalar.random_element(rng), alg.entry.K.random_element(rng), 3, np.int64(1),
-              [1, 0, 1, 1]):
+    for s in (alg.scalar.random_element(rng), alg.entry.zeta, 3, np.int64(1), [1, 0, 1, 1]):
         assert x.scalar_mul(s) == x * alg.from_scalar(s), s
     for wrong, error in ((default_lattice(2).entry(7).zeta, kummer.AlgebraMismatch),
                          ([1, 0], ValueError)):
@@ -350,7 +361,7 @@ def kernel_h90(alg):
     """
     p, ell, a = alg.p, alg.ell, alg.a
     F = alg.left.frobenius_matrix
-    Z = alg.scalar.mul_matrix(alg.scalar.gen())
+    Z = alg.scalar.mul_matrix(alg.entry.zeta)
     M = (np.kron(F, np.eye(a, dtype=np.int64)) - np.kron(np.eye(ell, dtype=np.int64), Z)) % p
     basis = kernel(M, p)
     assert len(basis) == a
@@ -372,7 +383,8 @@ def test_resolvent_matches_kernel_oracle(p, ell):
 def left_sigma(u):
     """sigma (x) 1 by powering: each column, a left-field element, to the p-th power."""
     alg = u.algebra
-    return alg.element(np.array([(u.column(j) ** alg.p).vec for j in range(alg.a)]).T)
+    return alg.element(np.array([(alg.left.element(u.coeffs[:, j]) ** alg.p).vec
+                                 for j in range(alg.a)]).T)
 
 
 def right_sigma(u):
@@ -420,7 +432,8 @@ def test_solve_h90_rejects_wrong_root_of_unity(monkeypatch):
 
 def divrem_reference_mul(u, v):
     """Schoolbook bivariate product, then each column (a polynomial in X) reduced
-    mod f and each row (a polynomial in zeta) reduced mod h with fppoly.divrem."""
+    mod f and each row (a polynomial in Y) reduced mod the Conway polynomial of
+    K_l with fppoly.divrem."""
     alg = u.algebra
     p, ell, a = alg.p, alg.ell, alg.a
     U, V = u.coeffs.tolist(), v.coeffs.tolist()
@@ -436,7 +449,7 @@ def divrem_reference_mul(u, v):
     C = np.zeros((ell, a), dtype=np.int64)
     for i in range(ell):
         row = fppoly.trim([c[i] if i < len(c) else 0 for c in cols])
-        red = fppoly.divrem(row, alg.entry.h, p)[1]
+        red = fppoly.divrem(row, alg.scalar.modulus, p)[1]
         C[i, :len(red)] = red
     return C
 
@@ -500,7 +513,7 @@ def test_constructors_reduce_big_integers(c):
     alg = power_algebra(3, 4)
     x = alg.element([[c, -c]] + [[c + 1, 0]] * 3)
     for j, col in enumerate(([c] + [c + 1] * 3, [-c, 0, 0, 0])):
-        assert x.column(j) == alg.left.element(col)
+        assert x.coeffs[:, j].tolist() == list(alg.left.element(col).vec)
     assert alg.from_scalar([c, -c]).coeffs[0].tolist() == list(alg.scalar.element([c, -c]).vec)
     assert not alg.from_scalar([c, -c]).coeffs[1:].any()
 
@@ -508,7 +521,7 @@ def test_constructors_reduce_big_integers(c):
 @pytest.mark.parametrize("p, ell", [(3, 4), (2, 7)])     # levels 2 and 3
 @pytest.mark.parametrize("c", [2, -1, 2 ** 64, np.int64(5)])
 def test_from_scalar_puts_an_integer_at_coordinate_zero(p, ell, c):
-    # an integer c is the scalar c * 1 (x) 1, not c in every zeta-coordinate
+    # an integer c is the scalar c * 1 (x) 1, not c in every coordinate
     alg = power_algebra(p, ell)
     assert alg.a > 1
     x = alg.from_scalar(c)
