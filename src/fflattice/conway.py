@@ -94,7 +94,7 @@ def conway_search(p: int, a: int, known: dict[int, list[int]], work_bound: int =
             raise ValueError(f"search for degree {a} requires the degree-{d} entry first")
     budget = work_bound // limits.conway_unit(a)
     divisors = {d: f for d, f in known.items() if d < a and a % d == 0}
-    order_primes = list(extfield.factorize(p ** a - 1))
+    order_primes = list(extfield.group_order_factors(p, a))
     # The lowest digit of index is a_0 (Conway word) or c_0 (pseudo order),
     # and the d = 1 clause of norm compatibility fixes it: with C_1 = X - g,
     # the norm X^((p^a-1)/(p-1)) = (-1)^a f(0) mod f must equal g.
@@ -160,7 +160,7 @@ class ConwayTable:
                     if not extfield.is_irreducible(f, p):
                         raise ValueError(f"table entry p={p} a={a} is reducible")
                     R = fppoly.reduction_matrix(f, p)
-                    if not _is_primitive_poly(f, p, list(extfield.factorize(p ** a - 1)), R):
+                    if not _is_primitive_poly(f, p, list(extfield.group_order_factors(p, a)), R):
                         raise ValueError(f"table entry p={p} a={a} is not primitive")
                     if not _norm_compatible(f, a, self._polys, p, R):
                         raise ValueError(f"table entry p={p} a={a} is not norm compatible")

@@ -10,13 +10,16 @@ the table makes a field map; it sends zeta_l to zeta_m^(m/l).  iota_{l,m}
 is the identity when l and m have the same level, so the standard Kummer
 constant abar_l is X^a.
 
-Each entry keeps, besides K_l and zeta_l, the a x a recovery matrix of the
-Kummer algebra of order l: a Hilbert-90 solution with coefficient matrix C
-(scalars in the Conway basis) and first coordinate s, the zeta^0
-coordinate of its rows, has C = [s, F s, ..., F^(a-1) s] recovery, F the
-Frobenius matrix of the left field.  With w the row that reads the zeta^0
-coordinate, row 0 of the inverse of the zeta-power matrix, and Z the matrix
-of multiplication by zeta, F C = C Z^T gives F^k s = C (Z^T)^k w.  So
+Each entry keeps, besides K_l and zeta_l, the inverse of the zeta-power
+basis 1, zeta, ..., zeta^(a-1) of K_l (its rows read zeta-power
+coordinates; kummer.project_first at l_sub = l is one product by it) and
+the a x a recovery matrix of the Kummer algebra of order l: a Hilbert-90
+solution with coefficient matrix C (scalars in the Conway basis) and first
+coordinate s, the zeta^0 coordinate of its rows, has
+C = [s, F s, ..., F^(a-1) s] recovery, F the Frobenius matrix of the left
+field.  With w the row that reads the zeta^0 coordinate, row 0 of the
+inverse of the zeta-power basis, and Z the matrix of multiplication by
+zeta, F C = C Z^T gives F^k s = C (Z^T)^k w.  So
 recovery is the inverse of U = [w, Z^T w, ..., (Z^T)^(a-1) w], which is
 invertible because (x, y) |-> [x y]_(zeta^0) is a nondegenerate form on K_l:
 its row k reads [zeta^k y]_(zeta^0), and these a forms are independent.
@@ -45,6 +48,7 @@ class CycloEntry:
     level: int                    # a = [GF(p)(zeta_l) : GF(p)]
     K: ExtField                   # the Conway field GF(p^a)
     zeta: FFElem                  # primitive l-th root of unity in K
+    zeta_inverse: np.ndarray      # a x a, the inverse of the basis 1, zeta, ..., zeta^(a-1)
     recovery: np.ndarray          # a x a, alpha's coefficients from its first coordinate's orbit
 
 
@@ -87,9 +91,9 @@ class CycloLattice:
         p = self.p
         K = self.conway_field(a)
         zeta = K.gen() ** ((p ** a - 1) // ell)
-        w = linalg.left_inverse(K.powers(zeta, a), p)[1][0]   # zeta generates K: a basis
-        U = linalg.krylov(K.mul_matrix(zeta).T, w, a, p)
-        e = CycloEntry(ell, a, K, zeta, linalg.left_inverse(U, p)[1])
+        zeta_inverse = linalg.left_inverse(K.powers(zeta, a), p)[1]   # zeta generates K: a basis
+        U = linalg.krylov(K.mul_matrix(zeta).T, zeta_inverse[0], a, p)
+        e = CycloEntry(ell, a, K, zeta, zeta_inverse, linalg.left_inverse(U, p)[1])
         with self._lock:
             self._cache.setdefault(ell, e)
             return self._cache[ell]

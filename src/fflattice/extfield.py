@@ -642,7 +642,11 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Factorization by trial division with a Pollard-rho fallback."""
+    """Factorization by trial division with a Pollard-rho fallback.
+
+    Rho spends at most limits.RHO_MAX_STEPS steps over the whole call; when
+    they run out, ValueError names the cofactor left unfactored.
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
@@ -659,36 +663,46 @@ def factorize(n: int) -> dict[int, int]:
             n //= d
         d += wheel[i]
         i = (i + 1) % 8
-    if n > 1:
-        _factor_rho(n, out)
+    rest = [n] if n > 1 else []     # odd parts still to factor, the next one last
+    steps = limits.RHO_MAX_STEPS
+    while rest:
+        m = rest.pop()
+        if fppoly.is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d, steps = _pollard_rho(m, steps)
+        if d is None:
+            raise ValueError(f"Pollard rho spent RHO_MAX_STEPS={limits.RHO_MAX_STEPS} steps "
+                             f"and left the cofactor {math.prod(rest) * m} unfactored")
+        rest += [m // d, d]
     return out
 
 
-def _factor_rho(n: int, out: dict[int, int]) -> None:
-    if n == 1:
-        return
-    if fppoly.is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return
-    d = _pollard_rho(n)
-    _factor_rho(d, out)
-    _factor_rho(n // d, out)
+def group_order_factors(p: int, a: int) -> dict[int, int]:
+    """factorize(p^a - 1), the order of GF(p^a)^*; a ValueError names p and a."""
+    try:
+        return factorize(p ** a - 1)
+    except ValueError as exc:
+        raise ValueError(f"factoring p^a - 1 for p={p}, a={a}: {exc}") from exc
 
 
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
+def _pollard_rho(n: int, steps: int) -> tuple[int | None, int]:
+    """(d, steps left): a proper divisor d of the odd composite n by Floyd's cycle
+    search on x^2 + c, c = 1, 2, ..., or (None, 0) once `steps` steps are spent."""
+    c = 0
+    while steps:
+        c += 1
         x = y = 2
         d = 1
-        while d == 1:
+        while d == 1 and steps:
+            steps -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"pollard rho failed on {n}")
+        if 1 < d < n:
+            return d, steps
+    return None, 0
 
 
 # -- field-level operations -----------------------------------------------------
@@ -769,7 +783,7 @@ def _berlekamp_massey(s: np.ndarray, p: int) -> list[int]:
 def _order_factors(f: ExtField) -> dict[int, int]:
     """The factorization of p^n - 1, computed once per field."""
     if f._order_factors is None:
-        f._order_factors = factorize(f.order() - 1)
+        f._order_factors = group_order_factors(f.p, f.n)
     return f._order_factors
 
 

@@ -19,12 +19,13 @@ the p-th power map is the automorphism sigma (x) sigma: x^e walks the base-p
 digits of e, with floor(log_p e) applications of sigma (x) sigma, each
 O(l^2 a + l a^2), plus one product per nonzero digit beyond the first and
 the binary square-and-multiply of the digit powers x^d, d < p.  Every
-product (kalg_mul) is one convolution of length l(2a-1), by Kronecker
-substitution: about 4 l^2 a^2 multiply-adds (the padding to 2a-1 columns)
-in a single numpy call, then two reduction-kernel products.  That beats a^2
-column convolutions of l^2 each while call overhead dominates; at p = 2,
-a = 10 the two tie at l = 341 and the single convolution is about 10 %
-slower at l = 1023.
+product (kalg_mul) is one convolution of length N = l(2a-1), by Kronecker
+substitution, then two reduction-kernel products.  From N = 512 on, at the
+small p where linalg's rounding bound holds, the convolution takes the FFT
+route in O(N log N); below it is direct, about 4 l^2 a^2 multiply-adds.  At
+p = 2 a product takes 0.22 ms at l = 117 (a = 12), 0.70 ms at l = 341 and
+3.6 ms at l = 1023 (a = 10), against 1.2, 7.2 and 70 ms by the direct
+correlation (one thread of a 2-vCPU x86-64 host).
 
 Recovering alpha from its first coordinate (recover_alpha) is the Krylov
 matrix of that coordinate under the Frobenius (a - 1 mat-vecs) times the
@@ -225,9 +226,11 @@ def kalg_mul(u: KummerElem, v: KummerElem) -> KummerElem:
     make one linalg.convolve_mod of length l(2a-1).  Entry (i, j) lands at
     i(2a-1) + j, and every column sum j + k <= 2a-2 stays inside its row, so
     the first (2l-1)(2a-1) entries, reshaped, are the unreduced (2l-1) x
-    (2a-1) product with no carries between rows.  The convolution does about
-    4 l^2 a^2 multiply-adds, (2a-1)^2 / a^2 times those of the unpadded
-    product, in the accumulator linalg's Overflow policy picks.  Then one
+    (2a-1) product with no carries between rows.  linalg's Overflow policy
+    picks the accumulator and, for N = l(2a-1) >= 512 at small p, the FFT
+    route: O(N log N), where the padding costs about 2x.  A direct
+    convolution does about 4 l^2 a^2 multiply-adds, (2a-1)^2 / a^2 times
+    those of the unpadded product.  Then one
     reduction-kernel product with the left field's matrix reduces the rows
     (X^l, ..., X^(2l-2)) and one with K_l's the columns.
     """
@@ -332,23 +335,27 @@ def project_first(beta: KummerElem, ell_sub: int) -> FFElem:
     W is the a x d power basis 1, eta, ..., eta^(d-1) of GF(p)(eta) in K_l's
     coordinates, eta from the cyclotomic entry's zeta and d the level of
     l_sub, and (I, A) its linalg.left_inverse: one d x (a + d) row
-    reduction, whatever l.  The rows y_i are X = A beta_I, for the l rows of
-    beta at once, and beta lies in GF(p^l) (x) GF(p)(eta) exactly when
-    W X = beta, which holds by itself when d = a.  Raises ValueError
-    otherwise.  For l_sub = l, y_0 is the zeta^0 coordinate: the first
-    coordinate s of a Hilbert-90 solution, which decorate reads here.
+    reduction, whatever l.  For l_sub = l, eta = zeta and A is the entry's
+    zeta_inverse, so no reduction runs.  The rows y_i are X = A beta_I, for
+    the l rows of beta at once, and beta lies in GF(p^l) (x) GF(p)(eta)
+    exactly when W X = beta, which holds by itself when d = a.  Raises
+    ValueError otherwise.  For l_sub = l, y_0 is the zeta^0 coordinate: the
+    first coordinate s of a Hilbert-90 solution, which decorate reads here.
     """
     alg = beta.algebra
     p, ell = alg.p, alg.ell
     if ell % ell_sub:
         raise ValueError(f"{ell_sub} does not divide the algebra root order {ell}")
-    d = alg.lattice.level(ell_sub)
-    W = alg.scalar.powers(alg.entry.zeta ** (ell // ell_sub), d)
-    rows, A = linalg.left_inverse(W, p)
     B = beta.coeffs.T
-    X = linalg.matmul_mod(A, B[rows], p)
-    if d < alg.a and not np.array_equal(linalg.matmul_mod(W, X, p), B):
-        raise ValueError("element lies outside the requested subalgebra")
+    if ell_sub == ell:
+        X = linalg.matmul_mod(alg.entry.zeta_inverse, B, p)
+    else:
+        d = alg.lattice.level(ell_sub)
+        W = alg.scalar.powers(alg.entry.zeta ** (ell // ell_sub), d)
+        rows, A = linalg.left_inverse(W, p)
+        X = linalg.matmul_mod(A, B[rows], p)
+        if d < alg.a and not np.array_equal(linalg.matmul_mod(W, X, p), B):
+            raise ValueError("element lies outside the requested subalgebra")
     return FFElem(alg.left, tuple(X[0].tolist()))
 
 

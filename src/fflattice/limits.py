@@ -2,10 +2,10 @@
 
 Each check raises ValueError naming its stage, p, the degree, the quantity
 and the bound, in O(1) integer operations and without allocating.
-conway_search spends its work bound as it goes and stops at the first
-Conway polynomial, for most (p, a) far below conway_worst_case, so only the
-CLI's reach of a prime the Conway table does not cover asks
-check_conway_search.
+conway_search spends its work bound and extfield.factorize its Pollard-rho
+steps as they go.  conway_search stops at the first Conway polynomial, for
+most (p, a) far below conway_worst_case, so only the CLI's reach of a prime
+the Conway table does not cover asks check_conway_search.
 """
 
 from __future__ import annotations
@@ -21,6 +21,14 @@ DENSE_MATRIX_MAX_BYTES = 2 ** 28          # n <= 5792
 # ceil(sqrt(q)) for the largest prime q dividing p^n - 1, is at most
 # ceil(sqrt(p^n - 1)): the bound is unchanged and still holds, but is loose.
 BSGS_MAX_STEPS = 2 ** 17
+# Pollard-rho steps of one extfield.factorize, after trial division below 10^5
+# (each step three squarings mod the cofactor and one gcd).  A prime factor q
+# takes about sqrt(q) steps, so every q below about 2^34 is within reach.  A
+# step costs 1.1 us on a 40-bit cofactor and 3.3 us on a 210-bit one (one
+# thread of a 2-vCPU x86-64 host), so the budget runs out in under a second:
+# p^10 - 1 at p = 2^31 - 1, whose cofactor has two prime factors above 2^64,
+# fails in 0.9 s, where an unbounded rho ran past 40 s.
+RHO_MAX_STEPS = 2 ** 18
 # verify_key_identity's Kummer algebra of order p^b - 1 has dimension (p^b - 1) b.
 COMPLETE_ALGEBRA_MAX_DIMENSION = 4096
 

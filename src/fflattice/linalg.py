@@ -23,6 +23,26 @@ beats int64 despite the conversions.  Results are int64 (float64 for
 float_matmul_mod) whatever the accumulator, so no caller sees the tier, and
 the dtype of an input (int64, or object holding residues) never decides it.
 
+In the float64 tier a convolution whose shorter factor has at least
+FFT_MIN_LENGTH entries may take an FFT route: rfft of both factors at a
+transform length N = 2^i 3^j 5^k >= k + m - 1, their product, irfft, each
+entry rounded to the nearest integer, int64, % p.  The rounded value is the
+exact sum when the rounding error is below 1/2.  Percival (2003; Brent and
+Zimmermann, Modern Computer Arithmetic, 3.3.2) bounds the error of an FFT
+product of x and y at a transform length 2^d by
+|x| |y| ((1 + e)^(3d) (1 + e sqrt 5)^(3d+1) (1 + b)^(3d) - 1), with e = 2^-53,
+|.| the l2 norm and b the relative error of the twiddle factors.  Here
+|x| |y| <= sqrt(k m) (p-1)^2; the depth d counts each radix-3 pass as 2
+levels and each radix-5 pass as 3, as if the pass were the radix-2 levels
+of the next power of two; one more factor (1 + e) covers the division by a
+length that is not a power of two.  numpy's pocketfft computes its twiddles
+in double from tables of sines and cosines; b = 4e is assumed of them.  The
+route is taken only where this bound is below 1/4, twice below 1/2: at
+k = m = 512 that is every p <= 141283, at k = m = 2691 every p <= 50441.
+On all-(p-1) factors at those largest p the observed error was 0.004 to
+0.005, some 60 times below the bound.  numpy loads numpy.fft on its first
+use, so only a process that takes the route pays for it.
+
 Every change of basis goes through left_inverse, one rref of [W^T | I_d]
 for a basis W of full column rank: the recovery matrix of each cyclotomic
 entry (and the row reading the zeta^0 coordinate it starts from), the
@@ -34,6 +54,7 @@ embedding matrix.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -102,17 +123,63 @@ def traces_mod(As: np.ndarray, B: np.ndarray, p: int) -> list[int]:
     return [int(x) % p for x in t.tolist()]
 
 
+# The FFT route beats np.correlate from two factors of this length: 34 against
+# 41 us at 512, 151 against 788 us at 2691, one thread of a 2-vCPU x86-64
+# host.  At 384 the correlation is faster, 25 against 31 us.
+FFT_MIN_LENGTH = 512
+# Unit roundoff of float64 and the relative error assumed of pocketfft's
+# twiddle factors (see Overflow policy).
+_EPS = 2.0 ** -53
+_TWIDDLE_ERROR = 4 * _EPS
+
+
+def _smooth_length(n: int) -> int:
+    """The least 2^i 3^j 5^k >= n; for two 2691-entry factors 5400, not 8192: 151 against 198 us."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f = f5
+        while f < best:
+            best = min(best, f << (-(-n // f) - 1).bit_length())
+            f *= 3
+        f5 *= 5
+    return best
+
+
+@functools.lru_cache(maxsize=None)
+def _fft_length(k: int, m: int, p: int) -> int:
+    """The FFT transform length for factors of k and m residues mod p, or 0 where the
+    rounding bound (see Overflow policy) is not below 1/4."""
+    n = _smooth_length(k + m - 1)
+    depth, rest = 0, n
+    for radix, levels in ((2, 1), (3, 2), (5, 3)):
+        while rest % radix == 0:
+            rest //= radix
+            depth += levels
+    growth = math.expm1((3 * depth + 1) * (math.log1p(_EPS) + math.log1p(math.sqrt(5) * _EPS))
+                       + 3 * depth * math.log1p(_TWIDDLE_ERROR))
+    return n if math.sqrt(k * m) * (p - 1) ** 2 * growth < 0.25 else 0
+
+
 def convolve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact full convolution of two nonempty residue vectors mod p, int64 result.
 
     An entry sums at most min(len(a), len(b)) products (see Overflow policy).
-    The convolution is np.correlate with b reversed, the same sums at half
-    the call overhead of np.convolve (1.6 against 3.3 us at 24 terms, one
-    thread of a 2-vCPU x86-64 host).
+    The direct convolution is np.correlate with b reversed, the same sums at
+    half the call overhead of np.convolve (1.6 against 3.3 us at 24 terms,
+    one thread of a 2-vCPU x86-64 host).  Long factors take the FFT route
+    where its rounding bound holds, with one forward transform when b is a.
     """
     k, m = len(a), len(b)
-    acc = _accumulator(k if k < m else m, p)
+    short = k if k < m else m
+    acc = _accumulator(short, p)
     if acc is np.float64:
+        n = _fft_length(k, m, p) if short >= FFT_MIN_LENGTH else 0
+        if n:
+            fa = np.fft.rfft(a.astype(np.float64), n)
+            fa *= fa if b is a else np.fft.rfft(b.astype(np.float64), n)
+            c = np.fft.irfft(fa, n)[:k + m - 1]
+            return np.rint(c, out=c).astype(np.int64) % p
         if k * m >= BLAS_MIN_WORK:
             return np.correlate(a.astype(np.float64), b[::-1].astype(np.float64),
                                 "full").astype(np.int64) % p
@@ -123,10 +190,12 @@ def convolve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 # Below this many entries a float64 product reduces faster through int64 % p
-# than by the four passes of the float64 floor: they tie at 1024 entries, and
-# at 4096 the floor is 2x faster (one thread of a 2-vCPU x86-64 host, p = 3,
-# 65521).
-FLOAT_MOD_MIN_ENTRIES = 1024
+# than by the four passes of the float64 floor.  n x n squarings through
+# float_matmul_mod, int64 % p against the floor (best of 9 x 2000, one thread
+# of a 2-vCPU x86-64 host, p = 3 and 65521): they tie at n = 13-15 (169-225
+# entries, 3.3-3.6 us), and the floor is faster at 16 (3.5 against 3.6-3.8
+# us), 24 (4.6 against 5.6 us) and 32 (5.8 against 8.4 us).
+FLOAT_MOD_MIN_ENTRIES = 256
 
 
 def float_matmul_mod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:

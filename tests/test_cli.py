@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fflattice import extfield, limits
 from fflattice.cli import _valid_degrees, main
 from fflattice.lattice import StdLattice, default_lattice
 
@@ -145,6 +146,18 @@ def test_conway_table_override(tmp_path, capsys):
     code, _, err = run(capsys, "conway", "-p", "2", "-a", "3",
                        "--conway-table", str(tmp_path / "missing.txt"))
     assert code == 2
+
+
+def test_conway_table_past_the_rho_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # validating the table factors p^10 - 1 at p = 2^31 - 1, which the rho budget
+    # ends (test_conway times it at the full budget; a smaller one ends it sooner)
+    monkeypatch.setattr(limits, "RHO_MAX_STEPS", 1000)
+    table = tmp_path / "conway.txt"
+    f = extfield.random_irreducible(2 ** 31 - 1, 10, 0)
+    table.write_text("2147483647 10 " + " ".join(map(str, f)) + "\n")
+    code, _, err = run(capsys, "conway", "-p", "2147483647", "-a", "1",
+                       "--conway-table", str(table))
+    assert code == 2 and "RHO_MAX_STEPS" in err and "a=10" in err
 
 
 def test_machine_output_deterministic(capsys):

@@ -5,6 +5,8 @@ bit-exactly, and every embedded entry must pass irreducibility, primitivity
 and norm-compatibility validation.
 """
 
+import time
+
 import pytest
 
 from fflattice import fppoly, extfield
@@ -93,6 +95,17 @@ def test_loader_rejects_bad_entries():
         parse_table("2 2 1 1\n", validate=False)    # wrong coefficient count
     with pytest.raises(ValueError):
         parse_table("# only comments\n", validate=False)
+
+
+def test_validated_table_fails_in_bounded_time():
+    # primitivity needs the primes of p^10 - 1 at p = 2^31 - 1: rho splits off two
+    # primes near 2^25 and 2^31 and leaves a 178-bit cofactor with two prime factors
+    # above 2^64, where limits.RHO_MAX_STEPS ends the search
+    f = extfield.random_irreducible(2 ** 31 - 1, 10, 0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"p=2147483647, a=10: .* cofactor \d+ unfactored"):
+        parse_table("2147483647 10 " + " ".join(map(str, f)) + "\n")
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fflattice import fppoly, extfield, linalg, standardize
-from fflattice.kummer import recover_alpha
+from fflattice.kummer import project_first, recover_alpha
 from fflattice.lattice import StdLattice, default_lattice
 from oracles import InconsistentSystem, solve
 
@@ -153,6 +153,27 @@ def test_recovery_built_once_per_entry(monkeypatch):
     assert not calls
     e = dec.algebra.entry
     assert e.recovery.shape == (e.level, e.level)
+
+
+@pytest.mark.parametrize("p, ell", [(2, 21), (5, 13)])
+def test_projection_at_the_root_order_reads_the_entry(monkeypatch, p, ell):
+    # zeta_inverse inverts the zeta-power basis, and decorate's projection at
+    # l_sub = l multiplies by it with no elimination of its own
+    dec = StdLattice(p).add_field(ell)
+    e = dec.algebra.entry
+    assert np.array_equal(linalg.matmul_mod(e.zeta_inverse, e.K.powers(e.zeta, e.level), p),
+                          np.eye(e.level, dtype=np.int64))
+    alpha = dec.alpha()
+    calls = []
+    left_inverse = linalg.left_inverse
+
+    def counted(W, q):
+        calls.append(1)
+        return left_inverse(W, q)
+
+    monkeypatch.setattr(linalg, "left_inverse", counted)
+    assert project_first(alpha, ell) == dec.s
+    assert not calls
 
 
 def test_standard_constant_p3_l2():

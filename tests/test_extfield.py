@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fflattice import fppoly, extfield, linalg
+from fflattice import fppoly, extfield, limits, linalg
 from fflattice.extfield import ExtField
 
 
@@ -188,6 +188,23 @@ def test_factorize():
     assert extfield.factorize(12) == {2: 2, 3: 1}
     assert extfield.factorize(2 ** 9 - 1) == {7: 1, 73: 1}
     assert extfield.factorize(3 ** 6 - 1) == {2: 3, 7: 1, 13: 1}
+
+
+def test_factorize_splits_past_trial_division_by_rho():
+    # both primes lie above the trial-division bound; rho splits their product in 477 steps
+    assert extfield.factorize(12 * 1000003 * 1000033) == {2: 2, 3: 1, 1000003: 1, 1000033: 1}
+
+
+def test_factorize_stops_when_the_rho_budget_is_spent(monkeypatch):
+    # the budget covers the whole call; once spent, ValueError names the cofactor
+    # left unfactored, and group_order_factors names p and a as well
+    monkeypatch.setattr(limits, "RHO_MAX_STEPS", 100)
+    with pytest.raises(ValueError, match=f"RHO_MAX_STEPS=100 steps and left the cofactor "
+                                         f"{1000003 * 1000033} unfactored"):
+        extfield.factorize(12 * 1000003 * 1000033)
+    with pytest.raises(ValueError, match=r"p\^a - 1 for p=2147483647, a=10: Pollard rho"):
+        extfield.group_order_factors(2 ** 31 - 1, 10)
+    assert extfield.group_order_factors(3, 6) == {2: 3, 7: 1, 13: 1}
 
 
 def test_degree_one_field():

@@ -5,11 +5,15 @@ module-level import must be read somewhere in that module.  Re-exports
 listed in the package's __all__ and __future__ imports are exempt.
 
 Products of residue arrays live in one module, linalg: outside it no module
-multiplies with @, calls np.convolve, np.correlate, np.dot or np.matmul, or names the
-overflow tier rule, and linalg imports no other module of the package.
+multiplies with @, calls np.convolve, np.correlate, np.dot or np.matmul, names or
+imports numpy's fft, rfft or irfft, or names the overflow tier rule, and linalg
+imports no other module of the package.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +54,7 @@ def test_checker_flags_unused_import():
 KERNEL = "linalg.py"
 PRODUCT_CALLS = {"convolve", "correlate", "dot", "matmul"}
 TIER_NAMES = {"word_dtype", "blas_dtype", "float_mod", "_accumulator"}
+FFT_NAMES = {"fft", "rfft", "irfft"}
 
 
 def kernel_leaks(tree: ast.Module) -> list[str]:
@@ -62,10 +67,13 @@ def kernel_leaks(tree: ast.Module) -> list[str]:
               and node.func.attr in PRODUCT_CALLS and isinstance(node.func.value, ast.Name)
               and node.func.value.id in ("np", "numpy")):
             leaks.append((node.lineno, node.col_offset, f"np.{node.func.attr}"))
-        elif isinstance(node, ast.Attribute) and node.attr in TIER_NAMES:
+        elif isinstance(node, ast.Attribute) and node.attr in TIER_NAMES | FFT_NAMES:
             leaks.append((node.lineno, node.col_offset, node.attr))
-        elif isinstance(node, ast.Name) and node.id in TIER_NAMES:
+        elif isinstance(node, ast.Name) and node.id in TIER_NAMES | FFT_NAMES:
             leaks.append((node.lineno, node.col_offset, node.id))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            leaks += [(node.lineno, node.col_offset, f"import {alias.name}") for alias in node.names
+                      if FFT_NAMES & set(alias.name.split("."))]
     return [f"line {line}: {what}" for line, _, what in sorted(leaks)]
 
 
@@ -81,6 +89,16 @@ def test_kernel_imports_no_package_module():
                 if isinstance(node, ast.ImportFrom) and (node.level or node.module == "fflattice")]
 
 
+def test_import_leaves_numpy_fft_unloaded():
+    # the FFT route loads numpy.fft on its first call, not at import (numpy 2
+    # loads it lazily; numpy 1 at its own import, which fflattice cannot change)
+    code = ("import sys, numpy; eager = 'numpy.fft' in sys.modules; import fflattice.cli; "
+            "print(eager or 'numpy.fft' not in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True).stdout
+    assert out.strip() == "True"
+
+
 def test_checker_flags_products_outside_the_kernel():
     tree = ast.parse('"""One np.convolve, then R @ c, in prose."""\n'
                      "import numpy as np\n"
@@ -94,3 +112,15 @@ def test_checker_flags_products_outside_the_kernel():
     assert kernel_leaks(tree) == ["line 3: np.convolve", "line 4: @", "line 5: np.dot",
                                   "line 5: np.matmul", "line 6: @", "line 7: word_dtype",
                                   "line 7: float_mod", "line 9: np.correlate"]
+
+
+def test_checker_flags_fft_products_outside_the_kernel():
+    tree = ast.parse("import numpy as np\n"
+                     "import numpy.fft as F\n"
+                     "from numpy.fft import irfft\n"
+                     "from numpy import fft\n"
+                     "c = np.fft.irfft(np.fft.rfft(a, n) ** 2, n)\n"
+                     "d = irfft(F.fft(a)) + fftconvolve(a, b)\n")
+    assert kernel_leaks(tree) == ["line 2: import numpy.fft", "line 3: import irfft",
+                                  "line 4: import fft", "line 5: fft", "line 5: irfft",
+                                  "line 5: fft", "line 5: rfft", "line 6: irfft", "line 6: fft"]

@@ -2,11 +2,15 @@
 pure-Python Gaussian elimination oracle, the solve oracle and object-dtype
 products."""
 
+import decimal
+import functools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fflattice import extfield, fppoly, kummer, linalg
 from fflattice.lattice import default_lattice
@@ -413,3 +417,119 @@ def test_float_mod_is_exact_below_2_53(p):
     want = [v % p for v in values]
     assert got[0].astype(np.int64).tolist() == want
     assert np.concatenate(got[1:]).astype(np.int64).tolist() == want
+
+
+def kronecker_oracle(a, b, p):
+    """The full convolution mod p from one Python-integer product: entry i of a
+    packed at byte i w, w bytes wide enough that no sum carries into the next."""
+    k, m = len(a), len(b)
+    w = (min(k, m) * (p - 1) ** 2).bit_length() // 8 + 1
+
+    def pack(v):
+        return int.from_bytes(b"".join(int(x).to_bytes(w, "little") for x in v), "little")
+
+    buf = (pack(a) * pack(b)).to_bytes(w * (k + m - 1), "little")
+    return [int.from_bytes(buf[i * w:(i + 1) * w], "little") % p for i in range(k + m - 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def fft_bound_oracle(k, m, p):
+    """(N, bound): the least N = 2^i 3^j 5^l >= k + m - 1 found by enumeration, and
+    Percival's bound at depth i + 2 j + 3 l in 60-digit decimals, as linalg's
+    Overflow policy states it (twiddle error 4e, one more (1 + e) for 1/N)."""
+    L = k + m - 1
+    N, depth = min((2 ** i * 3 ** j * 5 ** l, i + 2 * j + 3 * l)
+                   for i in range(L.bit_length() + 1) for j in range(20) for l in range(14)
+                   if 2 ** i * 3 ** j * 5 ** l >= L)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        e = decimal.Decimal(2) ** -53
+        sqrt5 = decimal.Decimal(5).sqrt()
+        growth = ((1 + e) ** (3 * depth + 1) * (1 + sqrt5 * e) ** (3 * depth + 1)
+                  * (1 + 4 * e) ** (3 * depth) - 1)
+        return N, decimal.Decimal(k * m).sqrt() * (p - 1) ** 2 * growth
+
+
+def largest_fft_prime(k, m):
+    """The largest prime at which factors of k and m entries take the FFT route."""
+    lo, hi = 2, 1 << 31
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        inside = fft_bound_oracle(k, m, mid)[1] < decimal.Decimal("0.25")
+        lo, hi = (mid, hi) if inside else (lo, mid)
+    while not fppoly.is_prime(lo):
+        lo -= 1
+    return lo
+
+
+def routed_convolution(a, b, p):
+    """(convolve_mod(a, b, p), whether it took the FFT route)."""
+    with mock.patch.object(np.fft, "irfft", wraps=np.fft.irfft) as spy:
+        c = linalg.convolve_mod(a, b, p)
+    return c, spy.called
+
+
+@pytest.mark.parametrize("k, m", [(512, 512), (600, 2000), (2691, 2691)])
+def test_fft_route_at_the_largest_prime_its_bound_admits(k, m):
+    # all-(p-1) factors maximize every sum and both l2 norms: at the largest prime the
+    # bound admits the route is taken and exact, squarings (b is a) included; at the
+    # next prime np.correlate takes over, and the two paths agree on random factors
+    p = largest_fft_prime(k, m)
+    q = next(q for q in range(p + 1, 2 * p) if fppoly.is_prime(q))
+    assert linalg._fft_length(k, m, p) == fft_bound_oracle(k, m, p)[0]
+    assert linalg._fft_length(k, m, q) == 0
+    rng = np.random.default_rng(k + m)
+    for r in (p, q):
+        full = np.full(k, r - 1, dtype=np.int64)
+        c, routed = routed_convolution(full, np.full(m, r - 1, dtype=np.int64), r)
+        assert routed == (r == p) and c.dtype == np.int64
+        assert c.tolist() == kronecker_oracle(full, np.full(m, r - 1), r)
+        if k == m:
+            c, routed = routed_convolution(full, full, r)
+            assert routed == (r == p) and c.tolist() == kronecker_oracle(full, full, r)
+        a, b = rng.integers(0, r, k), rng.integers(0, r, m)
+        c, routed = routed_convolution(a, b, r)
+        with mock.patch.object(linalg, "FFT_MIN_LENGTH", 1 << 62):
+            direct, never = routed_convolution(a, b, r)
+        assert routed == (r == p) and not never
+        assert c.tolist() == direct.tolist() == kronecker_oracle(a, b, r)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fft_route_starts_at_its_threshold(p):
+    # one entry short of FFT_MIN_LENGTH in either factor keeps np.correlate
+    n = linalg.FFT_MIN_LENGTH
+    rng = np.random.default_rng(p)
+    for k, m, want in [(n - 1, n - 1, False), (n - 1, 4 * n, False), (n, n, True),
+                       (4 * n, n, True)]:
+        a, b = rng.integers(0, p, k), rng.integers(0, p, m)
+        c, routed = routed_convolution(a, b, p)
+        assert routed == want and c.tolist() == kronecker_oracle(a, b, p), (k, m)
+
+
+def test_fft_route_bound_matches_its_statement():
+    # the cached transform length against the bound recomputed by enumeration in
+    # decimals, over lengths and primes on both sides of 1/4
+    assert (largest_fft_prime(512, 512), largest_fft_prime(2691, 2691)) == (141283, 50441)
+    for k, m in [(512, 512), (512, 3000), (1000, 1000), (2691, 2691), (5000, 7000)]:
+        edge = largest_fft_prime(k, m)
+        for p in (2, 3, 257, 65521, edge, edge + 2, 1048573, 2 ** 31 - 1):
+            N, bound = fft_bound_oracle(k, m, p)
+            assert linalg._fft_length(k, m, p) == (N if bound < decimal.Decimal("0.25") else 0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(1, 1100), m=st.integers(480, 1100),
+       p=st.sampled_from([2, 3, 5, 257, 65521, 141283, 141307, 1048573]),
+       full=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_convolve_mod_matches_python_integers(k, m, p, full, seed):
+    # random or all-(p-1) factors on both sides of the threshold and of the bound
+    # (p = 141283 is the largest prime the bound admits at 512 x 512, 1048573 far
+    # above it): exact, and routed exactly where both hold
+    rng = np.random.default_rng(seed)
+    a = np.full(k, p - 1) if full else rng.integers(0, p, k)
+    b = np.full(m, p - 1) if full else rng.integers(0, p, m)
+    c, routed = routed_convolution(a, b, p)
+    assert c.tolist() == kronecker_oracle(a, b, p)
+    assert routed == (min(k, m) >= linalg.FFT_MIN_LENGTH
+                      and fft_bound_oracle(k, m, p)[1] < decimal.Decimal("0.25"))
