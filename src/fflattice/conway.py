@@ -227,10 +227,3 @@ def parse_table(text: str, p: int | None = None, validate: bool = True,
         raise ValueError("no usable entries in Conway table")
     return ConwayTable(seen_p, polys, validate=validate, work_bound=work_bound)
 
-
-def dump_table(table: ConwayTable) -> str:
-    lines = [f"# Conway polynomials for p={table.p}"]
-    for a in table.degrees():
-        coeffs = " ".join(str(c) for c in table._polys[a])
-        lines.append(f"{table.p} {a} {coeffs}")
-    return "\n".join(lines) + "\n"

@@ -12,8 +12,8 @@ constant abar_l is X^a.
 
 Each entry keeps, besides K_l and zeta_l, the inverse of the zeta-power
 basis 1, zeta, ..., zeta^(a-1) of K_l (its rows read zeta-power
-coordinates; kummer.project_first at l_sub = l is one product by it) and
-the a x a recovery matrix of the Kummer algebra of order l: a Hilbert-90
+coordinates; its row 0 gives kummer.project_first the zeta^0 coordinate)
+and the a x a recovery matrix of the Kummer algebra of order l: a Hilbert-90
 solution with coefficient matrix C (scalars in the Conway basis) and first
 coordinate s, the zeta^0 coordinate of its rows, has
 C = [s, F s, ..., F^(a-1) s] recovery, F the Frobenius matrix of the left
@@ -24,8 +24,17 @@ recovery is the inverse of U = [w, Z^T w, ..., (Z^T)^(a-1) w], which is
 invertible because (x, y) |-> [x y]_(zeta^0) is a nondegenerate form on K_l:
 its row k reads [zeta^k y]_(zeta^0), and these a forms are independent.
 
-The per-l cache is append-only behind a lock; entries become visible only
-once complete.
+Each level pair d | a keeps the Conway embedding K_d -> K_a as a matrix:
+the a x d powers G = [1, g, ..., g^(d-1)] of g = X_a^((p^a-1)/(p^d-1)),
+with its linalg.left_inverse (I, S), d independent rows I of G and
+S = G_I^(-1).  embed is one product by G; kummer.project_first reads
+K_d-coordinates of an element y of K_a as S y_I, and y lies in the
+subfield exactly when G S y_I = y.  For d = a, G = S = I and no
+elimination runs; otherwise one d x (a + d) elimination runs per lattice,
+not per element.
+
+The per-l and per-level-pair caches are append-only behind a lock; entries
+become visible only once complete.
 """
 
 from __future__ import annotations
@@ -52,6 +61,15 @@ class CycloEntry:
     recovery: np.ndarray          # a x a, alpha's coefficients from its first coordinate's orbit
 
 
+@dataclass(frozen=True)
+class LevelPair:
+    """The Conway embedding K_d -> K_a of one level pair d | a and its left inverse."""
+
+    matrix: np.ndarray            # a x d, G = [1, g, ..., g^(d-1)], g = X_a^((p^a-1)/(p^d-1))
+    rows: list[int]               # I: d independent rows of G
+    inverse: np.ndarray           # d x d, S = G_I^(-1)
+
+
 class CycloLattice:
     """System of compatibly embedded cyclotomic fields over one prime."""
 
@@ -60,6 +78,7 @@ class CycloLattice:
         self.table = table
         self._cache: dict[int, CycloEntry] = {}
         self._fields: dict[int, ExtField] = {}
+        self._pairs: dict[tuple[int, int], LevelPair] = {}
         self._lock = threading.Lock()
 
     def level(self, ell: int) -> int:
@@ -84,11 +103,10 @@ class CycloLattice:
             return self._fields[a]
 
     def entry(self, ell: int) -> CycloEntry:
-        a = self.level(ell)
         with self._lock:
             if ell in self._cache:
                 return self._cache[ell]
-        p = self.p
+        p, a = self.p, self.level(ell)
         K = self.conway_field(a)
         zeta = K.gen() ** ((p ** a - 1) // ell)
         zeta_inverse = linalg.left_inverse(K.powers(zeta, a), p)[1]   # zeta generates K: a basis
@@ -98,21 +116,37 @@ class CycloLattice:
             self._cache.setdefault(ell, e)
             return self._cache[ell]
 
+    def level_pair(self, d: int, a: int) -> LevelPair:
+        """The cached Conway embedding matrix of K_d -> K_a, d | a, and its left inverse."""
+        if a % d:
+            raise ValueError(f"level {d} does not divide level {a}")
+        with self._lock:
+            if (d, a) in self._pairs:
+                return self._pairs[(d, a)]
+        if d == a:
+            eye = np.eye(a, dtype=np.int64)
+            pair = LevelPair(eye, list(range(a)), eye)
+        else:
+            p, K = self.p, self.conway_field(a)
+            G = K.powers(K.gen() ** ((p ** a - 1) // (p ** d - 1)), d)
+            pair = LevelPair(G, *linalg.left_inverse(G, p))
+        with self._lock:
+            return self._pairs.setdefault((d, a), pair)
+
     def embed(self, ell: int, m: int, x: FFElem) -> FFElem:
         """iota_{l,m}(x) for l | m: X_a |-> X_b^((p^b-1)/(p^a-1)), zeta_l |-> zeta_m^(m/l).
 
-        One mat-vec: the powers 1, g, ..., g^(a-1) of g = X_b^((p^b-1)/(p^a-1)),
-        a = level(l), b = level(m), times the Conway coordinates of x.
+        One mat-vec by the level pair's matrix G (a = level(l), b = level(m))
+        times the Conway coordinates of x.
         """
         if m % ell:
             raise ValueError(f"{ell} does not divide {m}")
         a, b = self.level(ell), self.level(m)
-        src, dst = self.conway_field(a), self.conway_field(b)
-        if x.field != src:
+        if x.field != self.conway_field(a):
             raise FieldMismatch("element does not live in K_l")
-        g = dst.gen() ** ((self.p ** b - 1) // (self.p ** a - 1))
-        vec = linalg.matmul_mod(dst.powers(g, a), np.array(x.vec, dtype=np.int64), self.p)
-        return FFElem(dst, tuple(vec.tolist()))
+        G = self.level_pair(a, b).matrix
+        vec = linalg.matmul_mod(G, np.array(x.vec, dtype=np.int64), self.p)
+        return FFElem(self.conway_field(b), tuple(vec.tolist()))
 
     def standard_constant(self, ell: int) -> FFElem:
         """The pullback of zeta_(p^a-1)^a along iota_{l, p^a-1}, a = level(l).

@@ -787,22 +787,6 @@ def _order_factors(f: ExtField) -> dict[int, int]:
     return f._order_factors
 
 
-def multiplicative_order(x: FFElem) -> int:
-    """Exact order in the multiplicative group, via factoring p^n - 1."""
-    if x.is_zero():
-        raise ZeroDivisionError("zero has no multiplicative order")
-    f = x.field
-    order = f.order() - 1
-    for q in _order_factors(f):
-        while order % q == 0 and (x ** (order // q)) == f.one():
-            order //= q
-    return order
-
-
-def is_primitive(x: FFElem) -> bool:
-    return not x.is_zero() and multiplicative_order(x) == x.field.order() - 1
-
-
 def discrete_log(x: FFElem, base: FFElem) -> int:
     """k with base^k = x, 0 <= k < N = p^n - 1, by Pohlig-Hellman (1978).
 

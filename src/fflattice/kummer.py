@@ -332,31 +332,29 @@ def scalar_norm(gamma: KummerElem, b: int, a: int) -> KummerElem:
 def project_first(beta: KummerElem, ell_sub: int) -> FFElem:
     """First coefficient y_0 of beta = sum y_i (x) eta^i, eta = zeta^(l/l_sub).
 
-    W is the a x d power basis 1, eta, ..., eta^(d-1) of GF(p)(eta) in K_l's
-    coordinates, eta from the cyclotomic entry's zeta and d the level of
-    l_sub, and (I, A) its linalg.left_inverse: one d x (a + d) row
-    reduction, whatever l.  For l_sub = l, eta = zeta and A is the entry's
-    zeta_inverse, so no reduction runs.  The rows y_i are X = A beta_I, for
-    the l rows of beta at once, and beta lies in GF(p^l) (x) GF(p)(eta)
-    exactly when W X = beta, which holds by itself when d = a.  Raises
-    ValueError otherwise.  For l_sub = l, y_0 is the zeta^0 coordinate: the
-    first coordinate s of a Hilbert-90 solution, which decorate reads here.
+    With d the level of l_sub and (G, I, S) the lattice's cached level pair
+    (d, a), the rows of beta read in K_d's Conway coordinates are
+    Y = S beta_I, for the l rows at once, and beta lies in
+    GF(p^l) (x) GF(p)(eta) exactly when G Y = beta; for d = a, G = S = I
+    and Y is beta itself.  Raises ValueError otherwise.  The embedding of
+    K_d sends zeta_(l_sub) to eta, so y_0 is the zeta^0 coordinate of Y in
+    K_d: row 0 of zeta_inverse in the cyclotomic entry of l_sub, times Y.
+    No elimination runs per call.  For l_sub = l, y_0 is the first
+    coordinate s of a Hilbert-90 solution, which decorate reads here, and
+    the whole projection is one 1 x a by a x l product.
     """
     alg = beta.algebra
-    p, ell = alg.p, alg.ell
+    p, ell, lattice = alg.p, alg.ell, alg.lattice
     if ell % ell_sub:
         raise ValueError(f"{ell_sub} does not divide the algebra root order {ell}")
-    B = beta.coeffs.T
-    if ell_sub == ell:
-        X = linalg.matmul_mod(alg.entry.zeta_inverse, B, p)
-    else:
-        d = alg.lattice.level(ell_sub)
-        W = alg.scalar.powers(alg.entry.zeta ** (ell // ell_sub), d)
-        rows, A = linalg.left_inverse(W, p)
-        X = linalg.matmul_mod(A, B[rows], p)
-        if d < alg.a and not np.array_equal(linalg.matmul_mod(W, X, p), B):
+    sub = lattice.entry(ell_sub)
+    Y = beta.coeffs.T
+    if sub.level < alg.a:
+        pair = lattice.level_pair(sub.level, alg.a)
+        Y = linalg.matmul_mod(pair.inverse, Y[pair.rows], p)
+        if not np.array_equal(linalg.matmul_mod(pair.matrix, Y, p), beta.coeffs.T):
             raise ValueError("element lies outside the requested subalgebra")
-    return FFElem(alg.left, tuple(X[0].tolist()))
+    return FFElem(alg.left, tuple(linalg.matmul_mod(sub.zeta_inverse[0], Y, p).tolist()))
 
 
 def recover_alpha(alg: KummerAlg, x0: FFElem) -> KummerElem:

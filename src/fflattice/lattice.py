@@ -10,8 +10,10 @@ uses live on the decorated fields: B_l^(-1) on the source
 (DecoratedField.basis_inverse, 8 l^2 bytes) and the standard Hilbert-90
 solution alpha_m on the target (DecoratedField.alpha, 8 m a bytes for the
 level a of m); an embedding from GF(p) needs no alpha_m, as alpha_m^m is
-the standard Kummer constant.  The projection and kappa_{l,m} stay per
-pair: a StdLattice builds each pair once.
+the standard Kummer constant.  The projection reads the cyclotomic
+lattice's per-level-pair record (CycloLattice.level_pair), so it runs no
+elimination per pair; kappa_{l,m} stays per pair: a StdLattice builds each
+pair once.
 
 Evaluation is quadratic: embed_eval is one m x l mat-vec by E, and
 section_eval is one (l + m) x l mat-vec on l coordinates of y.  Its matrix

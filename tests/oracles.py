@@ -1,10 +1,12 @@
-"""Linear-system oracle for the tests: a general solver, one rref of [M | b],
-to check linalg.left_inverse, the sections and the cyclotomic pullbacks
-against."""
+"""Oracles for the tests: a general linear solver, one rref of [M | b], to
+check linalg.left_inverse, the sections and the cyclotomic pullbacks
+against; multiplicative orders by factoring p^n - 1; and the text form of a
+Conway table."""
 
 import numpy as np
 
-from fflattice import linalg
+from fflattice import extfield, linalg
+from fflattice.conway import ConwayTable
 
 
 class InconsistentSystem(ValueError):
@@ -32,3 +34,28 @@ def solve(M: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     for r, c in enumerate(pivots):
         X[c] = R[r, n:]
     return X[:, 0] if single else X
+
+
+def multiplicative_order(x: extfield.FFElem) -> int:
+    """Exact order in the multiplicative group, via factoring p^n - 1."""
+    if x.is_zero():
+        raise ZeroDivisionError("zero has no multiplicative order")
+    f = x.field
+    order = f.order() - 1
+    for q in extfield.group_order_factors(f.p, f.n):
+        while order % q == 0 and (x ** (order // q)) == f.one():
+            order //= q
+    return order
+
+
+def is_primitive(x: extfield.FFElem) -> bool:
+    return not x.is_zero() and multiplicative_order(x) == x.field.order() - 1
+
+
+def dump_table(table: ConwayTable) -> str:
+    """The table in the text format conway.parse_table reads."""
+    lines = [f"# Conway polynomials for p={table.p}"]
+    for a in table.degrees():
+        coeffs = " ".join(str(c) for c in table._polys[a])
+        lines.append(f"{table.p} {a} {coeffs}")
+    return "\n".join(lines) + "\n"

@@ -2,6 +2,9 @@
 standard Kummer constants."""
 
 import random
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import pytest
 from fflattice import fppoly, extfield, linalg, standardize
 from fflattice.kummer import project_first, recover_alpha
 from fflattice.lattice import StdLattice, default_lattice
-from oracles import InconsistentSystem, solve
+from oracles import InconsistentSystem, multiplicative_order, solve
 
 # the degree sets of tests/data/golden_dumps.txt
 GOLDEN_DEGREES = {
@@ -25,7 +28,7 @@ def test_zeta_order_exact():
     L = default_lattice(2)
     for ell in (1, 3, 5, 7, 9, 15, 21):
         e = L.entry(ell)
-        assert extfield.multiplicative_order(e.zeta) == ell
+        assert multiplicative_order(e.zeta) == ell
         assert fppoly.degree(extfield.minimal_polynomial(e.zeta)) == e.level
 
 
@@ -83,6 +86,76 @@ def test_embedding_matches_field_arithmetic_oracle(p):
             y = L.embed(ell, m, x)
             assert y == embed_oracle(L, ell, m, x), (ell, m)
             assert all(type(c) is int for c in y.vec)
+
+
+@pytest.mark.parametrize("p, d, a", [(2, 1, 4), (2, 2, 12), (2, 6, 12), (3, 2, 6),
+                                     (257, 1, 2), (65521, 1, 2), (5, 3, 3)])
+def test_level_pair_is_the_conway_embedding(p, d, a):
+    # G's columns are the powers of g = X_a^((p^a-1)/(p^d-1)), and S inverts
+    # its rows I; d = a is the identity with no elimination
+    L = default_lattice(p)
+    pair = L.level_pair(d, a)
+    K = L.conway_field(a)
+    g = K.gen() ** ((p ** a - 1) // (p ** d - 1))
+    assert np.array_equal(pair.matrix, K.powers(g, d))
+    assert np.array_equal(linalg.matmul_mod(pair.inverse, pair.matrix[pair.rows], p),
+                          np.eye(d, dtype=np.int64))
+    assert L.level_pair(d, a) is pair
+    with pytest.raises(ValueError, match="does not divide"):
+        L.level_pair(5, 12)
+
+
+def test_threads_see_only_complete_level_pairs(monkeypatch):
+    # a slow elimination widens the race between threads filling the same
+    # pairs; each gets the one stored record, and every record is complete
+    L = default_lattice(2)
+    left_inverse = linalg.left_inverse
+
+    def slow(W, q):
+        time.sleep(0.005)
+        return left_inverse(W, q)
+
+    monkeypatch.setattr(linalg, "left_inverse", slow)
+    pairs = [(1, 4), (2, 4), (2, 6), (3, 6), (4, 12), (6, 12), (12, 12)]
+    barrier = threading.Barrier(4, timeout=60)
+    seen = [[] for _ in range(4)]
+
+    def work(k):
+        barrier.wait()
+        for d, a in pairs[k:] + pairs[:k]:
+            seen[k].append(((d, a), L.level_pair(d, a)))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(s) == len(pairs) for s in seen)
+    for (d, a), pair in (item for s in seen for item in s):
+        assert L.level_pair(d, a) is pair
+        assert pair.matrix.shape == (a, d) and len(pair.rows) == d
+        assert np.array_equal(linalg.matmul_mod(pair.inverse, pair.matrix[pair.rows], 2),
+                              np.eye(d, dtype=np.int64))
+
+
+def test_embed_reads_the_cached_level_pair(monkeypatch):
+    # embed multiplies by the stored G (levels 3 -> 6 at p = 2): no power of
+    # X_b, no Krylov matrix and no elimination after the first call
+    L = default_lattice(2)
+    x = L.entry(7).K.random_element(random.Random(7))
+    want = L.embed(7, 63, x)
+    assert want == embed_oracle(L, 7, 63, x)
+    monkeypatch.setattr(extfield.FFElem, "__pow__", lambda *args: pytest.fail("power"))
+    monkeypatch.setattr(linalg, "krylov", lambda *args: pytest.fail("Krylov matrix"))
+    monkeypatch.setattr(linalg, "left_inverse", lambda *args: pytest.fail("elimination"))
+    for _ in range(3):
+        assert L.embed(7, 63, x) == want
 
 
 def test_embedding_transitivity():

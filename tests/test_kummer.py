@@ -23,6 +23,11 @@ from test_extfield import square_matrices
 from test_golden import DEGREES as GOLDEN_DEGREES
 
 
+@functools.cache
+def cached_algebra(p, ell):
+    return KummerAlg(default_lattice(p), ell)
+
+
 def oracle_mul(u, v):
     """Independent product: expand in (X, Y), reduce mod f(X) then mod h(Y),
     h the Conway polynomial of K_l."""
@@ -186,29 +191,105 @@ def test_scalar_norm_properties():
     assert kummer.scalar_norm(kummer.frob_left(u), b, a) == kummer.frob_left(kummer.scalar_norm(u, b, a))
 
 
-def test_project_first_matches_oracle():
-    # beta = sum_i y_i (x) eta^i from random left-field y_i projects to y_0;
-    # (105, 35) and (45, 1) at p = 2 have l a > 512; at p = 257, d = 1 < a = 2
-    rng = random.Random(35)
-    cases = {2: [(15, 3), (105, 35), (45, 1)], 3: [(20, 4), (26, 2)], 5: [(56, 8), (31, 1)],
-             257: [(6, 2), (3, 1)]}
-    for p, pairs in cases.items():
-        L = default_lattice(p)
-        for ell, ell_sub in pairs:
-            alg = KummerAlg(L, ell)
-            eta = alg.entry.zeta ** (ell // ell_sub)
-            ys = [alg.left.random_element(rng) for _ in range(L.level(ell_sub))]
-            C = sum(np.outer(y.vec, (eta ** i).vec) for i, y in enumerate(ys))
-            beta = alg.element(C)
-            assert kummer.project_first(beta, ell_sub) == ys[0], (p, ell, ell_sub)
-            if L.level(ell_sub) < alg.a:
-                # zeta generates the whole scalar field, so y (x) zeta is outside GF(p)(eta)
-                y = alg.left.gen()
-                outside = beta + alg.element(np.outer(y.vec, alg.entry.zeta.vec))
-                with pytest.raises(ValueError):
-                    kummer.project_first(outside, ell_sub)
-    with pytest.raises(ValueError):
+def _level(p, ell):
+    return next(a for a in range(1, ell + 1) if (p ** a - 1) % ell == 0)
+
+
+def _projection_cases():
+    """Reachable (p, l, l_sub), l_sub a proper divisor of l, by the level d of
+    l_sub against the level a of l.  (105, 35) and (45, 1) at p = 2 have
+    l a > 512; at p = 257 and 65521, d = 1 < a = 2."""
+    orders = {2: (15, 45, 105), 3: (20, 26), 5: (31, 56), 257: (6,), 65521: (32,)}
+    cases = {"d = 1": [], "1 < d < a": [], "d = a": []}
+    for p, ells in orders.items():
+        for ell in ells:
+            a = _level(p, ell)
+            for ell_sub in (k for k in range(1, ell) if ell % k == 0):
+                d = _level(p, ell_sub)
+                kind = "d = 1" if d == 1 else "d = a" if d == a else "1 < d < a"
+                cases[kind].append((p, ell, ell_sub))
+    return cases
+
+
+PROJECTION_CASES = _projection_cases()
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(cases=st.tuples(*(st.sampled_from(c) for c in PROJECTION_CASES.values())),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_project_first_matches_oracle(cases, seed):
+    # beta = sum_i y_i (x) eta^i from random left-field y_i projects to y_0,
+    # eta = zeta^(l/l_sub) built in K_l's own arithmetic; one case of each kind
+    rng = random.Random(seed)
+    for p, ell, ell_sub in cases:
+        alg = cached_algebra(p, ell)
+        d = alg.lattice.level(ell_sub)
+        eta = alg.entry.zeta ** (ell // ell_sub)
+        ys = [alg.left.random_element(rng) for _ in range(d)]
+        C = sum(np.outer(y.vec, (eta ** i).vec) for i, y in enumerate(ys))
+        beta = alg.element(C)
+        assert kummer.project_first(beta, ell_sub) == ys[0], (p, ell, ell_sub)
+        if d < alg.a:
+            # zeta generates the whole scalar field, so y (x) zeta is outside GF(p)(eta)
+            y = alg.left.gen()
+            outside = beta + alg.element(np.outer(y.vec, alg.entry.zeta.vec))
+            with pytest.raises(ValueError, match="outside the requested subalgebra"):
+                kummer.project_first(outside, ell_sub)
+
+
+def test_projection_cases_cover_every_kind():
+    assert all(PROJECTION_CASES.values())
+    assert (2, 105, 35) in PROJECTION_CASES["d = a"] and (2, 45, 1) in PROJECTION_CASES["d = 1"]
+    with pytest.raises(ValueError, match="does not divide"):
         kummer.project_first(KummerAlg(default_lattice(2), 15).one(), 4)
+
+
+def counted_left_inverse(monkeypatch):
+    """Record the shape of every linalg.left_inverse call from here on."""
+    calls = []
+    left_inverse = linalg.left_inverse
+    monkeypatch.setattr(linalg, "left_inverse",
+                        lambda W, p: calls.append(W.shape) or left_inverse(W, p))
+    return calls
+
+
+def test_projection_eliminates_once_per_level_pair(monkeypatch):
+    # p = 2: l_sub = 3 (d = 2) and 9, 21 (d = 6) inside l = 63 (a = 6) and
+    # l = 45 (a = 12); l_sub = 1 (d = 1) and 5 (d = 4) inside l = 15 (a = 4)
+    L = default_lattice(2)
+    algs = {ell: KummerAlg(L, ell) for ell in (15, 45, 63)}
+    for ell_sub in (1, 3, 5, 9, 21):
+        L.entry(ell_sub)
+    calls = counted_left_inverse(monkeypatch)
+    rng = random.Random(63)
+    for _ in range(2):
+        for ell, ell_sub in [(63, 3), (63, 9), (63, 21), (45, 3), (45, 9), (15, 1), (15, 5)]:
+            alg = algs[ell]
+            y = alg.left.random_element(rng)
+            beta = alg.element(np.outer(y.vec, alg.scalar.one().vec))    # y (x) 1
+            assert kummer.project_first(beta, ell_sub) == y, (ell, ell_sub)
+    # one a x d elimination for each of (d, a) = (1, 4), (2, 6), (2, 12), (6, 12);
+    # (63, 9), (63, 21) and (15, 5) are d = a and run none
+    assert sorted(calls) == [(4, 1), (6, 2), (12, 2), (12, 6)]
+    assert sorted(L._pairs) == [(1, 4), (2, 6), (2, 12), (6, 12)]
+
+
+def test_standard_embed_eliminates_nothing_once_cached(monkeypatch):
+    # 1 -> 15 shares the level pair (1, 4) with 1 -> 5, and 5 -> 15 is d = a:
+    # once B_1^(-1), B_5^(-1) and that level pair are cached, standard_embed
+    # runs no left_inverse
+    ref, lat = StdLattice(2), StdLattice(2)
+    for ell in (1, 5, 15):
+        ref.add_field(ell)
+        lat.add_field(ell)
+    want = {ell: ref.get_embedding(ell, 15) for ell in (1, 5)}
+    lat.get_embedding(1, 5)
+    lat.field(5).basis_inverse()
+    calls = counted_left_inverse(monkeypatch)
+    for ell in (1, 5):
+        desc = standardize.standard_embed(lat.field(ell), lat.field(15), lat.lattice)
+        assert desc == want[ell] and np.array_equal(desc.matrix, want[ell].matrix)
+    assert not calls
 
 
 def test_recover_alpha_round_trip():
@@ -500,7 +581,7 @@ def test_kalg_mul_matches_divrem_reference(p, degrees):
 def test_kalg_mul_matches_column_convolution_oracle(p):
     rng = random.Random(9100 + p % 1000)
     for ell in GOLDEN_DEGREES[p]:
-        alg = power_algebra(p, ell)
+        alg = cached_algebra(p, ell)
         for _ in range(20):
             u, v = random_element(alg, rng), random_element(alg, rng)
             assert np.array_equal(kummer.kalg_mul(u, v).coeffs,
@@ -510,7 +591,7 @@ def test_kalg_mul_matches_column_convolution_oracle(p):
 @pytest.mark.parametrize("c", [2 ** 64, -2 ** 70, 3 * 2 ** 63 + 1])
 def test_constructors_reduce_big_integers(c):
     # the same coefficients through ExtField.element, which reduces Python ints mod p
-    alg = power_algebra(3, 4)
+    alg = cached_algebra(3, 4)
     x = alg.element([[c, -c]] + [[c + 1, 0]] * 3)
     for j, col in enumerate(([c] + [c + 1] * 3, [-c, 0, 0, 0])):
         assert x.coeffs[:, j].tolist() == list(alg.left.element(col).vec)
@@ -522,7 +603,7 @@ def test_constructors_reduce_big_integers(c):
 @pytest.mark.parametrize("c", [2, -1, 2 ** 64, np.int64(5)])
 def test_from_scalar_puts_an_integer_at_coordinate_zero(p, ell, c):
     # an integer c is the scalar c * 1 (x) 1, not c in every coordinate
-    alg = power_algebra(p, ell)
+    alg = cached_algebra(p, ell)
     assert alg.a > 1
     x = alg.from_scalar(c)
     assert x == alg.one().scalar_mul(c) == alg.from_scalar([c] + [0] * (alg.a - 1))
@@ -555,11 +636,6 @@ POWER_DEGREES = {2: (3, 5, 9), 3: (2, 4, 13), 5: (3, 6, 13), 257: (3, 6),
                  65521: (5, 12), 2 ** 31 - 1: (3, 7)}
 
 
-@functools.cache
-def power_algebra(p, ell):
-    return KummerAlg(default_lattice(p), ell)
-
-
 @pytest.mark.parametrize("p", sorted(POWER_DEGREES))
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(index=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1),
@@ -567,7 +643,7 @@ def power_algebra(p, ell):
 def test_power_matches_square_multiply_oracle(p, index, seed, a, k, big):
     degrees = POWER_DEGREES[p]
     ell = degrees[index % len(degrees)]
-    alg = power_algebra(p, ell)
+    alg = cached_algebra(p, ell)
     rng = random.Random(seed)
     x = alg.element([[rng.randrange(p) for _ in range(alg.a)] for _ in range(ell)])
     b = a * k

@@ -68,7 +68,8 @@ def test_basis_inverse_cached_per_source_degree(monkeypatch):
                         lambda W, p: calls.append(W.shape) or left_inverse(W, p))
     for ell, m in [(3, 9), (3, 15), (3, 45), (9, 45)]:
         L.get_embedding(ell, m)
-    # B_3 and B_9 once each; each projection adds its a x d basis, d < a here
+    # B_3 and B_9 once each; each level pair (d, a) = (2, 6), (2, 4), (2, 12),
+    # (6, 12) of a projection adds its a x d Conway basis once
     assert sorted(shape for shape in calls if shape[0] == shape[1]) == [(3, 3), (9, 9)]
     assert len(calls) == 2 + 4
     src = L.field(3)
