@@ -33,7 +33,9 @@ subfield exactly when G S y_I = y.  For d = a, G = S = I and no
 elimination runs; otherwise one d x (a + d) elimination runs per lattice,
 not per element.
 
-The per-l and per-level-pair caches are append-only behind a lock; entries
+The embedding constant kappa_{l,m} = X_b^(-q) of standardize depends on m
+only through b = level(m) and is kept once per (l, b).  The per-l,
+per-level-pair and per-(l, b) caches are append-only behind a lock; entries
 become visible only once complete.
 """
 
@@ -47,6 +49,7 @@ import numpy as np
 from . import linalg
 from .conway import ConwayTable
 from .extfield import ExtField, FFElem, FieldMismatch
+from .fppoly import exact_div
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,7 @@ class CycloLattice:
         self._cache: dict[int, CycloEntry] = {}
         self._fields: dict[int, ExtField] = {}
         self._pairs: dict[tuple[int, int], LevelPair] = {}
+        self._kappas: dict[tuple[int, int], FFElem] = {}
         self._lock = threading.Lock()
 
     def level(self, ell: int) -> int:
@@ -132,6 +136,25 @@ class CycloLattice:
             pair = LevelPair(G, *linalg.left_inverse(G, p))
         with self._lock:
             return self._pairs.setdefault((d, a), pair)
+
+    def kappa(self, ell: int, b: int) -> FFElem:
+        """kappa_{l,m} for every m of level b divisible by l, cached per (l, b).
+
+        kappa is the cyclotomic pullback of zeta_(p^b-1) raised to
+        -q = -((b-a) p^(b+a) - b p^b + a p^a) / ((p^a - 1) l), a = level(l).
+        K_m and K_(p^b-1) are the same Conway field and zeta_(p^b-1) is its
+        generator X, so kappa = X^(-q).  The division is exact in
+        arbitrary-precision integers and must happen before reduction mod
+        p^b - 1.
+        """
+        with self._lock:
+            if (ell, b) in self._kappas:
+                return self._kappas[(ell, b)]
+        p, a = self.p, self.level(ell)
+        q = exact_div((b - a) * p ** (b + a) - b * p ** b + a * p ** a, (p ** a - 1) * ell)
+        kappa = self.conway_field(b).gen() ** ((-q) % (p ** b - 1))
+        with self._lock:
+            return self._kappas.setdefault((ell, b), kappa)
 
     def embed(self, ell: int, m: int, x: FFElem) -> FFElem:
         """iota_{l,m}(x) for l | m: X_a |-> X_b^((p^b-1)/(p^a-1)), zeta_l |-> zeta_m^(m/l).

@@ -737,7 +737,8 @@ def minimal_polynomial(x: FFElem) -> list[int]:
     Every polynomial Q with Q(x) = 0 annihilates it, so its minimal
     polynomial divides the irreducible minimal polynomial of x; it starts
     with 1, the constant coordinate of x^0, so it is not constant, and the
-    two are equal.  Berlekamp-Massey finds it from 2n terms in O(n^2).
+    two are equal.  Berlekamp-Massey finds it from 2n terms in O(n^2); at
+    p = 2 each term is a few operations on n-bit integers, with no numpy call.
     Q(x) = 0, read off columns 0..deg Q of the same matrix, is asserted.
     """
     f = x.field
@@ -753,11 +754,41 @@ def _berlekamp_massey(s: np.ndarray, p: int) -> list[int]:
     """Monic minimal polynomial of a sequence of residues of linear complexity <= len(s)/2.
 
     Massey (1969): C is the connection polynomial, s_k + sum_i C_i s_(k-i) = 0
-    for L <= k < len(s), and B the one before the last length change.  L
-    stays below h = len(s)/2 + 1, so each discrepancy is one dot product of h
-    terms (linalg.matmul_mod) against a window of the reversed sequence.
-    Returns the reversal X^L C(1/X), ascending.
+    for L <= k < len(s), and B the one before the last length change.
+    Returns the reversal X^L C(1/X), ascending.  p = 2 runs on packed bits
+    (_berlekamp_massey_gf2), other p on numpy vectors (_berlekamp_massey_loop).
     """
+    if p == 2:
+        return _berlekamp_massey_gf2(s)
+    return _berlekamp_massey_loop(s, p)
+
+
+def _berlekamp_massey_gf2(s: np.ndarray) -> list[int]:
+    """_berlekamp_massey at p = 2 with C, B and the reversed prefix of s as Python integers.
+
+    Bit i of C is C_i and bit i of R is s_(k-i), so a discrepancy is the
+    parity of C & R and an update, with d = 1, is C ^= B << m: no numpy call
+    per term.
+    """
+    C = B = 1
+    R = L = 0
+    m = 1
+    for k, bit in enumerate(s.tolist()):
+        R = R << 1 | bit
+        if not (C & R).bit_count() & 1:
+            m += 1
+        elif 2 * L <= k:
+            C, B, L, m = C ^ B << m, C, k + 1 - L, 1
+        else:
+            C ^= B << m
+            m += 1
+    return [C >> i & 1 for i in range(L, -1, -1)]
+
+
+def _berlekamp_massey_loop(s: np.ndarray, p: int) -> list[int]:
+    """_berlekamp_massey at any p.  L stays below h = len(s)/2 + 1, so each
+    discrepancy is one dot product of h terms (linalg.matmul_mod) against a
+    window of the reversed sequence."""
     N = len(s)
     h = N // 2 + 1
     r = np.zeros(N + h, dtype=np.int64)

@@ -12,8 +12,8 @@ solution alpha_m on the target (DecoratedField.alpha, 8 m a bytes for the
 level a of m); an embedding from GF(p) needs no alpha_m, as alpha_m^m is
 the standard Kummer constant.  The projection reads the cyclotomic
 lattice's per-level-pair record (CycloLattice.level_pair), so it runs no
-elimination per pair; kappa_{l,m} stays per pair: a StdLattice builds each
-pair once.
+elimination per pair, and kappa_{l,m} is kept there once per (l, level(m))
+(CycloLattice.kappa).
 
 Evaluation is quadratic: embed_eval is one m x l mat-vec by E, and
 section_eval is one (l + m) x l mat-vec on l coordinates of y.  Its matrix

@@ -118,21 +118,12 @@ def standard_polynomial(ell: int, lattice: CycloLattice, seed: int = 0) -> list[
 def kappa_constant(ell: int, m: int, lattice: CycloLattice) -> FFElem:
     """The closed-form embedding constant kappa_{l,m}, an element of K_m.
 
-    kappa is the cyclotomic pullback of zeta_(p^b-1) raised to
-    -q = -((b-a) p^(b+a) - b p^b + a p^a) / ((p^a - 1) l), where a, b are
-    the levels of l, m.  K_m and K_(p^b-1) are the same Conway field and
-    zeta_(p^b-1) is its generator X, so kappa = X^(-q).  The division is
-    exact in arbitrary-precision integers and must happen before reduction
-    mod p^b - 1.
+    It depends on m only through its level b, so the cyclotomic lattice
+    keeps one per (l, b) (CycloLattice.kappa).
     """
     if m % ell:
         raise ValueError(f"{ell} does not divide {m}")
-    p = lattice.p
-    a = lattice.level(ell)
-    b = lattice.level(m)
-    E = (b - a) * p ** (b + a) - b * p ** b + a * p ** a
-    q = exact_div(E, (p ** a - 1) * ell)
-    return lattice.conway_field(b).gen() ** ((-q) % (p ** b - 1))
+    return lattice.kappa(ell, lattice.level(m))
 
 
 def standard_embed(src: DecoratedField, dst: DecoratedField,

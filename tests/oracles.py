@@ -1,7 +1,8 @@
-"""Oracles for the tests: a general linear solver, one rref of [M | b], to
-check linalg.left_inverse, the sections and the cyclotomic pullbacks
-against; multiplicative orders by factoring p^n - 1; and the text form of a
-Conway table."""
+"""Oracles for the tests: a general linear solver, one rref of [M | b] by
+the numpy row-update loop (linalg._rref_loop, also at p = 2, where rref
+itself runs on packed rows), to check linalg.left_inverse, the sections and
+the cyclotomic pullbacks against; multiplicative orders by factoring
+p^n - 1; and the text form of a Conway table."""
 
 import numpy as np
 
@@ -26,7 +27,7 @@ def solve(M: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if B.shape[0] != M.shape[0]:
         raise ValueError("dimension mismatch between matrix and right-hand side")
     aug = np.hstack([M, B])
-    R, pivots = linalg.rref(aug, p)
+    R, pivots = linalg._rref_loop(aug, p)
     n = M.shape[1]
     if any(c >= n for c in pivots):
         raise InconsistentSystem("linear system has no solution")

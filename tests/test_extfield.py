@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fflattice import fppoly, extfield, limits, linalg
 from fflattice.extfield import ExtField
@@ -259,11 +259,11 @@ def test_minimal_polynomial_properties_random():
 
 def minpoly_oracle(x):
     """minimal_polynomial as it ran before Berlekamp-Massey: one rref of the
-    n x (n+1) Krylov matrix 1, x, ..., x^n; the first power that depends on
-    the lower ones gives the polynomial."""
+    n x (n+1) Krylov matrix 1, x, ..., x^n by the numpy row-update loop; the
+    first power that depends on the lower ones gives the polynomial."""
     f = x.field
     p, n = f.p, f.n
-    R, pivots = linalg.rref(f.powers(x, n + 1), p)
+    R, pivots = linalg._rref_loop(f.powers(x, n + 1), p)
     d = len(pivots)
     return [(-int(c)) % p for c in R[:d, d]] + [1]
 
@@ -283,6 +283,25 @@ def test_minimal_polynomial_matches_oracle(p, n):
         assert h == minpoly_oracle(x), (p, n, x)
         degrees.add(fppoly.degree(h))
     assert n in degrees and (n == 1 or min(degrees) < n)
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1), norm=st.booleans())
+@example(n=1, seed=0, norm=False)
+@example(n=2, seed=0, norm=False)
+@example(n=2, seed=1, norm=True)
+def test_packed_berlekamp_massey_matches_loop(n, seed, norm):
+    # at p = 2 Berlekamp-Massey runs on integers; the numpy loop is the oracle,
+    # on minimal_polynomial's sequence for x and for a norm of x to a subfield
+    # (a lower linear complexity)
+    rng = random.Random(seed)
+    F = ExtField(2, extfield.random_irreducible(2, n, seed=seed))
+    x = F.random_element(rng)
+    if norm:
+        d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        x = x ** ((F.order() - 1) // (2 ** d - 1))
+    s = F.powers(x, 2 * n)[0]
+    assert extfield._berlekamp_massey(s, 2) == extfield._berlekamp_massey_loop(s, 2)
 
 
 @pytest.mark.parametrize("f, p", [([1, 1, 1], 9), ([1, 1, 1], 4), ([1, 0, 0, 1], 15)])

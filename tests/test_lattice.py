@@ -1,6 +1,7 @@
 """StdLattice registry: incrementality, embedding caching, section behavior,
 triangle verification, serialization round-trip, and storage linearity."""
 
+import functools
 import random
 import sys
 import threading
@@ -314,6 +315,14 @@ def test_eval_results_are_residue_tuples(p):
             assert L.section_eval(ell, m, T.gen()) is None
 
 
+def counting(calls, name, fn):
+    """fn, appending name to calls on each call."""
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 @pytest.mark.parametrize("p, ell, m", [(3, 2, 8), (65521, 4, 12), (2 ** 31 - 1, 3, 9)])
 def test_warm_eval_call_counts(monkeypatch, p, ell, m):
     # once the pair is warm, embed_eval and section_eval are one mat-vec
@@ -324,13 +333,7 @@ def test_warm_eval_call_counts(monkeypatch, p, ell, m):
     assert L.section_eval(ell, m, y) == x
     outside = L.field(m).field.gen()
     calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
+    counted = functools.partial(counting, calls)
     monkeypatch.setattr(linalg, "matmul_mod", counted("matmul_mod", linalg.matmul_mod))
     monkeypatch.setattr(linalg, "left_inverse", counted("left_inverse", linalg.left_inverse))
     monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
@@ -341,6 +344,25 @@ def test_warm_eval_call_counts(monkeypatch, p, ell, m):
         calls.clear()
         assert L.section_eval(ell, m, z) == want
         assert calls == ["matmul_mod"]
+
+
+@pytest.mark.parametrize("p, degrees", [(2, [1, 3, 5, 15, 21, 105]), (3, [1, 2, 4, 8])])
+def test_p2_never_enters_the_numpy_loops(monkeypatch, p, degrees):
+    # at p = 2 every elimination (entries, level pairs, B_l^(-1), sections) and
+    # every Berlekamp-Massey runs on packed bits; at p = 3 the loops run
+    calls = []
+    counted = functools.partial(counting, calls)
+    monkeypatch.setattr(linalg, "_rref_loop", counted("rref", linalg._rref_loop))
+    monkeypatch.setattr(extfield, "_berlekamp_massey_loop",
+                        counted("bm", extfield._berlekamp_massey_loop))
+    L = build(p, degrees)
+    assert L.verify().all_passed
+    for ell, m in divisor_pairs(degrees):
+        assert L.section_eval(ell, m, L.embed_eval(ell, m, L.field(ell).s)) == L.field(ell).s
+    if p == 2:
+        assert calls == []
+    else:
+        assert {"rref", "bm"} <= set(calls)
 
 
 def test_add_field_tests_each_candidate_once(monkeypatch):

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fflattice import extfield, fppoly, kummer, linalg
 from fflattice.lattice import default_lattice
@@ -113,6 +113,42 @@ def test_left_inverse_rejects_dependent_columns(p):
                       rand_matrix(rng, 2, 3, p)):
         with pytest.raises(ValueError, match="dependent columns"):
             linalg.left_inverse(dependent, p)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(rows=st.integers(0, 40), cols=st.integers(0, 90), rank=st.integers(0, 40),
+       zero_cols=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
+@example(rows=0, cols=5, rank=0, zero_cols=0, seed=0)
+@example(rows=5, cols=0, rank=0, zero_cols=0, seed=0)
+@example(rows=1, cols=1, rank=1, zero_cols=0, seed=1)
+@example(rows=3, cols=70, rank=3, zero_cols=0, seed=2)     # one word and a bit more
+def test_packed_rref_matches_loop(rows, cols, rank, zero_cols, seed):
+    # p = 2 runs on packed rows; the numpy loop is the oracle: wide, tall,
+    # rank at most `rank` (a product through a rows x rank matrix), residues
+    # outside 0..1 on full-rank draws, and up to zero_cols all-zero columns
+    rng = np.random.default_rng(seed)
+    if rank < min(rows, cols):
+        M = rng.integers(0, 2, (rows, rank)) @ rng.integers(0, 2, (rank, cols)) % 2
+    else:
+        M = rng.integers(-3, 4, (rows, cols))
+    if cols:
+        M[:, rng.integers(0, cols, zero_cols)] = 0
+    R, pivots = linalg.rref(M, 2)
+    R_loop, pivots_loop = linalg._rref_loop(M, 2)
+    assert R.dtype == np.int64 and R.shape == M.shape
+    assert R.tolist() == R_loop.tolist() and pivots == pivots_loop
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(m=st.integers(1, 80), d=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_left_inverse_rejects_dependent_columns_at_p2(m, d, seed):
+    # one column a sum of the ones before it (the zero sum included), on packed rows
+    rng = np.random.default_rng(seed)
+    W = rng.integers(0, 2, (m, d))
+    j = int(rng.integers(1, d))
+    W[:, j] = W[:, :j] @ rng.integers(0, 2, j) % 2
+    with pytest.raises(ValueError, match="dependent columns"):
+        linalg.left_inverse(W, 2)
 
 
 def test_determinism():
