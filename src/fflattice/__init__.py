@@ -12,7 +12,7 @@ from . import (fppoly, linalg, extfield, conway, cyclotomic, kummer, standardize
 from .extfield import ExtField, FFElem
 from .conway import ConwayTable, ConwayUnavailable, conway_search, load_table, parse_table
 from .cyclotomic import CycloLattice
-from .kummer import KummerAlg, KummerElem, solve_h90, kummer_constant, recover_alpha
+from .kummer import KummerAlg, KummerElem, solve_h90, kummer_constant
 from .standardize import (DecoratedField, EmbeddingDesc, decorate, standard_polynomial,
                           kappa_constant, standard_embed, baseline_embed,
                           verify_key_identity)
@@ -26,7 +26,7 @@ __all__ = [
     "ExtField", "FFElem",
     "ConwayTable", "ConwayUnavailable", "conway_search", "load_table", "parse_table",
     "CycloLattice",
-    "KummerAlg", "KummerElem", "solve_h90", "kummer_constant", "recover_alpha",
+    "KummerAlg", "KummerElem", "solve_h90", "kummer_constant",
     "DecoratedField", "EmbeddingDesc", "decorate", "standard_polynomial",
     "kappa_constant", "standard_embed", "baseline_embed", "verify_key_identity",
     "StdLattice", "default_lattice",

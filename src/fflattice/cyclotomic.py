@@ -10,19 +10,10 @@ the table makes a field map; it sends zeta_l to zeta_m^(m/l).  iota_{l,m}
 is the identity when l and m have the same level, so the standard Kummer
 constant abar_l is X^a.
 
-Each entry keeps, besides K_l and zeta_l, the inverse of the zeta-power
-basis 1, zeta, ..., zeta^(a-1) of K_l (its rows read zeta-power
-coordinates; its row 0 gives kummer.project_first the zeta^0 coordinate)
-and the a x a recovery matrix of the Kummer algebra of order l: a Hilbert-90
-solution with coefficient matrix C (scalars in the Conway basis) and first
-coordinate s, the zeta^0 coordinate of its rows, has
-C = [s, F s, ..., F^(a-1) s] recovery, F the Frobenius matrix of the left
-field.  With w the row that reads the zeta^0 coordinate, row 0 of the
-inverse of the zeta-power basis, and Z the matrix of multiplication by
-zeta, F C = C Z^T gives F^k s = C (Z^T)^k w.  So
-recovery is the inverse of U = [w, Z^T w, ..., (Z^T)^(a-1) w], which is
-invertible because (x, y) |-> [x y]_(zeta^0) is a nondegenerate form on K_l:
-its row k reads [zeta^k y]_(zeta^0), and these a forms are independent.
+Each entry keeps, besides K_l and zeta_l, the row zeta0_row that reads the
+zeta^0 coordinate of an element of K_l in the zeta-power basis 1, zeta,
+..., zeta^(a-1): row 0 of that basis's inverse, one linalg.left_inverse
+per entry.  kummer.project_first applies it.
 
 Each level pair d | a keeps the Conway embedding K_d -> K_a as a matrix:
 the a x d powers G = [1, g, ..., g^(d-1)] of g = X_a^((p^a-1)/(p^d-1)),
@@ -54,14 +45,13 @@ from .fppoly import exact_div
 
 @dataclass(frozen=True)
 class CycloEntry:
-    """Cached data for one root order l (see the module docstring for recovery)."""
+    """Cached data for one root order l."""
 
     ell: int
     level: int                    # a = [GF(p)(zeta_l) : GF(p)]
     K: ExtField                   # the Conway field GF(p^a)
     zeta: FFElem                  # primitive l-th root of unity in K
-    zeta_inverse: np.ndarray      # a x a, the inverse of the basis 1, zeta, ..., zeta^(a-1)
-    recovery: np.ndarray          # a x a, alpha's coefficients from its first coordinate's orbit
+    zeta0_row: np.ndarray         # length a, reads the zeta^0 coordinate of an element of K
 
 
 @dataclass(frozen=True)
@@ -99,43 +89,41 @@ class CycloLattice:
             a += 1
         return a
 
-    def conway_field(self, a: int) -> ExtField:
+    def _memo(self, cache: dict, key, build):
+        """cache[key], built on first use outside the lock; threads see one complete value."""
         with self._lock:
-            if a not in self._fields:
-                f = self.table.get(a)
-                self._fields[a] = ExtField(self.p, f, check=False)
-            return self._fields[a]
+            if key in cache:
+                return cache[key]
+        value = build()
+        with self._lock:
+            return cache.setdefault(key, value)
+
+    def conway_field(self, a: int) -> ExtField:
+        return self._memo(self._fields, a,
+                          lambda: ExtField(self.p, self.table.get(a), check=False))
 
     def entry(self, ell: int) -> CycloEntry:
-        with self._lock:
-            if ell in self._cache:
-                return self._cache[ell]
-        p, a = self.p, self.level(ell)
-        K = self.conway_field(a)
-        zeta = K.gen() ** ((p ** a - 1) // ell)
-        zeta_inverse = linalg.left_inverse(K.powers(zeta, a), p)[1]   # zeta generates K: a basis
-        U = linalg.krylov(K.mul_matrix(zeta).T, zeta_inverse[0], a, p)
-        e = CycloEntry(ell, a, K, zeta, zeta_inverse, linalg.left_inverse(U, p)[1])
-        with self._lock:
-            self._cache.setdefault(ell, e)
-            return self._cache[ell]
+        def build():
+            p, a = self.p, self.level(ell)
+            K = self.conway_field(a)
+            zeta = K.gen() ** ((p ** a - 1) // ell)
+            zeta0_row = linalg.left_inverse(K.powers(zeta, a), p)[1][0].copy()   # zeta generates K
+            return CycloEntry(ell, a, K, zeta, zeta0_row)
+        return self._memo(self._cache, ell, build)
 
     def level_pair(self, d: int, a: int) -> LevelPair:
         """The cached Conway embedding matrix of K_d -> K_a, d | a, and its left inverse."""
         if a % d:
             raise ValueError(f"level {d} does not divide level {a}")
-        with self._lock:
-            if (d, a) in self._pairs:
-                return self._pairs[(d, a)]
-        if d == a:
-            eye = np.eye(a, dtype=np.int64)
-            pair = LevelPair(eye, list(range(a)), eye)
-        else:
+
+        def build():
+            if d == a:
+                eye = np.eye(a, dtype=np.int64)
+                return LevelPair(eye, list(range(a)), eye)
             p, K = self.p, self.conway_field(a)
             G = K.powers(K.gen() ** ((p ** a - 1) // (p ** d - 1)), d)
-            pair = LevelPair(G, *linalg.left_inverse(G, p))
-        with self._lock:
-            return self._pairs.setdefault((d, a), pair)
+            return LevelPair(G, *linalg.left_inverse(G, p))
+        return self._memo(self._pairs, (d, a), build)
 
     def kappa(self, ell: int, b: int) -> FFElem:
         """kappa_{l,m} for every m of level b divisible by l, cached per (l, b).
@@ -147,14 +135,11 @@ class CycloLattice:
         arbitrary-precision integers and must happen before reduction mod
         p^b - 1.
         """
-        with self._lock:
-            if (ell, b) in self._kappas:
-                return self._kappas[(ell, b)]
-        p, a = self.p, self.level(ell)
-        q = exact_div((b - a) * p ** (b + a) - b * p ** b + a * p ** a, (p ** a - 1) * ell)
-        kappa = self.conway_field(b).gen() ** ((-q) % (p ** b - 1))
-        with self._lock:
-            return self._kappas.setdefault((ell, b), kappa)
+        def build():
+            p, a = self.p, self.level(ell)
+            q = exact_div((b - a) * p ** (b + a) - b * p ** b + a * p ** a, (p ** a - 1) * ell)
+            return self.conway_field(b).gen() ** ((-q) % (p ** b - 1))
+        return self._memo(self._kappas, (ell, b), build)
 
     def embed(self, ell: int, m: int, x: FFElem) -> FFElem:
         """iota_{l,m}(x) for l | m: X_a |-> X_b^((p^b-1)/(p^a-1)), zeta_l |-> zeta_m^(m/l).

@@ -26,10 +26,6 @@ route in O(N log N); below it is direct, about 4 l^2 a^2 multiply-adds.  At
 p = 2 a product takes 0.22 ms at l = 117 (a = 12), 0.70 ms at l = 341 and
 3.6 ms at l = 1023 (a = 10), against 1.2, 7.2 and 70 ms by the direct
 correlation (one thread of a 2-vCPU x86-64 host).
-
-Recovering alpha from its first coordinate (recover_alpha) is the Krylov
-matrix of that coordinate under the Frobenius (a - 1 mat-vecs) times the
-cyclotomic entry's a x a recovery matrix.
 """
 
 from __future__ import annotations
@@ -74,9 +70,10 @@ class KummerAlg:
         if defining_poly is None:   # drawn polynomials were just tested; supplied ones are checked
             self.left = ExtField(p, extfield.random_irreducible(p, ell, seed), check=False)
         else:
+            n = fppoly.degree(fppoly.trim([c % p for c in defining_poly]))
+            if n != ell:    # before ExtField, whose irreducibility test costs O(n^3)
+                raise ValueError(f"defining polynomial degree {n} does not match l = {ell}")
             self.left = ExtField(p, defining_poly)
-        if self.left.n != ell:
-            raise ValueError("defining polynomial degree does not match l")
         self._zeta_mul = self.scalar.mul_matrix(self.entry.zeta)
 
     # -- element constructors ------------------------------------------------------
@@ -338,7 +335,7 @@ def project_first(beta: KummerElem, ell_sub: int) -> FFElem:
     GF(p^l) (x) GF(p)(eta) exactly when G Y = beta; for d = a, G = S = I
     and Y is beta itself.  Raises ValueError otherwise.  The embedding of
     K_d sends zeta_(l_sub) to eta, so y_0 is the zeta^0 coordinate of Y in
-    K_d: row 0 of zeta_inverse in the cyclotomic entry of l_sub, times Y.
+    K_d: zeta0_row of the cyclotomic entry of l_sub, times Y.
     No elimination runs per call.  For l_sub = l, y_0 is the first
     coordinate s of a Hilbert-90 solution, which decorate reads here, and
     the whole projection is one 1 x a by a x l product.
@@ -354,24 +351,4 @@ def project_first(beta: KummerElem, ell_sub: int) -> FFElem:
         Y = linalg.matmul_mod(pair.inverse, Y[pair.rows], p)
         if not np.array_equal(linalg.matmul_mod(pair.matrix, Y, p), beta.coeffs.T):
             raise ValueError("element lies outside the requested subalgebra")
-    return FFElem(alg.left, tuple(linalg.matmul_mod(sub.zeta_inverse[0], Y, p).tolist()))
-
-
-def recover_alpha(alg: KummerAlg, x0: FFElem) -> KummerElem:
-    """Rebuild a Hilbert-90 solution from its first tensor coordinate.
-
-    The coefficient matrix is krylov(F, x0, a) times the cyclotomic entry's
-    recovery matrix, F the left field's Frobenius matrix: a - 1 mat-vecs and
-    one l x a by a x a product (cyclotomic module docstring).  The result is
-    verified against the Hilbert-90 equation; failure means x_0 was not the
-    first coordinate of a valid solution.
-    """
-    p, a = alg.p, alg.a
-    if x0.field != alg.left:
-        raise AlgebraMismatch("first coordinate must live in the left field")
-    orbit = linalg.krylov(alg.left.frobenius_matrix, x0.vec, a, p)
-    alpha = KummerElem(alg, linalg.matmul_mod(orbit, alg.entry.recovery, p))
-    if frob_left(alpha, 1) != alpha.scalar_mul(alg.entry.zeta):
-        raise ArithmeticError("recovered element fails the Hilbert-90 equation; "
-                              "the given coordinate is not standard")
-    return alpha
+    return FFElem(alg.left, tuple(linalg.matmul_mod(sub.zeta0_row, Y, p).tolist()))

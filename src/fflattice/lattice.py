@@ -7,13 +7,13 @@ Adding a field never touches existing entries; per-field persistent storage
 (f, s, P) is linear in the degree.  Each pair keeps the embedding matrix E
 that standard_embed returns with its description.  The per-degree caches it
 uses live on the decorated fields: B_l^(-1) on the source
-(DecoratedField.basis_inverse, 8 l^2 bytes) and the standard Hilbert-90
-solution alpha_m on the target (DecoratedField.alpha, 8 m a bytes for the
-level a of m); an embedding from GF(p) needs no alpha_m, as alpha_m^m is
-the standard Kummer constant.  The projection reads the cyclotomic
-lattice's per-level-pair record (CycloLattice.level_pair), so it runs no
-elimination per pair, and kappa_{l,m} is kept there once per (l, level(m))
-(CycloLattice.kappa).
+(DecoratedField.basis_inverse, 8 l^2 bytes), and on the target the standard
+Hilbert-90 solution alpha_m that decorate kept (DecoratedField.alpha,
+8 m a bytes for the level a of m); an embedding from GF(p) reads no
+alpha_m, as alpha_m^m is the standard Kummer constant.  The projection
+reads the cyclotomic lattice's per-level-pair record
+(CycloLattice.level_pair), so it runs no elimination per pair, and
+kappa_{l,m} is kept there once per (l, level(m)) (CycloLattice.kappa).
 
 Evaluation is quadratic: embed_eval is one m x l mat-vec by E, and
 section_eval is one (l + m) x l mat-vec on l coordinates of y.  Its matrix
@@ -283,8 +283,8 @@ class StdLattice:
     def stored_coefficients(self) -> int:
         """Number of persistently stored GF(p) coefficients (storage-linearity check).
 
-        Caches are not counted: the embedding matrices and their sections,
-        each field's basis inverse B_l^(-1) and Hilbert-90 solution alpha,
-        and the CycloLattice's entries.
+        What is held only in memory is not counted: the embedding matrices
+        and their sections, each field's basis inverse B_l^(-1) and
+        Hilbert-90 solution alpha, and the CycloLattice's entries.
         """
         return sum(len(d.field.modulus) + len(d.s.vec) + len(d.P) for d in self.fields.values())

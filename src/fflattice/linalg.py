@@ -49,9 +49,9 @@ On all-(p-1) factors at those largest p the observed error was 0.004 to
 use, so only a process that takes the route pays for it.
 
 Every change of basis goes through left_inverse, one rref of [W^T | I_d]
-for a basis W of full column rank: the recovery matrix of each cyclotomic
-entry (and the row reading the zeta^0 coordinate it starts from), the
-power bases B_l of the standard generators, the Conway embedding of each
+for a basis W of full column rank: the zeta-power basis of each
+cyclotomic entry (for the row reading the zeta^0 coordinate), the power
+bases B_l of the standard generators, the Conway embedding of each
 level pair (read by every projection) and the section of an embedding
 matrix.  At p = 2 each of these runs on packed rows: B_341^(-1) of the
 p = 2, l = 341 field takes 13 ms instead of 0.33-0.43 s (one thread of a

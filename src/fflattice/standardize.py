@@ -2,7 +2,8 @@
 
 decorate() normalizes an arbitrary Hilbert-90 solution to the standard one
 (whose Kummer constant is the canonical cyclotomic pullback), yielding the
-standard generator s_l and the standard defining polynomial P_l.
+standard generator s_l and the standard defining polynomial P_l, and keeps
+that solution alpha_l.
 standard_embed() then computes the image t of s_l in a larger decorated
 field through the closed-form constant kappa_{l,m}, checks it by
 P_l(t) = 0 on the Krylov matrix 1, t, ..., t^l, and returns with t the
@@ -29,15 +30,14 @@ from .kummer import KummerAlg, KummerElem
 class DecoratedField:
     """A finite field GF(p^l) with its standard generator and polynomial.
 
-    Only (f, s, P) are stored, so storage is linear in l.  Two caches are
-    built on first demand (racing threads store equal values) and reused by
-    every embedding that needs them.  alpha() is the standard Hilbert-90
-    solution, rebuilt from its first coordinate s by a - 1 Frobenius
-    mat-vecs and the cyclotomic entry's recovery matrix (l a coefficients),
-    for the embeddings into this field.
+    Only (f, s, P) are serialized, so persistent storage is linear in l.
+    alpha is the standard Hilbert-90 solution that decorate checked and
+    projected to s, held in memory (l a coefficients) for the embeddings
+    into this field.
     basis_inverse() is B_l^(-1) for the power basis B_l = 1, s, ...,
-    s^(l-1), one l x l linalg.left_inverse (l^2 coefficients), for the
-    embeddings out of it.
+    s^(l-1), one l x l linalg.left_inverse (l^2 coefficients) built on
+    first demand (racing threads store equal values), for the embeddings
+    out of it.
     """
 
     ell: int
@@ -46,15 +46,9 @@ class DecoratedField:
     P: list
     level: int
     algebra: KummerAlg
-    _alpha: KummerElem | None = dataclasses.field(default=None, init=False, compare=False,
-                                                  repr=False)
+    alpha: KummerElem = dataclasses.field(compare=False, repr=False)
     _basis_inverse: np.ndarray | None = dataclasses.field(default=None, init=False,
                                                           compare=False, repr=False)
-
-    def alpha(self) -> KummerElem:
-        if self._alpha is None:
-            self._alpha = kummer.recover_alpha(self.algebra, self.s)
-        return self._alpha
 
     def basis_inverse(self) -> np.ndarray:
         if self._basis_inverse is None:
@@ -107,7 +101,7 @@ def decorate(ell: int, lattice: CycloLattice, defining_poly: list[int] | None = 
     P = extfield.minimal_polynomial(s)
     if fppoly.degree(P) != ell:
         raise AssertionError("standard generator does not generate the field")
-    return DecoratedField(ell, alg.left, s, P, alg.a, alg)
+    return DecoratedField(ell, alg.left, s, P, alg.a, alg, alpha)
 
 
 def standard_polynomial(ell: int, lattice: CycloLattice, seed: int = 0) -> list[int]:
@@ -131,9 +125,9 @@ def standard_embed(src: DecoratedField, dst: DecoratedField,
     """Image of the standard generator s_l inside the decorated GF(p^m).
 
     Returns t = [ (1 (x) kappa_{l,m}) alpha_m^(m/l) ]_(zeta_m^(m/l)) with
-    the embedding matrix [1, t, ..., t^(l-1)] B_l^(-1).  alpha_m is
-    recovered once per target field (DecoratedField.alpha) and B_l^(-1)
-    once per source field (DecoratedField.basis_inverse).  For l = 1 the
+    the embedding matrix [1, t, ..., t^(l-1)] B_l^(-1).  alpha_m is the one
+    decorate kept on the target (DecoratedField.alpha), and B_l^(-1) is
+    built once per source field (DecoratedField.basis_inverse).  For l = 1 the
     power alpha_m^m is the standard Kummer constant 1 (x) abar_m, which
     decorate fixed, so it is taken from the cyclotomic lattice in closed
     form instead of recomputed.
@@ -149,7 +143,7 @@ def standard_embed(src: DecoratedField, dst: DecoratedField,
     if ell == 1:
         power = dst.algebra.from_scalar(lattice.standard_constant(m))
     else:
-        power = dst.alpha() ** (m // ell)
+        power = dst.alpha ** (m // ell)
     beta = power.scalar_mul(kappa_constant(ell, m, lattice))
     t = kummer.project_first(beta, ell)
     p = lattice.p

@@ -2,11 +2,12 @@
 the numpy row-update loop (linalg._rref_loop, also at p = 2, where rref
 itself runs on packed rows), to check linalg.left_inverse, the sections and
 the cyclotomic pullbacks against; multiplicative orders by factoring
-p^n - 1; and the text form of a Conway table."""
+p^n - 1; the text form of a Conway table; and a Hilbert-90 solution
+rebuilt from its first coordinate in the zeta-power basis."""
 
 import numpy as np
 
-from fflattice import extfield, linalg
+from fflattice import extfield, fppoly, linalg
 from fflattice.conway import ConwayTable
 
 
@@ -60,3 +61,27 @@ def dump_table(table: ConwayTable) -> str:
         coeffs = " ".join(str(c) for c in table._polys[a])
         lines.append(f"{table.p} {a} {coeffs}")
     return "\n".join(lines) + "\n"
+
+
+def recover_alpha_oracle(alg, x0):
+    """The Hilbert-90 solution of the Kummer algebra alg with first
+    coordinate x0, in the zeta-power basis of K_l.
+
+    With h = minimal polynomial of zeta and zeta^a = sum b_i zeta^i, the
+    recursion x_{a-1} = sigma(x_0)/b_0, x_i = sigma(x_{i+1}) - b_{i+1} x_{a-1}
+    on left-field elements, one Frobenius each, gives the coefficients C_zeta
+    of the zeta^j; C_zeta P^T, P the zeta-power matrix, puts the scalars in
+    K_l's Conway basis, the coefficient matrix of a KummerElem."""
+    p, a = alg.p, alg.a
+    zeta = alg.entry.zeta
+    h = extfield.minimal_polynomial(zeta)
+    assert fppoly.degree(h) == a
+    b = [(-c) % p for c in h[:a]]
+    cols = [x0] + [None] * (a - 1)
+    if a > 1:
+        x_top = extfield.frobenius(x0, 1) * pow(b[0], -1, p)
+        cols[a - 1] = x_top
+        for i in range(a - 2, 0, -1):
+            cols[i] = extfield.frobenius(cols[i + 1], 1) - x_top * b[i + 1]
+    C_zeta = np.array([c.vec for c in cols], dtype=np.int64).T % p
+    return linalg.matmul_mod(C_zeta, alg.scalar.powers(zeta, a).T, p)

@@ -74,7 +74,7 @@ def test_criterion_2_standardness_suite():
         L = cyclo(p)
         for ell in _valid_degrees(p, 40, L):
             d = standardize.decorate(ell, L)
-            alpha = d.alpha()
+            alpha = d.alpha
             alg = d.algebra
             zeta = alg.entry.zeta
             h90_ok = kummer.frob_left(alpha) == alpha.scalar_mul(zeta)

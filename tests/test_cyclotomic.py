@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fflattice import fppoly, extfield, linalg, standardize
-from fflattice.kummer import project_first, recover_alpha
+from fflattice.kummer import project_first
 from fflattice.lattice import StdLattice, default_lattice
 from oracles import InconsistentSystem, multiplicative_order, solve
 
@@ -210,33 +210,38 @@ def test_constants_match_pullback():
                 assert standardize.kappa_constant(ell, m, L) == expected, (p, ell, m)
 
 
-def test_recovery_built_once_per_entry(monkeypatch):
-    # recover_alpha reads the entry's recovery matrix and solves nothing itself
-    dec = StdLattice(5).add_field(13)
+def test_entry_eliminates_once(monkeypatch):
+    # an entry keeps only the row that reads the zeta^0 coordinate: one
+    # Krylov matrix, the powers of zeta (multiplication by zeta, not its
+    # transpose), and one elimination of that basis; p = 5, l = 13 has level 4
+    L = default_lattice(5)
+    K = L.conway_field(L.level(13))
     calls = []
-    left_inverse = linalg.left_inverse
-
-    def counted(W, q):
-        calls.append(1)
-        return left_inverse(W, q)
-
-    monkeypatch.setattr(linalg, "left_inverse", counted)
-    for _ in range(30):
-        recover_alpha(dec.algebra, dec.s)
-    assert not calls
-    e = dec.algebra.entry
-    assert e.recovery.shape == (e.level, e.level)
+    krylov, left_inverse = linalg.krylov, linalg.left_inverse
+    monkeypatch.setattr(linalg, "krylov",
+                        lambda M, v, k, q: calls.append(("krylov", M)) or krylov(M, v, k, q))
+    monkeypatch.setattr(linalg, "left_inverse",
+                        lambda W, q: calls.append(("left_inverse", W)) or left_inverse(W, q))
+    e = L.entry(13)
+    monkeypatch.undo()
+    powers = K.powers(e.zeta, e.level)
+    assert [name for name, _ in calls] == ["krylov", "left_inverse"]
+    assert np.array_equal(calls[0][1], K.mul_matrix(e.zeta))
+    assert np.array_equal(calls[1][1], powers)
+    assert e.zeta0_row.shape == (e.level,)
+    assert linalg.matmul_mod(e.zeta0_row, powers, 5).tolist() == [1, 0, 0, 0]
+    assert L.entry(13) is e
 
 
 @pytest.mark.parametrize("p, ell", [(2, 21), (5, 13)])
 def test_projection_at_the_root_order_reads_the_entry(monkeypatch, p, ell):
-    # zeta_inverse inverts the zeta-power basis, and decorate's projection at
-    # l_sub = l multiplies by it with no elimination of its own
+    # zeta0_row reads the zeta^0 coordinate in the zeta-power basis, and
+    # decorate's projection at l_sub = l multiplies by it with no elimination
+    # of its own
     dec = StdLattice(p).add_field(ell)
     e = dec.algebra.entry
-    assert np.array_equal(linalg.matmul_mod(e.zeta_inverse, e.K.powers(e.zeta, e.level), p),
-                          np.eye(e.level, dtype=np.int64))
-    alpha = dec.alpha()
+    powers = e.K.powers(e.zeta, e.level)
+    assert linalg.matmul_mod(e.zeta0_row, powers, p).tolist() == [1] + [0] * (e.level - 1)
     calls = []
     left_inverse = linalg.left_inverse
 
@@ -245,7 +250,7 @@ def test_projection_at_the_root_order_reads_the_entry(monkeypatch, p, ell):
         return left_inverse(W, q)
 
     monkeypatch.setattr(linalg, "left_inverse", counted)
-    assert project_first(alpha, ell) == dec.s
+    assert project_first(dec.alpha, ell) == dec.s
     assert not calls
 
 

@@ -3,8 +3,8 @@
 Multiplication is cross-checked against an independent bivariate oracle
 (plain dict-based polynomial arithmetic), and the structural theorems are
 exercised: the H90 property, the Kummer constant, conjugate solutions,
-the scalar norm, projection and recovery.  Powers, which step through the
-Frobenius, are checked against square-and-multiply.
+the scalar norm, projection and the solution decorate keeps.  Powers,
+which step through the Frobenius, are checked against square-and-multiply.
 """
 
 import functools
@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fflattice import fppoly, extfield, kummer, linalg, standardize
+from fflattice import fppoly, kummer, linalg, standardize
+from fflattice.cli import _valid_degrees
 from fflattice.extfield import FFElem
-from fflattice.kummer import KummerAlg, solve_h90, kummer_constant, recover_alpha
+from fflattice.kummer import KummerAlg, solve_h90, kummer_constant
 from fflattice.lattice import StdLattice, default_lattice
-from oracles import solve
+from oracles import recover_alpha_oracle, solve
 from test_extfield import square_matrices
 from test_golden import DEGREES as GOLDEN_DEGREES
 
@@ -292,61 +293,43 @@ def test_standard_embed_eliminates_nothing_once_cached(monkeypatch):
     assert not calls
 
 
-def test_recover_alpha_round_trip():
-    for p, ell in [(2, 5), (2, 9), (3, 4), (5, 6)]:
-        L = default_lattice(p)
-        alg = KummerAlg(L, ell)
-        alpha = solve_h90(alg)
-        assert recover_alpha(alg, kummer.project_first(alpha, ell)) == alpha
+@functools.cache
+def reachable_degrees(p):
+    """Degrees l <= 40 that decorate within the library's limits at p."""
+    return _valid_degrees(p, 40, default_lattice(p))
 
 
-def recover_alpha_oracle(alg, x0):
-    """The reference for recover_alpha, in the zeta-power basis of K_l.
+def check_decorated_alpha(dec, L):
+    """decorate's alpha against the oracle rebuilt from s, and the Hilbert-90,
+    standard-constant and projection identities."""
+    alg, alpha, ell = dec.algebra, dec.alpha, dec.ell
+    assert np.array_equal(alpha.coeffs, recover_alpha_oracle(alg, dec.s))
+    assert kummer.frob_left(alpha) == alpha.scalar_mul(alg.entry.zeta)
+    assert alpha ** ell == alg.from_scalar(L.lattice.standard_constant(ell))
+    assert kummer.project_first(alpha, ell) == dec.s
 
-    With h = minimal polynomial of zeta and zeta^a = sum b_i zeta^i, the
-    recursion x_{a-1} = sigma(x_0)/b_0, x_i = sigma(x_{i+1}) - b_{i+1} x_{a-1}
-    on left-field elements, one Frobenius each, gives the coefficients C_zeta
-    of the zeta^j; C_zeta P^T, P the zeta-power matrix, puts the scalars in
-    K_l's Conway basis, where recover_alpha works."""
-    p, a = alg.p, alg.a
-    zeta = alg.entry.zeta
-    h = extfield.minimal_polynomial(zeta)
-    assert fppoly.degree(h) == a
-    b = [(-c) % p for c in h[:a]]
-    cols = [x0] + [None] * (a - 1)
-    if a > 1:
-        x_top = extfield.frobenius(x0, 1) * pow(b[0], -1, p)
-        cols[a - 1] = x_top
-        for i in range(a - 2, 0, -1):
-            cols[i] = extfield.frobenius(cols[i + 1], 1) - x_top * b[i + 1]
-    C_zeta = np.array([c.vec for c in cols], dtype=np.int64).T % p
-    return linalg.matmul_mod(C_zeta, alg.scalar.powers(zeta, a).T, p)
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=st.sampled_from([2, 3, 5, 7, 257]).flatmap(
+    lambda p: st.sampled_from(reachable_degrees(p)).map(lambda ell: (p, ell))))
+def test_decorated_alpha_property(case):
+    p, ell = case
+    L = StdLattice(p)
+    check_decorated_alpha(L.add_field(ell), L)
 
 
 @pytest.mark.parametrize("p, degrees", [(2, GOLDEN_DEGREES[2]), (3, GOLDEN_DEGREES[3]),
                                         (257, (3, 8)), (2, (19, 57, 117))])
 def test_recover_alpha_matches_oracle(p, degrees):
-    # and decorate's s is the zeta^0 coordinate of alpha, solved for here
+    # the oracle rebuilds decorate's alpha from s at levels up to 18, and s
+    # is the zeta^0 coordinate of alpha, solved for here
     L = StdLattice(p)
     for ell in degrees:
         dec = L.add_field(ell)
         alg = dec.algebra
-        alpha = recover_alpha(alg, dec.s)
-        assert np.array_equal(alpha.coeffs, recover_alpha_oracle(alg, dec.s)), (p, ell)
+        check_decorated_alpha(dec, L)
         P = alg.scalar.powers(alg.entry.zeta, alg.a)
-        assert solve(P, alpha.coeffs.T, p)[0].tolist() == list(dec.s.vec), (p, ell)
-
-
-def test_recover_alpha_rejects_non_standard_coordinates():
-    # l = 7 has level 6 at p = 3: the first coordinates of Hilbert-90
-    # solutions form a 6-dimensional subspace of GF(3^7), which s + 1 and
-    # s X leave.  2 s is the first coordinate of the solution 2 alpha.
-    dec = StdLattice(3).add_field(7)
-    alg, s = dec.algebra, dec.s
-    for x0 in (s + 1, s * alg.left.gen()):
-        with pytest.raises(ArithmeticError, match="fails the Hilbert-90 equation"):
-            recover_alpha(alg, x0)
-    assert recover_alpha(alg, s * 2) == recover_alpha(alg, s).scalar_mul(2)
+        assert solve(P, dec.alpha.coeffs.T, p)[0].tolist() == list(dec.s.vec), (p, ell)
 
 
 def test_from_left_from_scalar_commute():

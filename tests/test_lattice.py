@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from fflattice import extfield, kummer, linalg, standardize
+from fflattice import extfield, linalg, standardize
 from fflattice.lattice import StdLattice
 from oracles import InconsistentSystem, solve
 
@@ -34,6 +34,23 @@ def test_add_field_idempotent():
         L.add_field(4)  # divisible by the characteristic
     with pytest.raises(KeyError):
         L.field(5)
+
+
+def test_supplied_polynomial_degree_checked_before_its_field(monkeypatch):
+    # a supplied f of the wrong degree is refused by its degree, irreducible
+    # (degree 5) or not (x^6 + x^5, with a leading coefficient p that trims
+    # away), before any irreducibility test
+    quintic = extfield.random_irreducible(3, 5, 0)
+    calls = []
+    is_irreducible = extfield.is_irreducible
+    monkeypatch.setattr(extfield, "is_irreducible",
+                        lambda *args: calls.append(args) or is_irreducible(*args))
+    L = StdLattice(3)
+    for f, n in ((quintic, 5), ([0] * 5 + [1, 1, 3], 6)):
+        with pytest.raises(ValueError, match=f"degree {n} does not match l = 4"):
+            L.add_field(4, f)
+    assert not calls
+    assert not L.fields
 
 
 def test_incrementality():
@@ -84,22 +101,6 @@ PAIR_DEGREES = {2: [1, 3, 5, 15, 45], 3: [1, 2, 4, 8, 20, 40], 5: [1, 2, 4, 12, 
 
 def divisor_pairs(degrees):
     return [(ell, m) for ell in degrees for m in degrees if ell < m and m % ell == 0]
-
-
-@pytest.mark.parametrize("p", sorted(PAIR_DEGREES))
-def test_alpha_recovered_once_per_target_degree(monkeypatch, p):
-    # every target with a source l > 1 recovers alpha_m once, on its first
-    # embedding; l = 1 takes alpha_m^m = 1 (x) abar_m and recovers nothing
-    degrees = PAIR_DEGREES[p]
-    pairs = divisor_pairs(degrees)
-    L = build(p, degrees)
-    recover = kummer.recover_alpha
-    calls = []
-    monkeypatch.setattr(kummer, "recover_alpha",
-                        lambda alg, x0: calls.append(alg.ell) or recover(alg, x0))
-    for ell, m in pairs:
-        L.get_embedding(ell, m)
-    assert sorted(calls) == sorted({m for ell, m in pairs if ell > 1})
 
 
 def test_threads_share_one_lattice():

@@ -2,14 +2,17 @@
 representation independence, the closed-form kappa constant, and the
 norm key identity."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fflattice import fppoly, extfield, kummer, linalg, standardize
+from fflattice.cli import _valid_degrees
 from fflattice.extfield import ExtField
-from fflattice.lattice import default_lattice
+from fflattice.lattice import StdLattice, default_lattice
 
 # the first ten standard polynomials for p = 2, ascending coefficients
 GOLDEN_P2 = {
@@ -70,12 +73,12 @@ def test_alpha_recovery_consistent():
     L = default_lattice(2)
     d1 = standardize.decorate(9, L)
     d2 = standardize.decorate(9, L, defining_poly=d1.field.modulus)
-    # two decorations over one modulus recover the same alpha (different
+    # two decorations over one modulus keep the same alpha (different
     # algebra instances, so compare coefficient matrices), whose first
     # coordinate is s
-    assert (d1.alpha().coeffs == d2.alpha().coeffs).all()
+    assert (d1.alpha.coeffs == d2.alpha.coeffs).all()
     for d in (d1, d2):
-        assert kummer.project_first(d.alpha(), d.ell) == d.s
+        assert kummer.project_first(d.alpha, d.ell) == d.s
 
 
 def test_kappa_examples():
@@ -123,18 +126,17 @@ def test_standard_embed_rejects_a_wrong_image(monkeypatch):
 
 @pytest.mark.parametrize("p, degrees", [(2, (3, 9, 15)), (3, (4, 13, 20)), (5, (6, 21))])
 def test_prime_field_embedding_takes_the_kummer_constant(monkeypatch, p, degrees):
-    # for l = 1, alpha_m^m = 1 (x) abar_m: standard_embed recovers no alpha
-    # and powers nothing in the algebra, and its image is the one the power
-    # gives, s_1 as a constant of GF(p^m)
+    # for l = 1, alpha_m^m = 1 (x) abar_m: standard_embed powers nothing in
+    # the algebra, and its image is the one the power gives, s_1 as a
+    # constant of GF(p^m)
     L = default_lattice(p)
     src = standardize.decorate(1, L)
     for m in degrees:
         ref = standardize.decorate(m, L)
-        beta = (ref.alpha() ** m).scalar_mul(standardize.kappa_constant(1, m, L))
+        beta = (ref.alpha ** m).scalar_mul(standardize.kappa_constant(1, m, L))
         want = kummer.project_first(beta, 1)
         dst = standardize.decorate(m, L)
         calls = []
-        monkeypatch.setattr(kummer, "recover_alpha", lambda *args: calls.append(args))
         monkeypatch.setattr(kummer.KummerElem, "__pow__", lambda *args: calls.append(args))
         desc = standardize.standard_embed(src, dst, L)
         monkeypatch.undo()
@@ -176,6 +178,29 @@ def test_baseline_embedding():
     assert fppoly.degree(extfield.minimal_polynomial(s)) == 3
 
 
+@functools.cache
+def reachable_pairs(p):
+    """(l, m), 1 < l < m <= 40, l | m, both degrees reachable at p."""
+    degrees = _valid_degrees(p, 40, default_lattice(p))
+    return [(ell, m) for m in degrees for ell in degrees if 1 < ell < m and m % ell == 0]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(case=st.sampled_from([2, 3, 5, 65521]).flatmap(
+    lambda p: st.sampled_from(reachable_pairs(p)).map(lambda lm: (p, *lm))))
+def test_standard_embedding_is_baseline_up_to_frobenius(case):
+    # two embeddings GF(p^l) -> GF(p^m) differ by an automorphism of GF(p^l),
+    # so the baseline image t of s is a Frobenius conjugate of its standard
+    # image
+    p, ell, m = case
+    L = StdLattice(p)
+    for n in (ell, m):
+        L.add_field(n)
+    s, t = standardize.baseline_embed(L.field(ell).field, L.field(m).field, L.lattice)
+    image = L.embed_eval(ell, m, s)
+    assert t in [extfield.frobenius(image, k) for k in range(ell)]
+
+
 def test_key_identity():
     for p, a, b in [(2, 1, 2), (2, 2, 4), (3, 1, 2), (5, 1, 2)]:
         L = default_lattice(p)
@@ -193,7 +218,6 @@ def test_decorate_at_largest_prime_is_exact():
     # not wrap anywhere on the decoration path (warnings turn overflow into errors)
     import time
     import warnings
-    from fflattice.lattice import StdLattice
     p = 2 ** 31 - 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -201,7 +225,7 @@ def test_decorate_at_largest_prime_is_exact():
             t0 = time.perf_counter()
             L = StdLattice(p)
             d = L.add_field(ell)
-            alpha = d.alpha()
+            alpha = d.alpha
             alg = d.algebra
             assert d.P == [p - 7] + [0] * (ell - 1) + [1]   # x^l - 7, 7 the primitive root
             assert kummer.frob_left(alpha) == alpha.scalar_mul(alg.entry.zeta)
@@ -213,18 +237,16 @@ def test_decorate_at_largest_prime_is_exact():
 def test_decorations_carry_the_standard_constant(p):
     # decorate checks a'_l kappa^l = abar_l in K_l; here the full power alpha^l
     from test_golden import DEGREES
-    from fflattice.lattice import StdLattice
     L = StdLattice(p)
     for ell in DEGREES[p]:
         d = L.add_field(ell)
-        assert d.alpha() ** ell == d.algebra.from_scalar(L.lattice.standard_constant(ell)), ell
+        assert d.alpha ** ell == d.algebra.from_scalar(L.lattice.standard_constant(ell)), ell
 
 
 def test_level_two_at_largest_prime_fails_in_bounded_time():
     # p = 2^31 - 1, l = 4 has level 2: the Conway search finds C_2 at once, but
     # a baby-step table for GF(p^2) would need p entries, so the l-th root is refused
     import time
-    from fflattice.lattice import StdLattice
     p = 2 ** 31 - 1
     t0 = time.perf_counter()
     L = StdLattice(p)
