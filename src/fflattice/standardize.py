@@ -5,11 +5,13 @@ decorate() normalizes an arbitrary Hilbert-90 solution to the standard one
 standard generator s_l and the standard defining polynomial P_l, and keeps
 that solution alpha_l.
 standard_embed() then computes the image t of s_l in a larger decorated
-field through the closed-form constant kappa_{l,m}, checks it by
-P_l(t) = 0 on the Krylov matrix 1, t, ..., t^l, and returns with t the
-embedding matrix, the first l columns of that matrix times B_l^(-1); the
-resulting embeddings compose compatibly across the whole divisibility
-lattice.
+field GF(p^m) through the closed-form constant kappa_{l,m} and the power
+alpha_m^(m/l) that the target keeps (one chain of them per target), checks
+it by P_l(t) = 0 on the powers 1, t, ..., t^l (ExtField.powers: l - 1
+products of O(m^2) for small l/m, with no m x m matrix), and returns with
+t the embedding matrix, the first l columns of those powers times
+B_l^(-1); the resulting embeddings compose compatibly across the whole
+divisibility lattice.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ class DecoratedField:
     Only (f, s, P) are serialized, so persistent storage is linear in l.
     alpha is the standard Hilbert-90 solution that decorate checked and
     projected to s, held in memory (l a coefficients) for the embeddings
-    into this field.
+    into this field, and so are the powers alpha^e that they take
+    (alpha_power): l a coefficients each, at most d(l) - 2 of them for
+    the d(l) divisors of l.
     basis_inverse() is B_l^(-1) for the power basis B_l = 1, s, ...,
     s^(l-1), one l x l linalg.left_inverse (l^2 coefficients) built on
     first demand (racing threads store equal values), for the embeddings
@@ -49,6 +53,22 @@ class DecoratedField:
     alpha: KummerElem = dataclasses.field(compare=False, repr=False)
     _basis_inverse: np.ndarray | None = dataclasses.field(default=None, init=False,
                                                           compare=False, repr=False)
+    _alpha_powers: dict = dataclasses.field(default_factory=dict, init=False,
+                                            compare=False, repr=False)
+
+    def alpha_power(self, e: int) -> KummerElem:
+        """alpha^e for a divisor e < l of l, kept: (alpha^(e/q))^q, q the least prime of e.
+
+        Each exponent is computed once per field, from the largest proper
+        divisor of it, which is kept too; racing threads store equal values.
+        """
+        if e == 1:
+            return self.alpha
+        power = self._alpha_powers.get(e)
+        if power is None:
+            q = min(extfield.factorize(e))
+            power = self._alpha_powers.setdefault(e, self.alpha_power(e // q) ** q)
+        return power
 
     def basis_inverse(self) -> np.ndarray:
         if self._basis_inverse is None:
@@ -125,15 +145,15 @@ def standard_embed(src: DecoratedField, dst: DecoratedField,
     """Image of the standard generator s_l inside the decorated GF(p^m).
 
     Returns t = [ (1 (x) kappa_{l,m}) alpha_m^(m/l) ]_(zeta_m^(m/l)) with
-    the embedding matrix [1, t, ..., t^(l-1)] B_l^(-1).  alpha_m is the one
-    decorate kept on the target (DecoratedField.alpha), and B_l^(-1) is
-    built once per source field (DecoratedField.basis_inverse).  For l = 1 the
-    power alpha_m^m is the standard Kummer constant 1 (x) abar_m, which
-    decorate fixed, so it is taken from the cyclotomic lattice in closed
-    form instead of recomputed.
-    P_l(t) = 0 is asserted on the Krylov matrix 1, t, ..., t^l; P_l is
-    irreducible of degree l (decorate asserts the degree), so that is the
-    same test as minimal polynomial of t = P_l.
+    the embedding matrix [1, t, ..., t^(l-1)] B_l^(-1).  alpha_m^(m/l) is
+    read from the chain kept on the target (DecoratedField.alpha_power),
+    and B_l^(-1) is built once per source field
+    (DecoratedField.basis_inverse).  For l = 1 the power alpha_m^m is the
+    standard Kummer constant 1 (x) abar_m, which decorate fixed, so it is
+    taken from the cyclotomic lattice in closed form instead of recomputed.
+    P_l(t) = 0 is asserted on the powers 1, t, ..., t^l (ExtField.powers);
+    P_l is irreducible of degree l (decorate asserts the degree), so that is
+    the same test as minimal polynomial of t = P_l.
     """
     ell, m = src.ell, dst.ell
     if m % ell:
@@ -143,7 +163,7 @@ def standard_embed(src: DecoratedField, dst: DecoratedField,
     if ell == 1:
         power = dst.algebra.from_scalar(lattice.standard_constant(m))
     else:
-        power = dst.alpha ** (m // ell)
+        power = dst.alpha_power(m // ell)
     beta = power.scalar_mul(kappa_constant(ell, m, lattice))
     t = kummer.project_first(beta, ell)
     p = lattice.p

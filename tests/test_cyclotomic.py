@@ -211,26 +211,31 @@ def test_constants_match_pullback():
 
 
 def test_entry_eliminates_once(monkeypatch):
-    # an entry keeps only the row that reads the zeta^0 coordinate: one
-    # Krylov matrix, the powers of zeta (multiplication by zeta, not its
-    # transpose), and one elimination of that basis; p = 5, l = 13 has level 4
-    L = default_lattice(5)
-    K = L.conway_field(L.level(13))
-    calls = []
-    krylov, left_inverse = linalg.krylov, linalg.left_inverse
-    monkeypatch.setattr(linalg, "krylov",
-                        lambda M, v, k, q: calls.append(("krylov", M)) or krylov(M, v, k, q))
-    monkeypatch.setattr(linalg, "left_inverse",
-                        lambda W, q: calls.append(("left_inverse", W)) or left_inverse(W, q))
-    e = L.entry(13)
-    monkeypatch.undo()
-    powers = K.powers(e.zeta, e.level)
-    assert [name for name, _ in calls] == ["krylov", "left_inverse"]
-    assert np.array_equal(calls[0][1], K.mul_matrix(e.zeta))
-    assert np.array_equal(calls[1][1], powers)
-    assert e.zeta0_row.shape == (e.level,)
-    assert linalg.matmul_mod(e.zeta0_row, powers, 5).tolist() == [1, 0, 0, 0]
-    assert L.entry(13) is e
+    # an entry keeps only the row that reads the zeta^0 coordinate: one power
+    # basis of zeta (ExtField.powers, whichever route it takes: at level 4 its
+    # products, at level 12 the Krylov matrix of multiplication by zeta, not
+    # its transpose) and one elimination of that basis
+    for p, ell in ((5, 13), (2, 117)):
+        L = default_lattice(p)
+        K = L.conway_field(L.level(ell))
+        calls = []
+        krylov, left_inverse = linalg.krylov, linalg.left_inverse
+        monkeypatch.setattr(linalg, "krylov",
+                            lambda M, v, k, q: calls.append(("krylov", M)) or krylov(M, v, k, q))
+        monkeypatch.setattr(linalg, "left_inverse",
+                            lambda W, q: calls.append(("left_inverse", W)) or left_inverse(W, q))
+        e = L.entry(ell)
+        monkeypatch.undo()
+        powers = K.powers(e.zeta, e.level)
+        if e.level < 6:
+            assert [name for name, _ in calls] == ["left_inverse"]
+        else:
+            assert [name for name, _ in calls] == ["krylov", "left_inverse"]
+            assert np.array_equal(calls[0][1], K.mul_matrix(e.zeta))
+        assert np.array_equal(calls[-1][1], powers)
+        assert e.zeta0_row.shape == (e.level,)
+        assert linalg.matmul_mod(e.zeta0_row, powers, p).tolist() == [1] + [0] * (e.level - 1)
+        assert L.entry(ell) is e
 
 
 @pytest.mark.parametrize("p, ell", [(2, 21), (5, 13)])

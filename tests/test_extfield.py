@@ -76,8 +76,9 @@ def test_frobenius_keeps_two_square_matrices(p, n):
 
 @pytest.mark.parametrize("p", [2, 3, 65521, 2 ** 31 - 1])
 def test_powers_match_krylov(p):
-    # k <= 2 takes the columns 1 and x as they are; the result is the Krylov
-    # matrix of multiplication by x to the bit, dtype and layout included
+    # k <= 2 takes the columns 1 and x as they are, k = 3 one product; the
+    # result is the Krylov matrix of multiplication by x to the bit, dtype and
+    # layout included
     rng = random.Random(p % 1000 + 2)
     for n in (1, 2, 7):
         F = ExtField(p, extfield.random_irreducible(p, n), check=False)
@@ -87,6 +88,69 @@ def test_powers_match_krylov(p):
                 want = linalg.krylov(F.mul_matrix(x), F.one().vec, k, p)
                 assert got.dtype == want.dtype == np.int64 and got.shape == (n, k)
                 assert got.flags.c_contiguous and np.array_equal(got, want), (n, x, k)
+
+
+def krylov_powers(F, x, k):
+    """The matrix route of ExtField.powers: the Krylov matrix of multiplication by x."""
+    return linalg.krylov(F.mul_matrix(x), F.one().vec, k, F.p)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 65521, 2 ** 31 - 1]), n=st.integers(1, 72),
+       k=st.integers(0, 15), seed=st.integers(0, 99), x_seed=st.integers(0, 2 ** 16))
+@example(p=2, n=36, k=5, seed=0, x_seed=0)
+@example(p=2, n=36, k=6, seed=0, x_seed=0)
+@example(p=65521, n=72, k=11, seed=0, x_seed=0)
+@example(p=65521, n=72, k=12, seed=0, x_seed=0)
+def test_powers_routes_agree(p, n, k, seed, x_seed):
+    # below 6 k < max(36, n) the powers come by products, from there on by
+    # the Krylov matrix (the examples: the last k of one route and the first
+    # of the other); every p reaches one tier of convolve_mod: float64 (2, 3),
+    # int64 (65521) and object (2^31 - 1, at n <= 12)
+    if p > 2 ** 30:
+        n = n % 12 + 1
+    F = ExtField(p, extfield.random_irreducible(p, n, seed=seed), check=False)
+    x = F.random_element(random.Random(x_seed))
+    got = F.powers(x, k)
+    assert got.dtype == np.int64 and got.shape == (n, k) and got.flags.c_contiguous
+    assert np.array_equal(got, krylov_powers(F, x, k))
+
+
+@pytest.mark.parametrize("p, n", [(2, 36), (3, 60), (65521, 60), (2 ** 31 - 1, 12)])
+def test_powers_switch_at_the_crossover(monkeypatch, p, n):
+    # the largest k of the products route builds no n x n matrix, the next
+    # one builds exactly one, and both give the Krylov matrix
+    F = ExtField(p, extfield.random_irreducible(p, n), check=False)
+    x = F.random_element(random.Random(n))
+    last = -(-max(36, n) // 6) - 1
+    mul_matrix, calls = fppoly.mul_matrix, []
+    monkeypatch.setattr(fppoly, "mul_matrix", lambda *args: calls.append(1) or mul_matrix(*args))
+    below, above = F.powers(x, last), F.powers(x, last + 1)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert np.array_equal(below, krylov_powers(F, x, last))
+    assert np.array_equal(above, krylov_powers(F, x, last + 1))
+
+
+def test_powers_and_mul_matrix_reject_other_fields():
+    # an element of another modulus of the same degree, or of another degree,
+    # is refused by both routes of powers and by mul_matrix; an equal field
+    # that is another object is accepted, as in FFElem arithmetic
+    F = ExtField(5, extfield.random_irreducible(5, 6, seed=1))
+    G = ExtField(5, extfield.random_irreducible(5, 6, seed=2))
+    H = ExtField(5, extfield.random_irreducible(5, 4, seed=1))
+    assert G != F
+    rng = random.Random(56)
+    for y in (G.random_element(rng), H.random_element(rng)):
+        for k in (0, 3, 12):
+            with pytest.raises(extfield.FieldMismatch):
+                F.powers(y, k)
+        with pytest.raises(extfield.FieldMismatch):
+            F.mul_matrix(y)
+    twin = copy.deepcopy(F)
+    x = twin.random_element(rng)
+    assert np.array_equal(F.powers(x, 12), twin.powers(x, 12))
+    assert np.array_equal(F.mul_matrix(x), twin.mul_matrix(x))
 
 
 def test_elements_of_equal_fields_combine():

@@ -105,9 +105,9 @@ def divisor_pairs(degrees):
 
 def test_threads_share_one_lattice():
     # four threads (more than the cores CI has) embedding every pair on one
-    # lattice and taking its section, with alpha, the basis inverses and the
-    # sections cold and a short switch interval: every pair lands once, with
-    # the matrices of one thread on a fresh lattice
+    # lattice and taking its section, with the powers of alpha, the basis
+    # inverses and the sections cold and a short switch interval: every pair
+    # lands once, with the matrices of one thread on a fresh lattice
     p, degrees = 3, PAIR_DEGREES[3]
     pairs = divisor_pairs(degrees)
     alone = build(p, degrees)
@@ -148,6 +148,38 @@ def test_threads_share_one_lattice():
         assert np.array_equal(E, want_E), pair
         section, want = L.embeddings[pair].section, alone.embeddings[pair].section
         assert np.array_equal(section.matrix, want.matrix) and section.rows == want.rows, pair
+
+    # then four threads embedding every divisor of 40 into GF(3^40) at once,
+    # on fresh fields: the kept powers alpha_40^(40/l) are the ones of one thread
+    L = build(p, degrees + [5, 10])
+    sources = [d for d in range(1, 41) if 40 % d == 0 and d in L.fields]
+    barrier = threading.Barrier(4, timeout=60)
+
+    def embed_into_40(k):
+        try:
+            barrier.wait()
+            for ell in sources[k:] + sources[:k]:
+                L.get_embedding(ell, 40)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=embed_into_40, args=(k,)) for k in range(4)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    alone = build(p, degrees + [5, 10])
+    for ell in sources:
+        assert L.get_embedding(ell, 40) == alone.get_embedding(ell, 40), ell
+    kept, want = L.field(40)._alpha_powers, alone.field(40)._alpha_powers
+    assert sorted(kept) == sorted(want) == [2, 4, 5, 8, 10, 20]
+    assert all(np.array_equal(kept[e].coeffs, want[e].coeffs) for e in want)
 
 
 def test_embedding_is_ring_homomorphism():

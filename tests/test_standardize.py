@@ -145,6 +145,69 @@ def test_prime_field_embedding_takes_the_kummer_constant(monkeypatch, p, degrees
         assert desc.s_image.vec == src.s.vec + (0,) * (m - 1), m
 
 
+def divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+@pytest.mark.parametrize("p, m", [(2, 105), (5, 56)])
+def test_alpha_powers_kept_per_target(p, m):
+    # every embedding into GF(p^m) from l > 1 reads alpha_m^(m/l) from one
+    # chain on the target, kept for the proper divisors m/l of m and never
+    # for l = 1 (the Kummer constant) or l = m (alpha_m itself)
+    L = StdLattice(p)
+    for ell in divisors(m):
+        L.add_field(ell)
+    dst = L.field(m)
+    for ell in reversed(divisors(m)):
+        L.get_embedding(ell, m)
+    kept = {m // ell for ell in divisors(m) if 1 < ell < m}
+    assert set(dst._alpha_powers) == kept and len(kept) == len(divisors(m)) - 2
+    assert dst.alpha_power(1) is dst.alpha
+    for ell in divisors(m)[1:]:
+        e = m // ell
+        assert dst.alpha_power(e) == dst.alpha ** e, ell
+        assert e == 1 or dst.alpha_power(e) is dst._alpha_powers[e]
+
+
+@pytest.mark.parametrize("p, m", [(2, 105), (5, 56)])
+def test_alpha_chain_takes_fewer_products(monkeypatch, p, m):
+    # the Kummer products of every embedding into GF(p^m), against those of
+    # alpha_m^(m/l) from scratch for each pair
+    L = StdLattice(p)
+    for ell in divisors(m):
+        L.add_field(ell)
+    dst = L.field(m)
+    calls = []
+    kalg_mul = kummer.kalg_mul
+    monkeypatch.setattr(kummer, "kalg_mul", lambda u, v: calls.append(1) or kalg_mul(u, v))
+    for ell in divisors(m)[:-1]:
+        L.get_embedding(ell, m)
+    chained = len(calls)
+    calls.clear()
+    for ell in divisors(m)[1:-1]:
+        dst.alpha ** (m // ell)
+    assert chained < len(calls)
+
+
+def test_target_embedding_builds_no_target_matrix(monkeypatch):
+    # 13 -> 117 at p = 2 needs 1, t, ..., t^13 in GF(2^117): 12 products, and
+    # no 117 x 117 matrix of multiplication by t or its Krylov matrix
+    L = default_lattice(2)
+    src = standardize.decorate(13, L)
+    dst = standardize.decorate(117, L)
+    src.basis_inverse()
+    calls = []
+    mul_matrix, krylov = fppoly.mul_matrix, linalg.krylov
+    monkeypatch.setattr(fppoly, "mul_matrix",
+                        lambda a, R, q: calls.append(R.shape) or mul_matrix(a, R, q))
+    monkeypatch.setattr(linalg, "krylov",
+                        lambda M, v, k, q: calls.append(M.shape) or krylov(M, v, k, q))
+    desc = standardize.standard_embed(src, dst, L)
+    monkeypatch.undo()
+    assert (117, 117) not in calls
+    assert extfield.minimal_polynomial(desc.s_image) == src.P
+
+
 def test_standard_embed_returns_embedding_matrix():
     # E = [1, t, ..., t^(l-1)] B_l^(-1): E B_l is the image powers, E s_l = t
     L = default_lattice(3)
