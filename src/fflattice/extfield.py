@@ -82,10 +82,11 @@ class ExtField:
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs) -> "FFElem":
+        """The element with these coordinates (or this integer); an FFElem of
+        this field or of an equal one (a copy) is taken as this field's."""
         if isinstance(coeffs, FFElem):
-            if coeffs.field is not self:
-                raise FieldMismatch("element belongs to a different field")
-            return coeffs
+            x = self._own(coeffs)
+            return x if x.field is self else FFElem(self, x.vec)
         if isinstance(coeffs, (int, np.integer)):
             coeffs = [int(coeffs)]
         c = [int(v) % self.p for v in coeffs]

@@ -6,18 +6,20 @@ the triangle (composition) identity over every registered divisibility chain.
 Adding a field never touches existing entries; per-field persistent storage
 (f, s, P) is linear in the degree.  Each pair keeps the embedding matrix E
 that standard_embed returns with its description.  The per-degree caches it
-uses live on the decorated fields: B_l^(-1) on the source
-(DecoratedField.basis_inverse, 8 l^2 bytes), and on the target the standard
-Hilbert-90 solution alpha_m that decorate kept (DecoratedField.alpha,
-8 m a bytes for the level a of m) and the powers alpha_m^(m/l) that the
-embeddings into it read, one chain per target (DecoratedField.alpha_power,
-at most d(m) - 2 more of 8 m a bytes), so several sources share their
-Kummer products; an embedding from GF(p) reads no power, as alpha_m^m is
-the standard Kummer constant.  The check P_l(t) = 0 and E take 1, t, ...,
-t^l by l - 1 products in GF(p^m) for small l/m (ExtField.powers).  The
-projection reads the cyclotomic lattice's per-level-pair record
-(CycloLattice.level_pair), so it runs no elimination per pair, and
-kappa_{l,m} is kept there once per (l, level(m)) (CycloLattice.kappa).
+uses live on the decorated fields, in memory only: B_l^(-1) on the source
+(DecoratedField.basis_inverse, 8 l^2 bytes; in closed form at level 1), and
+on the target the standard Hilbert-90 solution alpha_m that decorate kept
+(DecoratedField.alpha, 8 m a bytes for the level a of m) and the powers
+alpha_m^(m/l) that the embeddings into it read above level 1, one chain per
+target (DecoratedField.alpha_power, at most d(m) - 2 more of 8 m a bytes),
+so several sources share their Kummer products.  At level 1 the image is
+t = s_m^(m/l) in closed form and reads nothing.  An embedding from GF(p)
+and the identity of GF(p^m) need neither powers nor an inverse.  The
+check P_l(t) = 0 and E take 1, t, ..., t^l by l - 1 products in GF(p^m)
+for small l/m (ExtField.powers).  The projection reads the cyclotomic
+lattice's per-level-pair record (CycloLattice.level_pair), so it runs no
+elimination per pair, and kappa_{l,m} is kept there once per
+(l, level(m)) (CycloLattice.kappa).
 
 Evaluation is quadratic: embed_eval is one m x l mat-vec by E, and
 section_eval is one (l + m) x l mat-vec on l coordinates of y.  Its matrix
@@ -288,9 +290,10 @@ class StdLattice:
         """Number of persistently stored GF(p) coefficients (storage-linearity check).
 
         What is held only in memory is not counted: the embedding matrices
-        and their sections, each field's basis inverse B_l^(-1), its
-        Hilbert-90 solution alpha and the powers alpha^(l/k) kept for the
-        embeddings into it (at most d(l) - 2 of l a coefficients), and the
-        CycloLattice's entries.
+        and their sections; on each decorated field its basis inverse
+        B_l^(-1), its Hilbert-90 solution alpha, and for the embeddings into
+        it the powers alpha^(l/k) above level 1 (at most d(l) - 2 of l a
+        coefficients); and the CycloLattice's entries, level pairs and
+        kappa constants.
         """
         return sum(len(d.field.modulus) + len(d.s.vec) + len(d.P) for d in self.fields.values())

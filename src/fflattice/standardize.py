@@ -5,13 +5,23 @@ decorate() normalizes an arbitrary Hilbert-90 solution to the standard one
 standard generator s_l and the standard defining polynomial P_l, and keeps
 that solution alpha_l.
 standard_embed() then computes the image t of s_l in a larger decorated
-field GF(p^m) through the closed-form constant kappa_{l,m} and the power
-alpha_m^(m/l) that the target keeps (one chain of them per target), checks
-it by P_l(t) = 0 on the powers 1, t, ..., t^l (ExtField.powers: l - 1
-products of O(m^2) for small l/m, with no m x m matrix), and returns with
-t the embedding matrix, the first l columns of those powers times
-B_l^(-1); the resulting embeddings compose compatibly across the whole
-divisibility lattice.
+field GF(p^m), checks it by P_l(t) = 0 on the powers 1, t, ..., t^l, and
+returns with t the embedding matrix, the first l columns of those powers
+times B_l^(-1); the resulting embeddings compose compatibly across the
+whole divisibility lattice.
+- In general t is the projection of (1 (x) kappa_{l,m}) alpha_m^(m/l),
+  with the closed-form constant kappa_{l,m} and the power alpha_m^(m/l)
+  that the target keeps (one chain of them per target), and the powers of
+  t are ExtField.powers: l - 1 products of O(m^2) for small l/m, with no
+  m x m matrix.
+- At level 1 (m | p - 1) the Kummer algebra is GF(p^m) itself: alpha_m =
+  s_m and P_m = X^m - abar_m, and kappa_{l,m} = 1 because l and m share
+  the level, so t = s_m^(m/l) in closed form, and its powers are
+  ExtField.powers as above.  B_l^(-1) of a level-1 source needs no
+  elimination: the trace-dual basis of the s_l^i is s_l^(-i)/l
+  (DecoratedField.basis_inverse).
+- A source GF(p) maps s_1 to the same constant, and GF(p^m) maps to
+  itself by the identity, at any level, with no powers and no inverse.
 """
 
 from __future__ import annotations
@@ -33,15 +43,17 @@ class DecoratedField:
     """A finite field GF(p^l) with its standard generator and polynomial.
 
     Only (f, s, P) are serialized, so persistent storage is linear in l.
-    alpha is the standard Hilbert-90 solution that decorate checked and
-    projected to s, held in memory (l a coefficients) for the embeddings
-    into this field, and so are the powers alpha^e that they take
-    (alpha_power): l a coefficients each, at most d(l) - 2 of them for
-    the d(l) divisors of l.
-    basis_inverse() is B_l^(-1) for the power basis B_l = 1, s, ...,
-    s^(l-1), one l x l linalg.left_inverse (l^2 coefficients) built on
-    first demand (racing threads store equal values), for the embeddings
-    out of it.
+    Everything else is held in memory, built on first demand (racing
+    threads store equal values):
+    - alpha is the standard Hilbert-90 solution that decorate checked and
+      projected to s (l a coefficients), and alpha_power keeps the powers
+      alpha^e that the embeddings into this field take above level 1: l a
+      coefficients each, at most d(l) - 2 of them for the d(l) divisors of
+      l.
+    - basis_inverse() is B_l^(-1) for the power basis B_l = 1, s, ...,
+      s^(l-1) (l^2 coefficients), for the embeddings out of this field: one
+      l x l linalg.left_inverse, or at level 1 the closed form of the
+      trace-dual basis.
     """
 
     ell: int
@@ -71,10 +83,45 @@ class DecoratedField:
         return power
 
     def basis_inverse(self) -> np.ndarray:
+        """B_l^(-1), kept; at level 1 in closed form (_kummer_basis_inverse)."""
         if self._basis_inverse is None:
             B = self.field.powers(self.s, self.ell)
-            self._basis_inverse = linalg.left_inverse(B, self.field.p)[1]
+            if self.level == 1:
+                self._basis_inverse = _kummer_basis_inverse(self, B)
+            else:
+                self._basis_inverse = linalg.left_inverse(B, self.field.p)[1]
         return self._basis_inverse
+
+
+def _kummer_basis_inverse(dec: DecoratedField, B: np.ndarray) -> np.ndarray:
+    """B_l^(-1) at level 1, where P_l = X^l - abar_l, from the trace-dual basis.
+
+    The conjugates of s are the s zeta^j, so Tr(s^k) = 0 for 0 < k < l and
+    Tr(1) = l: the dual of s^0 is 1/l and that of s^i, 0 < i < l, is
+    s^(l-i)/(l abar).  Coordinate i of y in the basis B_l is then the trace
+    of y times that dual.  With H the l x l Hankel matrix of Tr(X^k),
+    k <= 2l - 2, the rows of G = B^T H are the linear forms y -> Tr(s^r y),
+    so row 0 of B_l^(-1) is G[0]/l and row i is G[l - i]/(l abar).
+    Tr(X^k) is the trace of multiplication by X^k, whose column j is
+    X^(k+j) mod f: a diagonal of [I | R | R R], R the reduction matrix
+    (columns X^l, ..., X^(2l-1) mod f, and R R those of X^(2l), ...).
+    P_l is asserted against the standard constant first.
+    """
+    ell, F = dec.ell, dec.field
+    p = F.p
+    abar = dec.algebra.lattice.standard_constant(ell).vec[0]
+    if dec.P != [(-abar) % p] + [0] * (ell - 1) + [1]:
+        raise AssertionError(f"P_{ell} is not X^{ell} - abar_{ell} at level 1 (p = {p})")
+    R = F.reduction
+    W = np.hstack([np.eye(ell, dtype=np.int64), R, linalg.matmul_mod(R, R, p)])
+    j = np.arange(ell)
+    k = np.arange(2 * ell - 1)
+    traces = W[j, k[:, None] + j].sum(axis=1) % p
+    G = linalg.matmul_mod(B.T, traces[j[:, None] + j], p)
+    inverse = np.empty_like(G)
+    inverse[0] = G[0] * pow(ell, -1, p) % p
+    inverse[1:] = G[:0:-1] * pow(ell * abar, -1, p) % p
+    return inverse
 
 
 @dataclass(frozen=True)
@@ -144,14 +191,18 @@ def standard_embed(src: DecoratedField, dst: DecoratedField,
                    lattice: CycloLattice) -> EmbeddingDesc:
     """Image of the standard generator s_l inside the decorated GF(p^m).
 
-    Returns t = [ (1 (x) kappa_{l,m}) alpha_m^(m/l) ]_(zeta_m^(m/l)) with
-    the embedding matrix [1, t, ..., t^(l-1)] B_l^(-1).  alpha_m^(m/l) is
-    read from the chain kept on the target (DecoratedField.alpha_power),
-    and B_l^(-1) is built once per source field
-    (DecoratedField.basis_inverse).  For l = 1 the power alpha_m^m is the
-    standard Kummer constant 1 (x) abar_m, which decorate fixed, so it is
-    taken from the cyclotomic lattice in closed form instead of recomputed.
-    P_l(t) = 0 is asserted on the powers 1, t, ..., t^l (ExtField.powers);
+    Returns t with the embedding matrix [1, t, ..., t^(l-1)] B_l^(-1),
+    B_l^(-1) built once per source field (DecoratedField.basis_inverse).
+    - l = 1: t = s_1, a constant, and E = e_0.
+    - l = m over the same field and generator: t = s_m and E = I.
+    - Level 1 (m | p - 1): t = s_m^(m/l), as kappa_{l,m} = 1 for l and m
+      of one level.
+    - Otherwise t = [ (1 (x) kappa_{l,m}) alpha_m^(m/l) ]_(zeta_m^(m/l)),
+      with alpha_m^(m/l) read from the chain kept on the target
+      (DecoratedField.alpha_power).
+    Beyond the first two cases P_l(t) = 0 is asserted on the powers 1, t,
+    ..., t^l (ExtField.powers: l - 1 products for small l/m, with no m x m
+    matrix);
     P_l is irreducible of degree l (decorate asserts the degree), so that is
     the same test as minimal polynomial of t = P_l.
     """
@@ -161,11 +212,16 @@ def standard_embed(src: DecoratedField, dst: DecoratedField,
     if src.algebra.lattice is not lattice or dst.algebra.lattice is not lattice:
         raise ValueError("decorations come from a different cyclotomic lattice")
     if ell == 1:
-        power = dst.algebra.from_scalar(lattice.standard_constant(m))
+        E = np.zeros((m, 1), dtype=np.int64)
+        E[0, 0] = 1
+        return EmbeddingDesc(1, m, dst.field.element(src.s.vec[0]), E)
+    if ell == m and src.field == dst.field and src.s == dst.s:
+        return EmbeddingDesc(m, m, dst.s, np.eye(m, dtype=np.int64))
+    if dst.level == 1:
+        t = dst.s ** (m // ell)
     else:
-        power = dst.alpha_power(m // ell)
-    beta = power.scalar_mul(kappa_constant(ell, m, lattice))
-    t = kummer.project_first(beta, ell)
+        kappa = kappa_constant(ell, m, lattice)
+        t = kummer.project_first(dst.alpha_power(m // ell).scalar_mul(kappa), ell)
     p = lattice.p
     T = dst.field.powers(t, ell + 1)
     if linalg.matmul_mod(T, np.array(src.P, dtype=np.int64), p).any():

@@ -2,12 +2,15 @@
 the numpy row-update loop (linalg._rref_loop, also at p = 2, where rref
 itself runs on packed rows), to check linalg.left_inverse, the sections and
 the cyclotomic pullbacks against; multiplicative orders by factoring
-p^n - 1; the text form of a Conway table; and a Hilbert-90 solution
-rebuilt from its first coordinate in the zeta-power basis."""
+p^n - 1; the text form of a Conway table; a Hilbert-90 solution rebuilt
+from its first coordinate in the zeta-power basis; and the standard
+embedding by the general Kummer route at every level, which
+standardize.standard_embed replaces by closed forms at level 1, from GF(p)
+and onto the field itself."""
 
 import numpy as np
 
-from fflattice import extfield, fppoly, linalg
+from fflattice import extfield, fppoly, kummer, linalg
 from fflattice.conway import ConwayTable
 
 
@@ -85,3 +88,16 @@ def recover_alpha_oracle(alg, x0):
             cols[i] = extfield.frobenius(cols[i + 1], 1) - x_top * b[i + 1]
     C_zeta = np.array([c.vec for c in cols], dtype=np.int64).T % p
     return linalg.matmul_mod(C_zeta, alg.scalar.powers(zeta, a).T, p)
+
+
+def kummer_embedding(src, dst, lattice):
+    """(t, E) of the standard embedding of the decorated GF(p^l) into the
+    decorated GF(p^m) by the general Kummer route: t is the first
+    coordinate of (1 (x) kappa_{l,m}) alpha_m^(m/l), E = [1, t, ...,
+    t^(l-1)] B_l^(-1) with B_l^(-1) from linalg.left_inverse.  alpha_m^m
+    (l = 1) is the Kummer constant and alpha_m^1 (l = m) alpha_m itself."""
+    ell, m, p = src.ell, dst.ell, lattice.p
+    beta = (dst.alpha ** (m // ell)).scalar_mul(lattice.kappa(ell, lattice.level(m)))
+    t = kummer.project_first(beta, ell)
+    B_inverse = linalg.left_inverse(src.field.powers(src.s, ell), p)[1]
+    return t, linalg.matmul_mod(dst.field.powers(t, ell), B_inverse, p)

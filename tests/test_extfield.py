@@ -153,6 +153,19 @@ def test_powers_and_mul_matrix_reject_other_fields():
     assert np.array_equal(F.mul_matrix(x), twin.mul_matrix(x))
 
 
+def test_element_takes_elements_of_equal_fields():
+    # ExtField.element follows the rule of FFElem arithmetic: an element of
+    # an equal field (a deep copy) is taken as this field's, another raises
+    F = ExtField(5, [2, 0, 1])
+    twin = copy.deepcopy(F)
+    x = F.element(twin.gen())
+    assert x == F.gen() and x.field is F
+    y = F.gen()
+    assert F.element(y) is y
+    with pytest.raises(extfield.FieldMismatch):
+        F.element(ExtField(5, [3, 0, 1]).gen())
+
+
 def test_elements_of_equal_fields_combine():
     # the identity check comes first; an equal field that is another object
     # still combines and compares equal, and another modulus still raises

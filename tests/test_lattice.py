@@ -77,6 +77,25 @@ def test_embedding_cache(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("p, m", [(2, 105), (65521, 48)])
+def test_identity_embedding_builds_nothing(monkeypatch, p, m):
+    # GF(p^m) -> GF(p^m) is s_m |-> s_m with E = I, at level 12 and at
+    # level 1: no Krylov matrix and no elimination
+    L = build(p, [m])
+    calls = []
+    for name in ("krylov", "left_inverse"):
+        original = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    desc = L.get_embedding(m, m)
+    monkeypatch.undo()
+    assert not calls
+    assert desc.s_image == L.field(m).s
+    assert np.array_equal(desc.matrix, np.eye(m, dtype=np.int64))
+    x = L.field(m).field.random_element(random.Random(m))
+    assert L.embed_eval(m, m, x) == x and L.section_eval(m, m, x) == x
+
+
 def test_basis_inverse_cached_per_source_degree(monkeypatch):
     L = build(2, [3, 9, 15, 45])
     stored = L.stored_coefficients()

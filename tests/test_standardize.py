@@ -2,6 +2,7 @@
 representation independence, the closed-form kappa constant, and the
 norm key identity."""
 
+import dataclasses
 import functools
 import random
 
@@ -13,6 +14,7 @@ from fflattice import fppoly, extfield, kummer, linalg, standardize
 from fflattice.cli import _valid_degrees
 from fflattice.extfield import ExtField
 from fflattice.lattice import StdLattice, default_lattice
+from oracles import kummer_embedding
 
 # the first ten standard polynomials for p = 2, ascending coefficients
 GOLDEN_P2 = {
@@ -262,6 +264,136 @@ def test_standard_embedding_is_baseline_up_to_frobenius(case):
     s, t = standardize.baseline_embed(L.field(ell).field, L.field(m).field, L.lattice)
     image = L.embed_eval(ell, m, s)
     assert t in [extfield.frobenius(image, k) for k in range(ell)]
+
+
+LEVEL_ONE_PRIMES = [3, 5, 7, 13, 257, 65521, 268435009]
+
+
+@functools.cache
+def level_one_lattice(p):
+    return StdLattice(p)
+
+
+def level_one_field(p, n):
+    """The decorated GF(p^n), n | p - 1, decorated once per (p, n)."""
+    return level_one_lattice(p).add_field(n)
+
+
+@functools.cache
+def level_one_pairs(p):
+    """(l, m), l | m | p - 1, m <= 48: every field of level 1."""
+    degrees = [m for m in range(1, 49) if (p - 1) % m == 0]
+    return [(ell, m) for m in degrees for ell in degrees if m % ell == 0]
+
+
+def cold(dec):
+    """A copy of a decorated field without its in-memory caches."""
+    return dataclasses.replace(dec)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(case=st.sampled_from(LEVEL_ONE_PRIMES).flatmap(
+    lambda p: st.sampled_from(level_one_pairs(p)).map(lambda lm: (p, *lm))))
+def test_level_one_closed_form_is_the_kummer_route(case):
+    # t = s_m^(m/l) (kappa_{l,m} = 1 for l and m of one level) and B_l^(-1)
+    # from the trace-dual basis give the t and E of the general Kummer route
+    p, ell, m = case
+    lattice = level_one_lattice(p).lattice
+    assert standardize.kappa_constant(ell, m, lattice) == 1
+    src, dst = level_one_field(p, ell), level_one_field(p, m)
+    t, E = kummer_embedding(src, dst, lattice)
+    desc = standardize.standard_embed(cold(src), cold(dst), lattice)
+    assert desc.s_image == t and np.array_equal(desc.matrix, E)
+
+
+@pytest.mark.parametrize("p, ell", [(3, 2), (5, 4), (7, 6), (13, 12), (257, 32), (65521, 1),
+                                    (65521, 48), (268435009, 36)])
+def test_level_one_basis_inverse_is_the_left_inverse(p, ell):
+    dec = cold(level_one_field(p, ell))
+    want = linalg.left_inverse(dec.field.powers(dec.s, ell), p)[1]
+    assert np.array_equal(dec.basis_inverse(), want)
+
+
+def test_level_one_basis_inverse_checks_the_standard_polynomial():
+    # the closed form holds for P_l = X^l - abar_l only, so decorate's P_l is
+    # checked against the standard constant first
+    dec = level_one_field(13, 6)
+    wrong = dataclasses.replace(dec, P=dec.P[:-2] + [1, 1])
+    with pytest.raises(AssertionError, match=r"P_6 is not X\^6 - abar_6"):
+        wrong.basis_inverse()
+
+
+@pytest.mark.parametrize("p, degrees", [(2, (3, 15, 105)), (3, (4, 20)), (5, (6, 52))])
+def test_prime_field_and_identity_closed_forms_above_level_one(p, degrees):
+    # s_1 |-> s_1 with E = e_0, and s_m |-> s_m with E = I, against the
+    # Kummer route
+    L = StdLattice(p)
+    one = L.add_field(1)
+    for m in degrees:
+        dst = L.add_field(m)
+        assert dst.level > 1
+        for src in (one, dst):
+            desc = standardize.standard_embed(src, dst, L.lattice)
+            t, E = kummer_embedding(src, dst, L.lattice)
+            assert desc.s_image == t and np.array_equal(desc.matrix, E), (src.ell, m)
+
+
+def count_calls(monkeypatch, targets):
+    calls = []
+    for module, name in targets:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    return calls
+
+
+def test_level_one_pair_makes_no_kummer_product_projection_or_elimination(monkeypatch):
+    # 1 -> 48 maps s_1 to itself, 3 -> 48 takes 1, t, t^2, t^3 by products
+    # and 8 -> 48 its nine powers by the matrix route; B_3^(-1) and
+    # B_8^(-1) are closed forms
+    L = StdLattice(65521)
+    for n in (1, 3, 8, 48):
+        L.add_field(n)
+    stored = L.stored_coefficients()
+    calls = count_calls(monkeypatch, [(kummer, "kalg_mul"), (kummer, "project_first"),
+                                      (linalg, "left_inverse")])
+    L.get_embedding(1, 48)
+    L.get_embedding(3, 48)
+    L.get_embedding(8, 48)
+    monkeypatch.undo()
+    assert not calls
+    assert L.stored_coefficients() == stored      # caches in memory only
+    assert StdLattice.loads(L.dumps()).dumps() == L.dumps()
+    for ell in (1, 3, 8):
+        t, E = kummer_embedding(L.field(ell), L.field(48), L.lattice)
+        desc = L.get_embedding(ell, 48)
+        assert desc.s_image == t and np.array_equal(desc.matrix, E), ell
+
+
+def test_sparse_level_one_embeddings_build_no_large_matrix(monkeypatch):
+    # one embedding into a large level-1 target builds no m x m matrix:
+    # 4 -> 180 and 2 -> 360 take their 5 and 3 powers by products
+    p = 65521
+    L = StdLattice(p)
+    for n in (2, 4):
+        L.add_field(n)
+    for m in (180, 360):    # over P_m = X^m - abar_m, to skip the irreducible search
+        abar = L.lattice.standard_constant(m).vec[0]
+        L.add_field(m, [(-abar) % p] + [0] * (m - 1) + [1])
+    shapes = []
+    krylov, mul_matrix = linalg.krylov, fppoly.mul_matrix
+    monkeypatch.setattr(linalg, "krylov",
+                        lambda M, v, k, q: shapes.append(M.shape) or krylov(M, v, k, q))
+    monkeypatch.setattr(fppoly, "mul_matrix",
+                        lambda a, R, q: shapes.append(R.shape) or mul_matrix(a, R, q))
+    for ell, m in [(4, 180), (2, 360)]:
+        L.get_embedding(ell, m)
+    monkeypatch.undo()
+    assert not [shape for shape in shapes if shape[0] >= 180]
+    for ell, m in [(4, 180), (2, 360)]:
+        t, E = kummer_embedding(L.field(ell), L.field(m), L.lattice)
+        desc = L.get_embedding(ell, m)
+        assert desc.s_image == t and np.array_equal(desc.matrix, E), (ell, m)
 
 
 def test_key_identity():

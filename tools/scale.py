@@ -18,8 +18,13 @@ Workloads (WORKLOADS below):
            import included);
   scale-*  add_field in degree order on one StdLattice, then, for
            p = 2 {341, 1023}, get_embedding(341, 1023) and its first
-           section_eval; timed inside the process after the import, step
-           by step.
+           section_eval, and for the level-1 point p = 65521 with every
+           divisor of 360, get_embedding of every divisor pair (dense),
+           then get_embedding(4, 180), (45, 180), (2, 360), (60, 360),
+           (90, 360) and (180, 360) alone (sparse: each on a lattice of
+           its own cold copies of its two fields, copied before the dense
+           step); timed inside the process after the import, step by
+           step.
 
 The file holds
   env         commit (and whether tracked files differ from it), a sha256
@@ -36,6 +41,7 @@ The exit code is 1 when a run fails.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import os
@@ -49,6 +55,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 5
+DIVISORS_360 = [d for d in range(1, 361) if 360 % d == 0]
 
 WORKLOADS = {
     "cli-bench-p2-120": ["bench", "-p", "2", "--max", "120"],
@@ -56,11 +63,14 @@ WORKLOADS = {
     "cli-verify-p2-60": ["verify", "-p", "2", "--max", "60"],
     "cli-verify-p3-60": ["verify", "-p", "3", "--max", "60"],
     "cli-verify-p5-60": ["verify", "-p", "5", "--max", "60"],
-    "scale-p2-341-1023": (2, [341, 1023], (341, 1023)),
-    "scale-p2-2047": (2, [2047], None),
-    "scale-p3-182-364": (3, [182, 364], None),
-    "scale-p65521-96-181": (65521, [96, 181], None),
-    "scale-p2147483647-31-151": (2 ** 31 - 1, [31, 151], None),
+    # (p, degrees, the pair whose first section is timed, the pairs timed alone)
+    "scale-p2-341-1023": (2, [341, 1023], (341, 1023), None),
+    "scale-p2-2047": (2, [2047], None, None),
+    "scale-p3-182-364": (3, [182, 364], None, None),
+    "scale-p65521-96-181": (65521, [96, 181], None, None),
+    "scale-p2147483647-31-151": (2 ** 31 - 1, [31, 151], None, None),
+    "scale-p65521-360": (65521, DIVISORS_360, None,
+                         [(4, 180), (45, 180), (2, 360), (60, 360), (90, 360), (180, 360)]),
 }
 
 THREADS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -71,10 +81,13 @@ def describe(name: str) -> str:
     spec = WORKLOADS[name]
     if name.startswith("cli-"):
         return "fflattice " + " ".join(spec)
-    p, degrees, pair = spec
+    p, degrees, pair, alone = spec
     text = f"p = {p}: add_field({', '.join(map(str, degrees))})"
     if pair:
         text += f", get_embedding{pair} and its first section_eval"
+    if alone:
+        text += (", get_embedding of every divisor pair, then "
+                 + " and ".join(f"get_embedding{pr}" for pr in alone) + " alone")
     return text
 
 
@@ -86,7 +99,7 @@ def child(name: str) -> dict:
     imported = time.perf_counter()
     if name == "import":
         return {"total_s": imported - start}
-    p, degrees, pair = WORKLOADS[name]
+    p, degrees, pair, alone = WORKLOADS[name]
     steps = {}
 
     def step(label, fn):
@@ -105,6 +118,20 @@ def child(name: str) -> dict:
         y = L.embed_eval(ell, m, s)
         if step(f"section_eval{pair}", lambda: L.section_eval(ell, m, y)) != s:
             raise AssertionError("the section does not invert the embedding")
+    if alone:
+        # cold copies of each pair's fields, sharing the cyclotomic lattice,
+        # before any embedding
+        cold = {pr: copy.deepcopy({n: L.fields[n] for n in pr}, {id(L.lattice): L.lattice})
+                for pr in alone}
+        pairs = [(ell, m) for m in degrees for ell in degrees if m % ell == 0]
+        step(f"get_embedding x {len(pairs)} divisor pairs",
+             lambda: [L.get_embedding(ell, m) for ell, m in pairs])
+        for ell, m in alone:
+            sparse = StdLattice(p, L.lattice)
+            sparse.fields.update(cold[ell, m])
+            desc = step(f"get_embedding{(ell, m)} alone", lambda: sparse.get_embedding(ell, m))
+            if desc != L.get_embedding(ell, m):
+                raise AssertionError("the cold copies embed differently")
     return {"total_s": time.perf_counter() - imported, "steps": steps}
 
 
