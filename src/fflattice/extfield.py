@@ -751,17 +751,24 @@ def frobenius(x: FFElem, k: int = 1) -> FFElem:
 
 
 def minimal_polynomial(x: FFElem) -> list[int]:
-    """Monic minimal polynomial of x over GF(p), by Berlekamp-Massey.
+    """Monic minimal polynomial of x over GF(p), by Berlekamp-Massey
+    (minimal_polynomial_and_powers)."""
+    return minimal_polynomial_and_powers(x)[0]
 
-    The sequence is row 0 of the Krylov matrix 1, x, ..., x^(2n-1)
-    (F.powers, O(log n) products in linalg.krylov's float64 tier): the
-    constant coordinates of the powers of x (Wiedemann 1986; Shoup 1999).
-    Every polynomial Q with Q(x) = 0 annihilates it, so its minimal
-    polynomial divides the irreducible minimal polynomial of x; it starts
-    with 1, the constant coordinate of x^0, so it is not constant, and the
-    two are equal.  Berlekamp-Massey finds it from 2n terms in O(n^2); at
-    p = 2 each term is a few operations on n-bit integers, with no numpy call.
-    Q(x) = 0, read off columns 0..deg Q of the same matrix, is asserted.
+
+def minimal_polynomial_and_powers(x: FFElem) -> tuple[list[int], np.ndarray]:
+    """The minimal polynomial Q of x and the n x 2n Krylov matrix 1, x, ..., x^(2n-1).
+
+    The sequence is row 0 of that matrix (F.powers, O(log n) products in
+    linalg.krylov's float64 tier): the constant coordinates of the powers
+    of x (Wiedemann 1986; Shoup 1999).  Every polynomial Q with Q(x) = 0
+    annihilates it, so its minimal polynomial divides the irreducible
+    minimal polynomial of x; it starts with 1, the constant coordinate of
+    x^0, so it is not constant, and the two are equal.  Berlekamp-Massey
+    finds it from 2n terms in O(n^2); at p = 2 each term is a few operations
+    on n-bit integers, with no numpy call.  Q(x) = 0, read off columns
+    0..deg Q of the same matrix, is asserted.  The matrix is returned for
+    callers that keep some of its powers (standardize.decorate at level 1).
     """
     f = x.field
     p, n = f.p, f.n
@@ -769,7 +776,7 @@ def minimal_polynomial(x: FFElem) -> list[int]:
     Q = _berlekamp_massey(K[0], p)
     if linalg.matmul_mod(K[:, :len(Q)], np.array(Q, dtype=np.int64), p).any():
         raise AssertionError("Berlekamp-Massey polynomial does not vanish at x")
-    return Q
+    return Q, K
 
 
 def _berlekamp_massey(s: np.ndarray, p: int) -> list[int]:

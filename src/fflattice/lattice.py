@@ -13,10 +13,13 @@ on the target the standard Hilbert-90 solution alpha_m that decorate kept
 alpha_m^(m/l) that the embeddings into it read above level 1, one chain per
 target (DecoratedField.alpha_power, at most d(m) - 2 more of 8 m a bytes),
 so several sources share their Kummer products.  At level 1 the image is
-t = s_m^(m/l) in closed form and reads nothing.  An embedding from GF(p)
-and the identity of GF(p^m) need neither powers nor an inverse.  The
-check P_l(t) = 0 and E take 1, t, ..., t^l by l - 1 products in GF(p^m)
-for small l/m (ExtField.powers).  The projection reads the cyclotomic
+t = s_m^(m/l), and 1, t, ..., t^l are every (m/l)-th column of the powers
+1, s_m, ..., s_m^m that decorate kept on the target (DecoratedField.powers,
+8 m (m + 1) bytes); B_l of the source is the first l columns of its own.
+An embedding from GF(p) and the identity of GF(p^m) need neither powers
+nor an inverse.  Above level 1 the check P_l(t) = 0 and E take 1, t, ...,
+t^l by l - 1 products in GF(p^m) for small l/m (ExtField.powers).  The
+projection reads the cyclotomic
 lattice's per-level-pair record (CycloLattice.level_pair), so it runs no
 elimination per pair, and kappa_{l,m} is kept there once per
 (l, level(m)) (CycloLattice.kappa).
@@ -293,7 +296,8 @@ class StdLattice:
         and their sections; on each decorated field its basis inverse
         B_l^(-1), its Hilbert-90 solution alpha, and for the embeddings into
         it the powers alpha^(l/k) above level 1 (at most d(l) - 2 of l a
-        coefficients); and the CycloLattice's entries, level pairs and
-        kappa constants.
+        coefficients) or at level 1 the powers 1, s, ..., s^l that decorate
+        kept (l (l + 1) coefficients); and the CycloLattice's entries, level
+        pairs and kappa constants.
         """
         return sum(len(d.field.modulus) + len(d.s.vec) + len(d.P) for d in self.fields.values())

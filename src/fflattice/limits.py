@@ -13,7 +13,10 @@ from __future__ import annotations
 import math
 
 # ExtField holds two n x n int64 matrices, the reduction and the Frobenius
-# matrix, at every p: 8 n^2 bytes is the whole of each.
+# matrix, at every p: 8 n^2 bytes is the whole of each.  A decorated field of
+# level 1 (n | p - 1) holds 8 n (n + 1) bytes more, its powers 1, s, ..., s^n:
+# 0.15 MB over the fields of perfbench's largep workload, 1.6 MB over the 24
+# divisors of 360 at p = 65521.
 DENSE_MATRIX_MAX_BYTES = 2 ** 28          # n <= 5792
 # Baby steps of one search over the whole group GF(p^n)^*: level 1 at
 # p = 2^31 - 1 would take 46,341, level 2 about p, so level 2 is refused for

@@ -16,9 +16,11 @@ whole divisibility lattice.
   m x m matrix.
 - At level 1 (m | p - 1) the Kummer algebra is GF(p^m) itself: alpha_m =
   s_m and P_m = X^m - abar_m, and kappa_{l,m} = 1 because l and m share
-  the level, so t = s_m^(m/l) in closed form, and its powers are
-  ExtField.powers as above.  B_l^(-1) of a level-1 source needs no
-  elimination: the trace-dual basis of the s_l^i is s_l^(-i)/l
+  the level, so t = s_m^(m/l) in closed form.  Its powers t^i =
+  s_m^((m/l) i) are read off the powers 1, s_m, ..., s_m^m that decorate
+  keeps from the Krylov matrix of its minimal polynomial
+  (DecoratedField.powers), with no product.  B_l^(-1) of a level-1 source
+  needs no elimination: the trace-dual basis of the s_l^i is s_l^(-i)/l
   (DecoratedField.basis_inverse).
 - A source GF(p) maps s_1 to the same constant, and GF(p^m) maps to
   itself by the identity, at any level, with no powers and no inverse.
@@ -43,13 +45,18 @@ class DecoratedField:
     """A finite field GF(p^l) with its standard generator and polynomial.
 
     Only (f, s, P) are serialized, so persistent storage is linear in l.
-    Everything else is held in memory, built on first demand (racing
-    threads store equal values):
+    Everything else is held in memory:
     - alpha is the standard Hilbert-90 solution that decorate checked and
-      projected to s (l a coefficients), and alpha_power keeps the powers
-      alpha^e that the embeddings into this field take above level 1: l a
-      coefficients each, at most d(l) - 2 of them for the d(l) divisors of
-      l.
+      projected to s (l a coefficients).
+    - powers, at level 1 only (None above), is the l x (l + 1) matrix of
+      1, s, ..., s^l: the first l + 1 columns of the Krylov matrix that
+      decorate read P_l from (l (l + 1) coefficients).  The embeddings into
+      this field read the powers of their images off it, and basis_inverse
+      reads B_l off it.
+    Built on first demand (racing threads store equal values):
+    - alpha_power keeps the powers alpha^e that the embeddings into this
+      field take above level 1: l a coefficients each, at most d(l) - 2 of
+      them for the d(l) divisors of l.
     - basis_inverse() is B_l^(-1) for the power basis B_l = 1, s, ...,
       s^(l-1) (l^2 coefficients), for the embeddings out of this field: one
       l x l linalg.left_inverse, or at level 1 the closed form of the
@@ -63,6 +70,7 @@ class DecoratedField:
     level: int
     algebra: KummerAlg
     alpha: KummerElem = dataclasses.field(compare=False, repr=False)
+    powers: np.ndarray | None = dataclasses.field(default=None, compare=False, repr=False)
     _basis_inverse: np.ndarray | None = dataclasses.field(default=None, init=False,
                                                           compare=False, repr=False)
     _alpha_powers: dict = dataclasses.field(default_factory=dict, init=False,
@@ -85,15 +93,15 @@ class DecoratedField:
     def basis_inverse(self) -> np.ndarray:
         """B_l^(-1), kept; at level 1 in closed form (_kummer_basis_inverse)."""
         if self._basis_inverse is None:
-            B = self.field.powers(self.s, self.ell)
             if self.level == 1:
-                self._basis_inverse = _kummer_basis_inverse(self, B)
+                self._basis_inverse = _kummer_basis_inverse(self)
             else:
+                B = self.field.powers(self.s, self.ell)
                 self._basis_inverse = linalg.left_inverse(B, self.field.p)[1]
         return self._basis_inverse
 
 
-def _kummer_basis_inverse(dec: DecoratedField, B: np.ndarray) -> np.ndarray:
+def _kummer_basis_inverse(dec: DecoratedField) -> np.ndarray:
     """B_l^(-1) at level 1, where P_l = X^l - abar_l, from the trace-dual basis.
 
     The conjugates of s are the s zeta^j, so Tr(s^k) = 0 for 0 < k < l and
@@ -105,13 +113,13 @@ def _kummer_basis_inverse(dec: DecoratedField, B: np.ndarray) -> np.ndarray:
     Tr(X^k) is the trace of multiplication by X^k, whose column j is
     X^(k+j) mod f: a diagonal of [I | R | R R], R the reduction matrix
     (columns X^l, ..., X^(2l-1) mod f, and R R those of X^(2l), ...).
-    P_l is asserted against the standard constant first.
+    B_l is the first l columns of the kept powers, and abar is read off
+    P_l, which decorate checked against the standard constant.
     """
     ell, F = dec.ell, dec.field
     p = F.p
-    abar = dec.algebra.lattice.standard_constant(ell).vec[0]
-    if dec.P != [(-abar) % p] + [0] * (ell - 1) + [1]:
-        raise AssertionError(f"P_{ell} is not X^{ell} - abar_{ell} at level 1 (p = {p})")
+    abar = -dec.P[0] % p
+    B = dec.powers[:, :ell]
     R = F.reduction
     W = np.hstack([np.eye(ell, dtype=np.int64), R, linalg.matmul_mod(R, R, p)])
     j = np.arange(ell)
@@ -150,6 +158,9 @@ def decorate(ell: int, lattice: CycloLattice, defining_poly: list[int] | None = 
     rescaled solution is checked in K_l, as a'_l kappa^l = abar_l: since
     (alpha' (1 (x) kappa))^l = (1 (x) a'_l)(1 (x) kappa^l), that is the
     statement alpha^l = 1 (x) abar_l without a second power in the algebra.
+    At level 1 P_l is asserted to be X^l - abar_l, and the powers 1, s,
+    ..., s^l of the minimal polynomial's Krylov matrix are kept
+    (DecoratedField.powers) for the embeddings into and out of this field.
 
     A degree refused by limits.check_decoration raises ValueError before any
     Conway search or polynomial draw.
@@ -165,10 +176,16 @@ def decorate(ell: int, lattice: CycloLattice, defining_poly: list[int] | None = 
         raise AssertionError("standardized solution does not carry the standard constant")
     alpha = alpha_prime.scalar_mul(kappa)
     s = kummer.project_first(alpha, ell)
-    P = extfield.minimal_polynomial(s)
+    P, K = extfield.minimal_polynomial_and_powers(s)
     if fppoly.degree(P) != ell:
         raise AssertionError("standard generator does not generate the field")
-    return DecoratedField(ell, alg.left, s, P, alg.a, alg, alpha)
+    powers = None
+    if alg.a == 1:
+        p = lattice.p
+        if P != [-abar.vec[0] % p] + [0] * (ell - 1) + [1]:
+            raise AssertionError(f"P_{ell} is not X^{ell} - abar_{ell} at level 1 (p = {p})")
+        powers = K[:, :ell + 1].copy()
+    return DecoratedField(ell, alg.left, s, P, alg.a, alg, alpha, powers)
 
 
 def standard_polynomial(ell: int, lattice: CycloLattice, seed: int = 0) -> list[int]:
@@ -196,13 +213,14 @@ def standard_embed(src: DecoratedField, dst: DecoratedField,
     - l = 1: t = s_1, a constant, and E = e_0.
     - l = m over the same field and generator: t = s_m and E = I.
     - Level 1 (m | p - 1): t = s_m^(m/l), as kappa_{l,m} = 1 for l and m
-      of one level.
+      of one level, and its powers 1, t, ..., t^l are every (m/l)-th column
+      of the target's kept 1, s_m, ..., s_m^m (DecoratedField.powers): one
+      slice, with no product.
     - Otherwise t = [ (1 (x) kappa_{l,m}) alpha_m^(m/l) ]_(zeta_m^(m/l)),
       with alpha_m^(m/l) read from the chain kept on the target
-      (DecoratedField.alpha_power).
-    Beyond the first two cases P_l(t) = 0 is asserted on the powers 1, t,
-    ..., t^l (ExtField.powers: l - 1 products for small l/m, with no m x m
-    matrix);
+      (DecoratedField.alpha_power), and its powers 1, t, ..., t^l are
+      ExtField.powers (l - 1 products for small l/m, with no m x m matrix).
+    Beyond the first two cases P_l(t) = 0 is asserted on those powers;
     P_l is irreducible of degree l (decorate asserts the degree), so that is
     the same test as minimal polynomial of t = P_l.
     """
@@ -218,12 +236,13 @@ def standard_embed(src: DecoratedField, dst: DecoratedField,
     if ell == m and src.field == dst.field and src.s == dst.s:
         return EmbeddingDesc(m, m, dst.s, np.eye(m, dtype=np.int64))
     if dst.level == 1:
-        t = dst.s ** (m // ell)
+        T = dst.powers[:, ::m // ell]
+        t = FFElem(dst.field, tuple(T[:, 1].tolist()))
     else:
         kappa = kappa_constant(ell, m, lattice)
         t = kummer.project_first(dst.alpha_power(m // ell).scalar_mul(kappa), ell)
+        T = dst.field.powers(t, ell + 1)
     p = lattice.p
-    T = dst.field.powers(t, ell + 1)
     if linalg.matmul_mod(T, np.array(src.P, dtype=np.int64), p).any():
         raise AssertionError("embedding image is not a root of P_l; "
                              "decorations are inconsistent")

@@ -205,6 +205,17 @@ def test_minimal_polynomial():
     assert acc == F.zero()
 
 
+@pytest.mark.parametrize("p, modulus", [(2, [1, 1, 0, 0, 1]), (65521, [65518, 0, 0, 0, 0, 1])])
+def test_minimal_polynomial_returns_its_krylov_matrix(p, modulus):
+    # the helper returns the minimal polynomial with the 1, x, ..., x^(2n-1)
+    # it was read from; minimal_polynomial is its first part
+    F = ExtField(p, modulus)
+    for x in (F.gen(), F.gen() ** 3 + F.one()):
+        Q, K = extfield.minimal_polynomial_and_powers(x)
+        assert Q == extfield.minimal_polynomial(x)
+        assert np.array_equal(K, F.powers(x, 2 * F.n))
+
+
 def test_multiplicative_order():
     F = ExtField(2, [1, 1, 0, 1])  # GF(8)
     g = F.gen()

@@ -2,6 +2,7 @@
 representation independence, the closed-form kappa constant, and the
 norm key identity."""
 
+import copy
 import dataclasses
 import functools
 import random
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from fflattice import fppoly, extfield, kummer, linalg, standardize
 from fflattice.cli import _valid_degrees
-from fflattice.extfield import ExtField
+from fflattice.extfield import ExtField, FFElem
 from fflattice.lattice import StdLattice, default_lattice
 from oracles import kummer_embedding
 
@@ -287,7 +288,8 @@ def level_one_pairs(p):
 
 
 def cold(dec):
-    """A copy of a decorated field without its in-memory caches."""
+    """A copy of a decorated field without the caches built on demand; the
+    powers that decorate kept at level 1 stay."""
     return dataclasses.replace(dec)
 
 
@@ -314,13 +316,58 @@ def test_level_one_basis_inverse_is_the_left_inverse(p, ell):
     assert np.array_equal(dec.basis_inverse(), want)
 
 
-def test_level_one_basis_inverse_checks_the_standard_polynomial():
-    # the closed form holds for P_l = X^l - abar_l only, so decorate's P_l is
-    # checked against the standard constant first
-    dec = level_one_field(13, 6)
-    wrong = dataclasses.replace(dec, P=dec.P[:-2] + [1, 1])
+def test_level_one_decoration_checks_the_standard_polynomial(monkeypatch):
+    # the closed forms hold for P_l = X^l - abar_l only, so decorate checks
+    # its Berlekamp-Massey P_l against the standard constant before it keeps
+    # the powers that the embeddings into and out of the field read
+    helper = extfield.minimal_polynomial_and_powers
+
+    def wrong(x):
+        P, K = helper(x)
+        return P[:-2] + [1, 1], K
+
+    monkeypatch.setattr(extfield, "minimal_polynomial_and_powers", wrong)
     with pytest.raises(AssertionError, match=r"P_6 is not X\^6 - abar_6"):
-        wrong.basis_inverse()
+        standardize.decorate(6, level_one_lattice(13).lattice)
+
+
+# the degree sets of the largep benchmark workload
+LARGEP_DEGREES = {
+    65521: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 18, 20, 21, 24, 26, 28, 30, 35,
+            36, 39, 40, 42, 45, 48],
+    257: [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 43, 48],
+}
+
+
+@pytest.mark.parametrize("p, degrees", [*LARGEP_DEGREES.items(), (2, [1, 3, 5, 15]),
+                                        (3, [1, 2, 4, 5, 20]), (5, [1, 2, 3, 4, 6])])
+def test_level_one_fields_keep_their_first_powers(p, degrees):
+    # decorate keeps 1, s, ..., s^l of its minimal polynomial's Krylov
+    # matrix at level 1 and nothing above; they are neither compared,
+    # printed nor serialized
+    L = StdLattice(p)
+    for ell in degrees:
+        dec = L.add_field(ell)
+        if dec.level > 1:
+            assert dec.powers is None, ell
+            continue
+        assert np.array_equal(dec.powers, dec.field.powers(dec.s, ell + 1)), ell
+        # copied as perfbench copies fields, sharing the cyclotomic lattice
+        twin = copy.deepcopy(dec, {id(L.lattice): L.lattice})
+        assert np.array_equal(twin.powers, dec.powers), ell
+        bare = dataclasses.replace(dec, powers=None)
+        assert bare == dec and repr(bare) == repr(dec), ell
+    assert any(dec.level == 1 for dec in L.fields.values())
+    stored, text = L.stored_coefficients(), L.dumps()
+    bare = StdLattice(p, L.lattice)
+    bare.fields.update({ell: dataclasses.replace(dec, powers=None)
+                        for ell, dec in L.fields.items()})
+    assert bare.stored_coefficients() == stored and bare.dumps() == text
+    reloaded = StdLattice.loads(text)
+    for ell, dec in L.fields.items():
+        assert (reloaded.field(ell).powers is None) == (dec.powers is None), ell
+        if dec.powers is not None:
+            assert np.array_equal(reloaded.field(ell).powers, dec.powers), ell
 
 
 @pytest.mark.parametrize("p, degrees", [(2, (3, 15, 105)), (3, (4, 20)), (5, (6, 52))])
@@ -348,9 +395,9 @@ def count_calls(monkeypatch, targets):
 
 
 def test_level_one_pair_makes_no_kummer_product_projection_or_elimination(monkeypatch):
-    # 1 -> 48 maps s_1 to itself, 3 -> 48 takes 1, t, t^2, t^3 by products
-    # and 8 -> 48 its nine powers by the matrix route; B_3^(-1) and
-    # B_8^(-1) are closed forms
+    # 1 -> 48 maps s_1 to itself, 3 -> 48 and 8 -> 48 read 1, t, ..., t^l
+    # off the powers of s_48 that decoration kept; B_3^(-1) and B_8^(-1)
+    # are closed forms
     L = StdLattice(65521)
     for n in (1, 3, 8, 48):
         L.add_field(n)
@@ -372,7 +419,8 @@ def test_level_one_pair_makes_no_kummer_product_projection_or_elimination(monkey
 
 def test_sparse_level_one_embeddings_build_no_large_matrix(monkeypatch):
     # one embedding into a large level-1 target builds no m x m matrix:
-    # 4 -> 180 and 2 -> 360 take their 5 and 3 powers by products
+    # 4 -> 180 and 2 -> 360 read their 5 and 3 powers off the target's
+    # kept powers
     p = 65521
     L = StdLattice(p)
     for n in (2, 4):
@@ -394,6 +442,23 @@ def test_sparse_level_one_embeddings_build_no_large_matrix(monkeypatch):
         t, E = kummer_embedding(L.field(ell), L.field(m), L.lattice)
         desc = L.get_embedding(ell, m)
         assert desc.s_image == t and np.array_equal(desc.matrix, E), (ell, m)
+
+
+@pytest.mark.parametrize("p, ell, m", [(65521, 12, 48), (65521, 45, 90), (257, 4, 32)])
+def test_level_one_embedding_takes_no_power(monkeypatch, p, ell, m):
+    # the powers of t = s_m^(m/l) and B_l are slices of the kept powers, and
+    # B_l^(-1) is a closed form: no power, Krylov matrix or elimination
+    L = StdLattice(p)
+    for n in (ell, m):
+        L.add_field(n)
+    calls = count_calls(monkeypatch, [(ExtField, "powers"), (FFElem, "__pow__"),
+                                      (fppoly, "powmod"), (linalg, "krylov"),
+                                      (linalg, "left_inverse")])
+    desc = L.get_embedding(ell, m)
+    monkeypatch.undo()
+    assert not calls
+    t, E = kummer_embedding(L.field(ell), L.field(m), L.lattice)
+    assert desc.s_image == t and np.array_equal(desc.matrix, E)
 
 
 def test_key_identity():

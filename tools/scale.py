@@ -1,6 +1,6 @@
 """Scale benchmark of fflattice: one command, one JSON file.
 
-    python3 tools/scale.py --out BENCH_1.json
+    python3 tools/scale.py --out BENCH_3.json
 
 It measures the checkout it lives in (its src/), from any working
 directory, and changes nothing in it.  Every run of a workload is a fresh
@@ -35,6 +35,9 @@ The file holds
   import_s    `import fflattice.cli` in a fresh process: median, IQR, runs;
   end_to_end  per workload the median and IQR of its runs in seconds, the
               runs, and for the scale points the median of each step.
+Each of import_s and end_to_end also holds peak_rss_mb, the median of the
+runs' peak resident memory in MiB (the ru_maxrss that wait4 reports for
+the child process), and those runs in peak_rss_mb_runs.
 The exit code is 1 when a run fails.
 """
 
@@ -136,19 +139,32 @@ def child(name: str) -> dict:
 
 
 def run_once(name: str, env: dict) -> dict:
-    if name.startswith("cli-"):
-        t = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "fflattice.cli", *WORKLOADS[name]], env=env,
-                       check=True, stdout=subprocess.DEVNULL)
-        return {"total_s": time.perf_counter() - t}
-    out = subprocess.run([sys.executable, __file__, "--child", name], env=env, check=True,
-                         stdout=subprocess.PIPE, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+    """One run in a fresh process, with the peak RSS of that process."""
+    cli = name.startswith("cli-")
+    if cli:
+        argv = [sys.executable, "-m", "fflattice.cli", *WORKLOADS[name]]
+    else:
+        argv = [sys.executable, __file__, "--child", name]
+    t = time.perf_counter()
+    with subprocess.Popen(argv, env=env, text=True,
+                          stdout=subprocess.DEVNULL if cli else subprocess.PIPE) as proc:
+        out = "" if cli else proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    wall = time.perf_counter() - t
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, argv)
+    result = {"total_s": wall} if cli else json.loads(out.splitlines()[-1])
+    result["peak_rss_mb"] = usage.ru_maxrss / 1024     # KiB on Linux
+    return result
 
 
-def summary(runs: list[float]) -> dict:
+def summary(results: list[dict]) -> dict:
+    runs = [res["total_s"] for res in results]
+    rss = [res["peak_rss_mb"] for res in results]
     q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
-    return {"median_s": statistics.median(runs), "iqr_s": q3 - q1, "runs_s": runs}
+    return {"median_s": statistics.median(runs), "iqr_s": q3 - q1, "runs_s": runs,
+            "peak_rss_mb": statistics.median(rss), "peak_rss_mb_runs": rss}
 
 
 def git(*args) -> str:
@@ -190,14 +206,14 @@ def main() -> int:
         run_once("import", env)     # untimed: fills the bytecode cache
         imports, runs = [], {name: [] for name in WORKLOADS}
         for r in range(REPEATS):
-            imports.append(run_once("import", env)["total_s"])
+            imports.append(run_once("import", env))
             for name in WORKLOADS:
                 runs[name].append(run_once(name, env))
                 print(f"[{r + 1}/{REPEATS}] {name}: {runs[name][-1]['total_s']:.3f} s",
                       file=sys.stderr)
     end_to_end = {}
     for name, results in runs.items():
-        end_to_end[name] = summary([res["total_s"] for res in results])
+        end_to_end[name] = summary(results)
         if "steps" in results[0]:
             end_to_end[name]["steps_median_s"] = {
                 label: statistics.median(res["steps"][label] for res in results)
