@@ -148,7 +148,7 @@ class ConwayTable:
         self.p = fppoly.check_prime(p)
         self.work_bound = work_bound
         self.pseudo = pseudo
-        self.canonical = not pseudo
+        self.canonical = True
         self._polys: dict[int, list[int]] = {}
         self._lock = threading.Lock()
         if polys:

@@ -17,16 +17,21 @@ products), float_matmul_mod (chains that keep float64 operands: krylov's
 doubling, PowerOrbit's squarings, extfield's screen) and traces_mod
 (tr(A B) for each A of a stack).  Each entry sums `terms` products of
 residues (the inner dimension, plus one for C0's term; the shorter
-convolution factor; all n m of a trace), and _accumulator picks the dtype
+convolution factor; all n m of a trace), and _accumulator picks the tier
 that holds such sums exactly: float64 when terms (p-1)^2 < 2^53, where every partial
 sum is an integer below 2^53 and no summation order a BLAS chooses can
 change a bit; int64 when terms (p-1)^2 < 2^62, a bit below int64's 2^63;
-else Python integers (object), from terms = 2 on at p = 2^31 - 1.
-matmul_mod and convolve_mod take the float64 tier only for a matrix-matrix
-product or a convolution of at least BLAS_MIN_WORK multiply-adds, where it
-beats int64 despite the conversions.  Results are int64 (float64 for
-float_matmul_mod) whatever the accumulator, so no caller sees the tier, and
-the dtype of an input (int64, or object holding residues) never decides it.
+else (None; from terms = 2 on at p = 2^31 - 1) int64 on w-bit digits B_s of
+the second factor, B = sum of B_s 2^s (_by_digits, as FFLAS-FFPACK splits
+operands: Dumas, Giorgi and Pernet 2008): w = 63 - bit_length(terms (p-1))
+keeps each sum below 2^63, and A B = sum of (A B_s mod p) 2^s mod p, 2^s < p,
+one product per digit (two at p = 2^31 - 1 below 2^16 terms), exact at every
+length.  matmul_mod and convolve_mod take the float64 tier only for a
+matrix-matrix product or a convolution of at least BLAS_MIN_WORK
+multiply-adds, where it beats int64 despite the conversions.  Results are
+int64 (float64 for float_matmul_mod) whatever the tier, so no caller sees
+it, and the dtype of an input (int64, float64, or object holding residues)
+never decides it.
 
 In the float64 tier a convolution whose shorter factor has at least
 FFT_MIN_LENGTH entries may take an FFT route: rfft of both factors at a
@@ -74,9 +79,21 @@ BLAS_MIN_WORK = 4096
 
 @functools.lru_cache(maxsize=None)
 def _accumulator(terms: int, p: int):
-    """float64, int64 or object: the dtype exact for sums of `terms` products of residues mod p."""
+    """float64 or int64, the dtype exact for sums of `terms` products mod p, else None."""
     bound = terms * (p - 1) * (p - 1)
-    return np.float64 if bound < 1 << 53 else np.int64 if bound < 1 << 62 else object
+    return np.float64 if bound < 1 << 53 else np.int64 if bound < 1 << 62 else None
+
+
+def _by_digits(product, A: np.ndarray, B: np.ndarray, terms: int, p: int) -> np.ndarray:
+    """product(A, B) mod p, int64, for a product bilinear in its integer factors whose
+    entries sum at most `terms` products: B in w-bit digits (see Overflow policy)."""
+    A, B = A.astype(np.int64, copy=False), B.astype(np.int64, copy=False)
+    w = 63 - (terms * (p - 1)).bit_length()
+    mask = (1 << w) - 1
+    C = product(A, B & mask) % p
+    for s in range(w, (p - 1).bit_length(), w):     # 2^s < p: no reduction of the shift
+        C = (C + (product(A, B >> s & mask) % p << s)) % p
+    return C
 
 
 def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
@@ -88,8 +105,8 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     if acc is np.float64:
         if B.ndim == 2 and A.size * B.shape[-1] >= BLAS_MIN_WORK:
             return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
-    elif acc is object:
-        return np.asarray((A.astype(object, copy=False) @ B.astype(object)) % p, dtype=np.int64)
+    elif acc is None:
+        return _by_digits(np.matmul, A, B, A.shape[-1], p)
     C = np.remainder(A @ B, p)      # an object dot product gives a Python int
     return C.astype(np.int64) if C.dtype.hasobject else C
 
@@ -107,9 +124,8 @@ def matmul_add_mod(C0: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> np.n
             C = A.astype(np.float64) @ B.astype(np.float64)
             C += C0.astype(np.float64, copy=False)
             return C.astype(np.int64) % p
-    elif acc is object:
-        return np.asarray((C0.astype(object) + A.astype(object) @ B.astype(object)) % p,
-                          dtype=np.int64)
+    elif acc is None:
+        return (_by_digits(np.matmul, A, B, A.shape[-1], p) + C0.astype(np.int64)) % p
     C = np.remainder(C0 + A @ B, p)
     return C.astype(np.int64) if C.dtype.hasobject else C
 
@@ -124,9 +140,10 @@ def traces_mod(As: np.ndarray, B: np.ndarray, p: int) -> list[int]:
     """
     acc = _accumulator(B.size, p)
     X, y = As.reshape(len(As), -1), B.T.ravel()
-    if acc is object:   # through int64, so that float64 residues become Python integers
-        X, y = X.astype(np.int64), y.astype(np.int64)
-    t = X.astype(acc, copy=False) @ y.astype(acc, copy=False)
+    if acc is None:
+        t = _by_digits(np.matmul, X, y, B.size, p)
+    else:
+        t = X.astype(acc, copy=False) @ y.astype(acc, copy=False)
     return [int(x) % p for x in t.tolist()]
 
 
@@ -190,8 +207,8 @@ def convolve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         if k * m >= BLAS_MIN_WORK:
             return np.correlate(a.astype(np.float64), b[::-1].astype(np.float64),
                                 "full").astype(np.int64) % p
-    elif acc is object:
-        return (np.correlate(a.astype(object), b[::-1].astype(object), "full") % p).astype(np.int64)
+    elif acc is None:
+        return _by_digits(lambda x, y: np.correlate(x, y[::-1], "full"), a, b, short, p)
     c = np.correlate(a, b[::-1], "full") % p
     return c.astype(np.int64) if c.dtype.hasobject else c
 
@@ -233,9 +250,9 @@ def krylov(M: np.ndarray, v, k: int, p: int) -> np.ndarray:
     In the float64 tier (see Overflow policy), for k >= 16 and 2k >= n, by
     doubling (Keller-Gehrig 1985): columns j..2j-1 are M^j times columns
     0..j-1 and M^(2j) = (M^j)^2, so about 2 log2(k) BLAS products.
-    Otherwise k - 1 mat-vecs, the only way at p near 2^31.  The crossover
-    was measured on one thread of a 2-vCPU x86-64 host: doubling ties the
-    loop at k = 12-16 for n <= 48 and at k = n/2 for n = 117, 256 and 511.
+    Otherwise k - 1 mat-vecs.  The crossover was measured on one thread of
+    a 2-vCPU x86-64 host: doubling ties the loop at k = 12-16 for n <= 48
+    and at k = n/2 for n = 117, 256 and 511.
     """
     cur = np.asarray(v, dtype=np.int64) % p
     n = cur.shape[0]
@@ -252,8 +269,6 @@ def krylov(M: np.ndarray, v, k: int, p: int) -> np.ndarray:
                 return K.astype(np.int64)
             P = float_matmul_mod(P, P, p)
     K = np.empty((n, k), dtype=np.int64)
-    if _accumulator(n, p) is object:
-        M = M.astype(object)    # cast once, not on every mat-vec
     for i in range(k):
         K[:, i] = cur
         if i + 1 < k:
@@ -264,21 +279,16 @@ def krylov(M: np.ndarray, v, k: int, p: int) -> np.ndarray:
 class PowerOrbit:
     """M^e v for 0 <= e <= n and traces tr(M^k) mod p, for residues M (n x n) and v (n).
 
-    In the float64 tier (see Overflow policy) the squares M^(2^j),
-    j <= floor(log2 n), are computed in float64 as they are first needed and
-    kept in one stack after the identity; M^e v is one mat-vec per set bit of
-    e, and tr(M^k) one pass over two matrices of the stack (traces_mod) when k
-    has at most two set bits, after the product of the others when it has
-    more.  Otherwise M^e v is read off the n + 1 Krylov iterates of v
-    (krylov's mat-vec loop), built on first use, which cost less than
-    n^3-sized products in int64 or Python integers, and only tr(M) is known.
+    The squares M^(2^j), j <= floor(log2 n), are computed by float_matmul_mod
+    as they are first needed and kept, float64, in one stack after the
+    identity; M^e v is one mat-vec per set bit of e, and tr(M^k) one pass
+    over two matrices of the stack (traces_mod) when k has at most two set
+    bits, after the product of the others when it has more.
     """
 
     def __init__(self, M: np.ndarray, v: np.ndarray, p: int):
         self.M, self.v, self.p = M, v, p
-        self._squaring = _accumulator(len(v), p) is np.float64
         self._stack = None
-        self._iterates = None
 
     def _square(self, j: int) -> np.ndarray:
         """M^(2^j), float64; the stack is allocated on first use."""
@@ -294,12 +304,10 @@ class PowerOrbit:
             self._held += 1
         return Q[j + 1]
 
-    def trace(self, k: int) -> int | None:
-        """tr(M^k) mod p for 1 <= k <= n; None for k > 1 outside the float64 tier."""
+    def trace(self, k: int) -> int:
+        """tr(M^k) mod p for 1 <= k <= n."""
         if k == 1:
             return int(self.M.trace()) % self.p
-        if not self._squaring:
-            return None
         bits = [j for j in range(k.bit_length()) if k >> j & 1]
         S = self._square(bits.pop())
         P = self._square(bits[0]) if bits else self._stack[0]
@@ -312,14 +320,12 @@ class PowerOrbit:
 
         k = 1 first, from M alone; then, after each square S = M^(2^j), k = 2^j
         and k = 2^j + 2^i for i < j, one traces_mod of S against the identity
-        and the squares before it.  Outside the float64 tier only k = 1.  A
-        caller that stops iterating stops the squaring.
+        and the squares before it.  A caller that stops iterating stops the
+        squaring.
         """
         n = len(self.v)
         if skip < 1 < n:
             yield 1, self.trace(1)
-        if not self._squaring:
-            return
         j = 1
         while 1 << j < n:
             S = self._square(j)
@@ -333,10 +339,6 @@ class PowerOrbit:
 
     def __call__(self, e: int) -> np.ndarray:
         """M^e v, int64."""
-        if not self._squaring:
-            if self._iterates is None:
-                self._iterates = krylov(self.M, self.v, len(self.v) + 1, self.p)
-            return self._iterates[:, e]
         w = self.v.astype(np.float64)
         for j in range(e.bit_length()):
             if e >> j & 1:

@@ -80,6 +80,15 @@ def test_pseudo_search_differs_in_convention():
     assert is_primitive(F.gen())
 
 
+def test_pseudo_table_is_canonical_until_it_searches():
+    # tabulated entries are Conway polynomials whatever the table's search; only a
+    # relaxed search makes the table non-canonical
+    embedded = parse_table(CONWAY_TABLE_TEXT, p=3, validate=False)
+    t = ConwayTable(3, {a: embedded.get(a) for a in (1, 2)}, pseudo=True)
+    assert t.get(2) == embedded.get(2) and t.canonical
+    assert extfield.is_irreducible(t.get(3), 3) and not t.canonical
+
+
 def test_table_round_trip():
     table = parse_table(CONWAY_TABLE_TEXT, p=3, validate=False)
     text = dump_table(table)

@@ -106,7 +106,7 @@ def test_powers_routes_agree(p, n, k, seed, x_seed):
     # below 6 k < max(36, n) the powers come by products, from there on by
     # the Krylov matrix (the examples: the last k of one route and the first
     # of the other); every p reaches one tier of convolve_mod: float64 (2, 3),
-    # int64 (65521) and object (2^31 - 1, at n <= 12)
+    # int64 (65521) and int64 digits (2^31 - 1, at n <= 12)
     if p > 2 ** 30:
         n = n % 12 + 1
     F = ExtField(p, extfield.random_irreducible(p, n, seed=seed), check=False)
@@ -545,8 +545,8 @@ def test_screened_test_matches_rabin_exhaustive(p, max_n):
 
 
 def test_screened_test_matches_rabin_random():
-    # 65521: Rabin's test on float64 squarings of the Frobenius matrix; 2^31 - 1: on the
-    # Krylov iterates in object dtype; 1021: a screen of degree-1 blocks only, p above every n
+    # 65521: Rabin's test on float64 squarings of the Frobenius matrix; 2^31 - 1: on
+    # squarings in int64 digits; 1021: a screen of degree-1 blocks only, p above every n
     rng = random.Random(5301)
     for p in (2, 3, 5, 7, 257, 65521, 2 ** 31 - 1, 1021):
         for _ in range(16 if p > 1 << 30 else 40):

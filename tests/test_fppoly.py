@@ -119,7 +119,7 @@ KERNEL_PRIMES = [2, 3, 65521, 2 ** 31 - 1]
 
 
 def kernel_moduli(p, rng):
-    """Monic moduli of degree 1, 2 (either side of the int64/object boundary at
+    """Monic moduli of degree 1, 2 (either side of the int64/digit boundary at
     p = 2^31 - 1) and ten random degrees up to 60, random coefficients."""
     for n in [1, 2] + rng.sample(range(3, 61), 10):
         yield [rng.randrange(p) for _ in range(n)] + [1]
@@ -141,7 +141,7 @@ def test_powmod_matches_divrem_oracle(p):
         n = fppoly.degree(m)
         R = fppoly.reduction_matrix(m, p)
         assert R.shape == (n, n)     # X^n .. X^(2n-1): a square times a linear base
-        assert R.dtype == np.int64     # at every p, the object tier included
+        assert R.dtype == np.int64     # at every p, the digit tier included
         for i in range(n):
             assert fppoly.trim([int(c) for c in R[:, i]]) == fppoly.mod(
                 fppoly.monomial(n + i, p), m, p)

@@ -53,7 +53,7 @@ def test_checker_flags_unused_import():
 
 KERNEL = "linalg.py"
 PRODUCT_CALLS = {"convolve", "correlate", "dot", "matmul"}
-TIER_NAMES = {"word_dtype", "blas_dtype", "float_mod", "_accumulator"}
+TIER_NAMES = {"word_dtype", "blas_dtype", "float_mod", "_accumulator", "_by_digits"}
 FFT_NAMES = {"fft", "rfft", "irfft"}
 
 

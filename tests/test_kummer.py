@@ -543,7 +543,7 @@ def random_element(alg, rng):
     (2, (3, 9, 21, 45)),          # levels 2, 6, 6, 12
     (3, (4, 13, 20)),             # levels 2, 3, 4
     (65521, (1, 5, 48)),          # level 1, int64
-    (2 ** 31 - 1, (1, 3, 7)),     # level 1; int64 at l = 1, object dtype from l = 2
+    (2 ** 31 - 1, (1, 3, 7)),     # level 1; int64 at l = 1, int64 digits from l = 2
     (2, (19, 57, 117)),           # levels 18, 18, 12
     (5, (21, 56)),                # level 6
     (257, (43,)),                 # level 2
@@ -614,7 +614,7 @@ def square_multiply_oracle(x, e):
 
 
 # Small algebras for each prime, levels above 1 where the Conway table reaches;
-# at p = 2^31 - 1 every product from l = 2 on accumulates in object dtype.
+# at p = 2^31 - 1 every product from l = 2 on takes int64 digits.
 POWER_DEGREES = {2: (3, 5, 9), 3: (2, 4, 13), 5: (3, 6, 13), 257: (3, 6),
                  65521: (5, 12), 2 ** 31 - 1: (3, 7)}
 

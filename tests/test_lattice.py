@@ -311,7 +311,7 @@ def test_section_matches_solve_oracle(p):
 
 
 # one lattice per prime tier: p = 2 and 3 (many levels), p = 65521 (int64
-# mat-vecs) and p = 2^31 - 1 (object-dtype mat-vecs from l = 2 on)
+# mat-vecs) and p = 2^31 - 1 (mat-vecs in int64 digits from l = 2 on)
 EVAL_DEGREES = {
     2: (1, 3, 9, 15),
     3: (1, 2, 4, 8),

@@ -177,12 +177,12 @@ def test_krylov_columns_are_matrix_powers(p):
 
 def test_word_dtype_boundary():
     # one policy, three tiers: sums of products in float64 while terms (p-1)^2 < 2^53,
-    # int64 while terms (p-1)^2 < 2^62, Python integers beyond
+    # int64 while terms (p-1)^2 < 2^62, int64 digits of the second factor (None) beyond
     p = 2 ** 31 - 1
     tier = linalg._accumulator
     assert tier(1, p) is np.int64
-    assert tier(2, p) is object
-    assert tier(1 << 62, 2) is object
+    assert tier(2, p) is None
+    assert tier(1 << 62, 2) is None
     assert tier((1 << 62) - 1, 2) is np.int64
     assert tier((1 << 53) - 1, 2) is np.float64
     assert tier(1 << 53, 2) is np.int64
@@ -215,7 +215,7 @@ def product_oracle(A, B, p):
 @pytest.mark.parametrize("p", [3, 65521, 268435009, 2 ** 31 - 1])
 def test_kernels_return_int64_residues_at_every_tier(p, dtype):
     # mat-vecs, small and BLAS-sized products and convolutions, at p whose inner
-    # dimensions 1, 2, 16 and 80 fall in float64, int64 and Python integers
+    # dimensions 1, 2, 16 and 80 fall in float64, int64 and int64 digits
     rng = random.Random(p % 1000 + 31)
     for inner in (1, 2, 16, 80):
         A = rand_matrix(rng, 80, inner, p)
@@ -363,13 +363,13 @@ def trace_oracle(A, B, p):
 @pytest.mark.parametrize("n, m", [(4, 4), (8, 8), (6, 10)])
 def test_traces_mod_on_both_sides_of_each_tier(n, m):
     # one sum of n m products per trace: float64 while n m (p-1)^2 < 2^53, int64
-    # while < 2^62, Python integers beyond, at the primes just inside and outside
-    # each bound and at p = 2^31 - 1
+    # while < 2^62, each product reduced before the sum beyond, at the primes just
+    # inside and outside each bound and at p = 2^31 - 1
     terms = n * m
     primes = [tier_prime(terms, 53), prime_above(terms, 53), tier_prime(terms, 62),
               prime_above(terms, 62), 2 ** 31 - 1]
     assert [linalg._accumulator(terms, p) for p in primes] == [
-        np.float64, np.int64, np.int64, object, object]
+        np.float64, np.int64, np.int64, None, None]
     for p in primes:
         rng = random.Random(p + terms)
         stack = np.array([np.full((n, m), p - 1)] + [rand_matrix(rng, n, m, p) for _ in range(2)]
@@ -378,6 +378,41 @@ def test_traces_mod_on_both_sides_of_each_tier(n, m):
             for dtype in (np.int64, np.float64, object):
                 got = linalg.traces_mod(stack.astype(dtype), B.astype(dtype), p)
                 assert got == [trace_oracle(A, B, p) for A in stack], (p, dtype)
+
+
+@pytest.mark.parametrize("terms", [2, 3, 16, 100])
+def test_digit_tier_matches_object_oracles(terms):
+    # past int64 the second factor goes in w-bit digits: at the primes just inside
+    # and outside terms (p-1)^2 < 2^62, and at p = 2^31 - 1, on all-(p-1) factors
+    # (every sum the largest) and on random ones
+    big = 2 ** 31 - 1
+    primes = [tier_prime(terms, 62), prime_above(terms, 62), big]
+    assert [linalg._accumulator(terms, p) for p in primes] == [np.int64, None, None]
+    for p in primes:
+        rng = random.Random(p + terms)
+        for A, B in [(np.full((3, terms), p - 1), np.full((terms, 4), p - 1)),
+                     (rand_matrix(rng, 3, terms, p), rand_matrix(rng, terms, 4, p))]:
+            assert linalg.matmul_mod(A, B, p).tolist() == product_oracle(A, B, p), p
+            assert linalg.matmul_mod(A, B[:, 0], p).tolist() == product_oracle(A, B[:, 0], p)
+            # C0 is one more term: the inner dimension terms - 1 takes the same tier
+            C0 = B[:3, :4] if terms >= 3 else np.full((3, 4), p - 1)
+            want = (np.array(product_oracle(A[:, 1:], B[1:], p), dtype=object) + C0) % p
+            assert linalg.matmul_add_mod(C0, A[:, 1:], B[1:], p).tolist() == want.tolist(), p
+            a, b = A[0], np.concatenate([B[:, 0], B[:, 1], B[:, 2]])   # terms, 3 terms entries
+            assert linalg.convolve_mod(a, b, p).tolist() == schoolbook(a, b, p), p
+            assert linalg.traces_mod(A[:, None, :], B[:, :1], p) == [
+                trace_oracle(X[None], B[:, :1], p) for X in A], p
+
+
+def test_digit_tier_past_2_16_terms():
+    # at p = 2^31 - 1 from 2^16 terms on a w-bit digit holds fewer than 16 bits, so
+    # residues take three digits, not two
+    p, terms = 2 ** 31 - 1, 70000
+    assert 63 - (terms * (p - 1)).bit_length() < 16
+    rng = random.Random(terms)
+    A = np.array([np.full(terms, p - 1), rand_matrix(rng, 1, terms, p)[0]])
+    B = A.T[:, ::-1].copy()
+    assert linalg.matmul_mod(A, B, p).tolist() == product_oracle(A, B, p)
 
 
 def matrix_powers_oracle(M, k, p):
@@ -393,22 +428,20 @@ def matrix_powers_oracle(M, k, p):
 @pytest.mark.parametrize("n", [2, 5, 16, 17, 32])
 def test_power_orbit_matches_oracles(p, n):
     # M^e v for every e <= n; tr(M^k) for k < n as squaring reaches it (k = 1, then
-    # 2^j and 2^j + 2^i, i < j) and on demand for any k <= n, in the float64 tier of
-    # the squarings; past it the Krylov iterates and tr(M) alone
+    # 2^j and 2^j + 2^i, i < j) and on demand for any k <= n, in every tier
     rng = random.Random(7 * n + p % 1000)
     M = rand_matrix(rng, n, n, p)
     v = rand_matrix(rng, n, 1, p)[:, 0]
     powers = matrix_powers_oracle(M, n, p)
     want = [int(np.trace(P)) % p for P in powers]      # want[k - 1] = tr(M^k)
     orbit = linalg.PowerOrbit(M, v, p)
-    squaring = linalg._accumulator(n, p) is np.float64
     for skip in (0, 1, 3):
         got = list(linalg.PowerOrbit(M, v, p).traces(skip))
-        ks = [k for k in range(skip + 1, n) if k == 1 or squaring and bin(k).count("1") <= 2]
+        ks = [k for k in range(skip + 1, n) if bin(k).count("1") <= 2]
         assert sorted(k for k, _ in got) == ks, (skip, got)
         assert all(t == want[k - 1] for k, t in got), skip
     for k in range(1, n + 1):
-        assert orbit.trace(k) == (want[k - 1] if k == 1 or squaring else None), k
+        assert orbit.trace(k) == want[k - 1], k
     cur = v.astype(object)
     for e in range(n + 1):
         assert orbit(e).dtype == np.int64 and orbit(e).tolist() == cur.tolist(), e
